@@ -10,11 +10,12 @@ constant for its stepsize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .driver import ScheduleExhausted, drive
 from .gradapprox import GradScheme, approx_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport, TraceRecord
@@ -189,6 +190,58 @@ def nelder_mead_run(
     )
 
 
+@dataclass(frozen=True)
+class ImfilState:
+    """State after iteration ``k``; ``delta`` is the scale iteration k sampled at."""
+
+    k: int
+    x: Array
+    f_x: float
+    scale: int = 0  # index of the scale the next iteration samples at
+    delta: float = float("nan")
+    last_step: str = "init"  # "accepted" | "ls_fail" | "stencil_fail" | "init"
+    last_g_norm: float = float("nan")
+    last_tau: float = 0.0
+    last_candidate_f: Optional[float] = None
+    last_cost: int = 0
+
+    C = float("nan")  # no curvature proxy
+
+
+def imfil_step(state: ImfilState, oracle: Oracle, scheme: GradScheme,
+               cfg: BaselineConfig) -> ImfilState:
+    """One gradient step at the current scale; a too-small estimate (norm at
+    most h) or a failed backtracking search advances the schedule instead."""
+    scales = cfg.scales()
+    if state.scale >= len(scales):
+        raise ScheduleExhausted()
+    h = scales[state.scale]
+    g = approx_gradient(oracle, scheme, state.x, h)
+    cost = scheme.evals_per_call(state.x.shape[0])
+    g_norm = float(np.linalg.norm(g))
+    failed = replace(state, k=state.k + 1, scale=state.scale + 1, delta=h,
+                     last_g_norm=g_norm, last_tau=0.0, last_candidate_f=None,
+                     last_cost=cost)
+    if g_norm <= h:
+        return replace(failed, last_step="stencil_fail")
+    t = 1.0
+    min_f = np.inf
+    for trial in range(cfg.imfil_max_backtracks):
+        if oracle.eval_count >= cfg.budget:
+            raise BudgetExhausted("budget exhausted during linesearch", partial=min_f,
+                                  declared_cost=cost + trial)
+        candidate = state.x - t * g
+        f_cand = oracle.evaluate(candidate)
+        min_f = min(min_f, f_cand)
+        if f_cand <= state.f_x - cfg.imfil_armijo * t * g_norm**2:
+            return replace(failed, x=candidate, f_x=f_cand, scale=state.scale,
+                           last_step="accepted", last_tau=t, last_candidate_f=min_f,
+                           last_cost=cost + trial + 1)
+        t *= cfg.imfil_ls_gamma
+    return replace(failed, last_step="ls_fail", last_candidate_f=min_f,
+                   last_cost=cost + cfg.imfil_max_backtracks)
+
+
 def imfil_run(
     objective: Objective,
     scheme: GradScheme,
@@ -196,85 +249,22 @@ def imfil_run(
     noise_level: float = 0.0,
     seed: int = 0,
 ) -> RunReport:
-    """Implicit-filtering loop: per scale, gradient steps until stencil failure.
+    """Implicit filtering: :func:`imfil_step` along the configured scale schedule.
 
-    The sampling interval h walks down the configured schedule no matter what
-    the iterates do; a too-small estimate (norm at most h) or a failed
-    backtracking search advances the schedule. The run ends when the schedule
-    or the budget is exhausted.
+    The sampling interval h walks down the schedule no matter what the iterates
+    do. The run ends when the budget or the schedule is exhausted.
     """
-    n = objective.dim
-    oracle = Oracle(objective, noise_level, seed)
-    per_call = scheme.evals_per_call(n)
-    x = cfg.x1.copy()
-    f_x = oracle.evaluate(x)
-    declared = 1
-    f_best = f_x
-    trace: list[TraceRecord] = []
-    k = 0
-    truncated = False
-    termination = "schedule"
-
-    try:
-        for h in cfg.scales():
-            while True:
-                if oracle.eval_count >= cfg.budget:
-                    raise BudgetExhausted()
-                g = approx_gradient(oracle, scheme, x, h)
-                declared += per_call
-                k += 1
-                g_norm = float(np.linalg.norm(g))
-                if g_norm <= h:
-                    trace.append(
-                        TraceRecord(iter=k, evals=oracle.eval_count, f_current=f_x,
-                                    f_best=f_best, grad_norm_approx=g_norm, delta=h,
-                                    C=float("nan"), tau=0.0,
-                                    step_status="stencil_fail")
-                    )
-                    break
-                t = 1.0
-                accepted = False
-                for _ in range(cfg.imfil_max_backtracks):
-                    f_cand = _checked_eval(oracle, x - t * g, cfg.budget)
-                    declared += 1
-                    f_best = min(f_best, f_cand)
-                    if f_cand <= f_x - cfg.imfil_armijo * t * g_norm**2:
-                        accepted = True
-                        break
-                    t *= cfg.imfil_ls_gamma
-                if not accepted:
-                    trace.append(
-                        TraceRecord(iter=k, evals=oracle.eval_count, f_current=f_x,
-                                    f_best=f_best, grad_norm_approx=g_norm, delta=h,
-                                    C=float("nan"), tau=0.0, step_status="ls_fail")
-                    )
-                    break
-                x = x - t * g
-                f_x = f_cand
-                trace.append(
-                    TraceRecord(iter=k, evals=oracle.eval_count, f_current=f_x,
-                                f_best=f_best, grad_norm_approx=g_norm, delta=h,
-                                C=float("nan"), tau=t, step_status="accepted")
-                )
-    except BudgetExhausted:
-        truncated = True
-        termination = "budget"
-
-    return RunReport(
-        solver_id=f"imfil-{scheme.value}",
-        trace=trace,
-        final_x=x.copy(),
-        best_f=f_best,
-        evals=oracle.eval_count,
-        declared_evals=declared,
-        budget=cfg.budget,
-        termination=termination,
-        truncated=truncated,
-        config={"solver": "imfil", "scheme": scheme.value, "budget": cfg.budget,
-                "scales": cfg.scales(), "armijo": cfg.imfil_armijo,
-                "ls_gamma": cfg.imfil_ls_gamma,
-                "max_backtracks": cfg.imfil_max_backtracks,
-                "x1": [float(v) for v in cfg.x1]},
+    config = {"solver": "imfil", "scheme": scheme.value, "budget": cfg.budget,
+              "scales": cfg.scales(), "armijo": cfg.imfil_armijo,
+              "ls_gamma": cfg.imfil_ls_gamma,
+              "max_backtracks": cfg.imfil_max_backtracks,
+              "x1": [float(v) for v in cfg.x1]}
+    return drive(
+        f"imfil-{scheme.value}", objective, scheme, cfg, noise_level, seed,
+        start=lambda x, f: ImfilState(k=0, x=x, f_x=f),
+        step=imfil_step,
+        config=config,
+        extras=lambda state: {"iterates": []},
     )
 
 

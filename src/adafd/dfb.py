@@ -15,15 +15,12 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .driver import config_dict, drive, schedule_value
 from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
-from .trace import RunReport, TraceRecord
+from .trace import RunReport
 
 NuRule = Union[Callable[[int], float], Sequence[float], None]
-
-
-class NuExhausted(Exception):
-    """A finite nu sequence ran out before the run did."""
 
 
 @dataclass(frozen=True)
@@ -71,12 +68,7 @@ class DfbConfig:
         """Error cap for iteration k (1-based); must be positive and decrease to 0."""
         if self.nu is None:
             return self.delta1 / k
-        if callable(self.nu):
-            value = float(self.nu(k))
-        else:
-            if k - 1 >= len(self.nu):
-                raise NuExhausted(f"nu sequence exhausted at iteration {k}")
-            value = float(self.nu[k - 1])
+        value = schedule_value(self.nu, k)
         if value <= 0:
             raise ValueError(f"nu must stay positive, got {value} at iteration {k}")
         return value
@@ -145,31 +137,29 @@ class DfbState:
     last_min_candidate_f: Optional[float] = None
     last_cost: int = 0
 
+    @property
+    def last_candidate_f(self) -> Optional[float]:
+        """The lowest value the last linesearch saw, under the driver's name."""
+        return self.last_min_candidate_f
+
 
 def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig) -> DfbState:
     """Advance one iteration; raises :class:`BudgetExhausted` if cut off mid-step."""
     if state.last_step == "stopped":
         raise RuntimeError("cannot step a stopped solver state")
     k = state.k + 1
-    per_call = scheme.evals_per_call(state.x.shape[0])
-
     res = adaptive_gradient(
         oracle, scheme, state.x, state.delta, state.C, cfg.mu, cfg.theta,
         nu_k=cfg.nu_at(k), i_max=cfg.i_max, budget=cfg.budget,
     )
-    grad_cost = (res.inner_steps + 1) * per_call
+    grad_cost = (res.inner_steps + 1) * scheme.evals_per_call(state.x.shape[0])
+    searched = replace(
+        state, k=k, delta=res.delta_next, last_g_norm=float(np.linalg.norm(res.g)),
+        last_tau=0.0, last_inner_steps=res.inner_steps, last_min_candidate_f=None,
+        last_cost=grad_cost,
+    )
     if res.exhausted:
-        return replace(
-            state,
-            k=k,
-            delta=res.delta_next,
-            last_step="stopped",
-            last_g_norm=float(np.linalg.norm(res.g)),
-            last_tau=0.0,
-            last_inner_steps=res.inner_steps,
-            last_min_candidate_f=None,
-            last_cost=grad_cost,
-        )
+        return replace(searched, last_step="stopped")
 
     g = res.g
     try:
@@ -180,39 +170,14 @@ def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig
     except BudgetExhausted as stop:
         stop.declared_cost += grad_cost
         raise
-    cost = grad_cost + ls.evals_used
-    g_norm = float(np.linalg.norm(g))
-
+    tested = replace(searched, last_min_candidate_f=ls.min_f_seen,
+                     last_cost=grad_cost + ls.evals_used)
     if ls.t >= state.t_min:
         # the floor was never crossed, so the exit must have been a passed test
-        return DfbState(
-            k=k,
-            x=state.x - ls.t * g,
-            delta=res.delta_next,
-            C=state.C,
-            t_min=state.t_min,
-            f_x=ls.f_candidate,
-            last_step="accepted",
-            last_g_norm=g_norm,
-            last_tau=ls.t,
-            last_inner_steps=res.inner_steps,
-            last_min_candidate_f=ls.min_f_seen,
-            last_cost=cost,
-        )
-    return DfbState(
-        k=k,
-        x=state.x,
-        delta=res.delta_next,
-        C=state.C * cfg.eta,
-        t_min=state.t_min * cfg.gamma,
-        f_x=state.f_x,
-        last_step="null",
-        last_g_norm=g_norm,
-        last_tau=0.0,
-        last_inner_steps=res.inner_steps,
-        last_min_candidate_f=ls.min_f_seen,
-        last_cost=cost,
-    )
+        return replace(tested, x=state.x - ls.t * g, f_x=ls.f_candidate,
+                       last_step="accepted", last_tau=ls.t)
+    return replace(tested, C=state.C * cfg.eta, t_min=state.t_min * cfg.gamma,
+                   last_step="null")
 
 
 def dfb_run(
@@ -222,84 +187,14 @@ def dfb_run(
     noise_level: float = 0.0,
     seed: int = 0,
 ) -> RunReport:
-    """Run to budget exhaustion or a near-stationarity stop; return the full trace."""
-    if cfg.x1.shape != (objective.dim,):
-        raise ValueError("x1 dimension does not match the objective")
-    oracle = Oracle(objective, noise_level, seed)
-    f1 = oracle.evaluate(cfg.x1)
-    state = DfbState(
-        k=0, x=cfg.x1.copy(), delta=cfg.delta1, C=cfg.c1, t_min=cfg.t_min1, f_x=f1
+    """Run to budget exhaustion, a near-stationarity stop or the end of a finite nu
+    sequence; return the full trace."""
+    config = config_dict("dfb", scheme, cfg)
+    config["nu"] = "harmonic(delta1/k)" if cfg.nu is None else "custom"
+    return drive(
+        f"dfb-{scheme.value}", objective, scheme, cfg, noise_level, seed,
+        start=lambda x, f: DfbState(k=0, x=x, delta=cfg.delta1, C=cfg.c1,
+                                    t_min=cfg.t_min1, f_x=f),
+        step=dfb_step,
+        config=config,
     )
-    declared = 1
-    f_best = f1
-    trace: list[TraceRecord] = []
-    iterates = [state.x.copy()]
-    termination = "budget"
-    truncated = False
-
-    while oracle.eval_count < cfg.budget:
-        c_used = state.C
-        try:
-            state = dfb_step(state, oracle, scheme, cfg)
-        except BudgetExhausted as stop:
-            declared += stop.declared_cost
-            truncated = True
-            break
-        except NuExhausted:
-            termination = "schedule"
-            break
-        declared += state.last_cost
-        if state.last_min_candidate_f is not None:
-            f_best = min(f_best, state.last_min_candidate_f)
-        trace.append(
-            TraceRecord(
-                iter=state.k,
-                evals=oracle.eval_count,
-                f_current=state.f_x,
-                f_best=f_best,
-                grad_norm_approx=state.last_g_norm,
-                delta=state.delta,
-                C=c_used,  # the value the iteration ran with, pre-escalation
-                tau=state.last_tau,
-                step_status=state.last_step,
-            )
-        )
-        iterates.append(state.x.copy())
-        if state.last_step == "stopped":
-            termination = "stationary"
-            break
-
-    return RunReport(
-        solver_id=f"dfb-{scheme.value}",
-        trace=trace,
-        final_x=state.x.copy(),
-        best_f=f_best,
-        evals=oracle.eval_count,
-        declared_evals=declared,
-        budget=cfg.budget,
-        termination=termination,
-        truncated=truncated,
-        final_C=state.C,
-        iterates=iterates,
-        config=_cfg_dict(cfg, scheme),
-    )
-
-
-def _cfg_dict(cfg: DfbConfig, scheme: GradScheme) -> dict:
-    return {
-        "solver": "dfb",
-        "scheme": scheme.value,
-        "x1": [float(v) for v in cfg.x1],
-        "budget": cfg.budget,
-        "delta1": cfg.delta1,
-        "c1": cfg.c1,
-        "theta": cfg.theta,
-        "mu": cfg.mu,
-        "eta": cfg.eta,
-        "beta": cfg.beta,
-        "gamma": cfg.gamma,
-        "tau_bar": cfg.tau_bar,
-        "t_min1": cfg.t_min1,
-        "nu": "harmonic(delta1/k)" if cfg.nu is None else "custom",
-        "i_max": cfg.i_max,
-    }

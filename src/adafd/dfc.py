@@ -14,9 +14,10 @@ from typing import Optional
 
 import numpy as np
 
+from .driver import config_dict, drive
 from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
-from .trace import RunReport, TraceRecord
+from .trace import RunReport
 
 
 @dataclass(frozen=True)
@@ -72,64 +73,29 @@ def dfc_step(state: DfcState, oracle: Oracle, scheme: GradScheme, cfg: DfcConfig
     """Advance one iteration; raises :class:`BudgetExhausted` if cut off mid-step."""
     if state.last_step == "stopped":
         raise RuntimeError("cannot step a stopped solver state")
-    dim = state.x.shape[0]
-    per_call = scheme.evals_per_call(dim)
-
     res = adaptive_gradient(
         oracle, scheme, state.x, state.delta, state.C, cfg.mu, cfg.theta,
         nu_k=None, i_max=cfg.i_max, budget=cfg.budget,
     )
-    grad_cost = (res.inner_steps + 1) * per_call
+    grad_cost = (res.inner_steps + 1) * scheme.evals_per_call(state.x.shape[0])
+    g_norm = float(np.linalg.norm(res.g))
+    searched = replace(
+        state, k=state.k + 1, delta=res.delta_next, last_g_norm=g_norm, last_tau=0.0,
+        last_inner_steps=res.inner_steps, last_candidate_f=None, last_cost=grad_cost,
+    )
     if res.exhausted:
-        return replace(
-            state,
-            k=state.k + 1,
-            delta=res.delta_next,
-            last_step="stopped",
-            last_g_norm=float(np.linalg.norm(res.g)),
-            last_tau=0.0,
-            last_inner_steps=res.inner_steps,
-            last_candidate_f=None,
-            last_cost=grad_cost,
-        )
+        return replace(searched, last_step="stopped")
 
     if oracle.eval_count >= cfg.budget:
         raise BudgetExhausted("budget exhausted before the decrease test", declared_cost=grad_cost)
-    g = res.g
-    g_norm = float(np.linalg.norm(g))
     tau = cfg.kappa / state.C
-    candidate = state.x - tau * g
+    candidate = state.x - tau * res.g
     f_cand = oracle.evaluate(candidate)
     threshold = state.f_x - cfg.kappa * (cfg.mu - 2.0) / (2.0 * state.C * cfg.mu) * g_norm**2
-    cost = grad_cost + 1
-
+    tested = replace(searched, last_candidate_f=f_cand, last_cost=grad_cost + 1)
     if f_cand <= threshold:
-        return DfcState(
-            k=state.k + 1,
-            x=candidate,
-            delta=res.delta_next,
-            C=state.C,
-            f_x=f_cand,
-            last_step="accepted",
-            last_g_norm=g_norm,
-            last_tau=tau,
-            last_inner_steps=res.inner_steps,
-            last_candidate_f=f_cand,
-            last_cost=cost,
-        )
-    return DfcState(
-        k=state.k + 1,
-        x=state.x,
-        delta=res.delta_next,
-        C=state.C * cfg.r,
-        f_x=state.f_x,
-        last_step="rejected",
-        last_g_norm=g_norm,
-        last_tau=0.0,
-        last_inner_steps=res.inner_steps,
-        last_candidate_f=f_cand,
-        last_cost=cost,
-    )
+        return replace(tested, x=candidate, f_x=f_cand, last_step="accepted", last_tau=tau)
+    return replace(tested, C=state.C * cfg.r, last_step="rejected")
 
 
 def dfc_run(
@@ -140,74 +106,9 @@ def dfc_run(
     seed: int = 0,
 ) -> RunReport:
     """Run to budget exhaustion or a near-stationarity stop; return the full trace."""
-    if cfg.x1.shape != (objective.dim,):
-        raise ValueError("x1 dimension does not match the objective")
-    oracle = Oracle(objective, noise_level, seed)
-    f1 = oracle.evaluate(cfg.x1)
-    state = DfcState(k=0, x=cfg.x1.copy(), delta=cfg.delta1, C=cfg.c1, f_x=f1)
-    declared = 1
-    f_best = f1
-    trace: list[TraceRecord] = []
-    iterates = [state.x.copy()]
-    termination = "budget"
-    truncated = False
-
-    while oracle.eval_count < cfg.budget:
-        c_used = state.C
-        try:
-            state = dfc_step(state, oracle, scheme, cfg)
-        except BudgetExhausted as stop:
-            declared += stop.declared_cost
-            truncated = True
-            break
-        declared += state.last_cost
-        if state.last_candidate_f is not None:
-            f_best = min(f_best, state.last_candidate_f)
-        trace.append(
-            TraceRecord(
-                iter=state.k,
-                evals=oracle.eval_count,
-                f_current=state.f_x,
-                f_best=f_best,
-                grad_norm_approx=state.last_g_norm,
-                delta=state.delta,
-                C=c_used,  # the value the iteration ran with, pre-escalation
-                tau=state.last_tau,
-                step_status=state.last_step,
-            )
-        )
-        iterates.append(state.x.copy())
-        if state.last_step == "stopped":
-            termination = "stationary"
-            break
-
-    return RunReport(
-        solver_id=f"dfc-{scheme.value}",
-        trace=trace,
-        final_x=state.x.copy(),
-        best_f=f_best,
-        evals=oracle.eval_count,
-        declared_evals=declared,
-        budget=cfg.budget,
-        termination=termination,
-        truncated=truncated,
-        final_C=state.C,
-        iterates=iterates,
-        config=_cfg_dict(cfg, scheme),
+    return drive(
+        f"dfc-{scheme.value}", objective, scheme, cfg, noise_level, seed,
+        start=lambda x, f: DfcState(k=0, x=x, delta=cfg.delta1, C=cfg.c1, f_x=f),
+        step=dfc_step,
+        config=config_dict("dfc", scheme, cfg),
     )
-
-
-def _cfg_dict(cfg: DfcConfig, scheme: GradScheme) -> dict:
-    return {
-        "solver": "dfc",
-        "scheme": scheme.value,
-        "x1": [float(v) for v in cfg.x1],
-        "budget": cfg.budget,
-        "delta1": cfg.delta1,
-        "c1": cfg.c1,
-        "theta": cfg.theta,
-        "mu": cfg.mu,
-        "r": cfg.r,
-        "kappa": cfg.kappa,
-        "i_max": cfg.i_max,
-    }

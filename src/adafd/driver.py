@@ -1,0 +1,139 @@
+"""The one run loop that every adaptive solver shares.
+
+A solver is a step rule ``step(state, oracle, scheme, cfg) -> state`` plus its
+initial state. The driver owns everything around it: the initial evaluation,
+the budget check before every step, the declared-cost sum, ``f_best``, the
+trace and iterates, and why the run stopped. A step rule reports its cost in
+``last_cost`` and the lowest value it evaluated at an iterate or candidate
+point in ``last_candidate_f``; it raises :class:`BudgetExhausted` when cut off
+mid-step and :class:`ScheduleExhausted` when a caller-supplied sequence runs
+out, both carrying the cost of the work done so far. A cut-off step may also
+pass the lowest value it evaluated as the float ``partial`` of its
+:class:`BudgetExhausted`, which then still counts toward ``f_best``.
+"""
+
+from __future__ import annotations
+
+import numbers
+from dataclasses import fields, replace
+from typing import Callable
+
+from .oracle import BudgetExhausted, Objective, Oracle
+from .trace import RunReport, TraceRecord
+
+
+class ScheduleExhausted(Exception):
+    """A caller-supplied sequence ran out of entries before the budget did."""
+
+    def __init__(self, declared_cost: int = 0):
+        super().__init__("schedule exhausted")
+        self.declared_cost = declared_cost
+
+
+def schedule_value(rule, k: int, *args) -> float:
+    """Entry k (1-based) of a constant, a sequence, or a rule ``rule(k, *args)``."""
+    if callable(rule):
+        return float(rule(k, *args))
+    if isinstance(rule, (int, float)):
+        return float(rule)
+    if k - 1 >= len(rule):
+        raise ScheduleExhausted()
+    return float(rule[k - 1])
+
+
+def config_dict(solver: str, scheme, cfg) -> dict:
+    """A config dataclass as JSON-ready values; rules and sequences become "custom"."""
+    out = {"solver": solver, "scheme": scheme.value}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name == "x1":
+            value = [float(v) for v in value]
+        elif value is not None and not isinstance(value, numbers.Real):
+            value = "custom"
+        out[f.name] = value
+    return out
+
+
+def _ran_with_C(before, after) -> float:
+    return before.C  # the step may escalate C; the record keeps the value it ran with
+
+
+def _final_C(state) -> dict:
+    return {"final_C": state.C}
+
+
+def drive(
+    solver_id: str,
+    objective: Objective,
+    scheme,
+    cfg,
+    noise_level: float,
+    seed: int,
+    start: Callable,
+    step: Callable,
+    config: dict,
+    trace_C: Callable = _ran_with_C,
+    extras: Callable = _final_C,
+) -> RunReport:
+    """Run ``step`` from ``start(x1, f(x1))`` to the budget, a stationary stop or
+    the end of a schedule; ``extras(state)`` adds solver-specific report fields."""
+    if cfg.x1.shape != (objective.dim,):
+        raise ValueError("x1 dimension does not match the objective")
+    oracle = Oracle(objective, noise_level, seed)
+    f_best = oracle.evaluate(cfg.x1)
+    state = start(cfg.x1.copy(), f_best)
+    declared = 1
+    trace: list[TraceRecord] = []
+    iterates = [state.x.copy()]
+    termination = "budget"
+    truncated = False
+
+    while oracle.eval_count < cfg.budget:
+        before = state
+        try:
+            state = step(state, oracle, scheme, cfg)
+        except BudgetExhausted as stop:
+            declared += stop.declared_cost
+            if isinstance(stop.partial, float):  # values the cut-off step saw
+                f_best = min(f_best, stop.partial)
+            truncated = True
+            break
+        except ScheduleExhausted as stop:
+            declared += stop.declared_cost
+            termination = "schedule"
+            break
+        declared += state.last_cost
+        if state.last_candidate_f is not None:
+            f_best = min(f_best, state.last_candidate_f)
+        trace.append(
+            TraceRecord(
+                iter=state.k,
+                evals=oracle.eval_count,
+                f_current=state.f_x,
+                f_best=f_best,
+                grad_norm_approx=state.last_g_norm,
+                delta=state.delta,
+                C=trace_C(before, state),
+                tau=state.last_tau,
+                step_status=state.last_step,
+            )
+        )
+        iterates.append(state.x.copy())
+        if state.last_step == "stopped":
+            termination = "stationary"
+            break
+
+    report = RunReport(
+        solver_id=solver_id,
+        trace=trace,
+        final_x=state.x.copy(),
+        best_f=f_best,
+        evals=oracle.eval_count,
+        declared_evals=declared,
+        budget=cfg.budget,
+        termination=termination,
+        truncated=truncated,
+        iterates=iterates,
+        config=config,
+    )
+    return replace(report, **extras(state))

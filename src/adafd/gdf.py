@@ -9,31 +9,18 @@ what local-convergence studies around nonisolated minimizers need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .driver import ScheduleExhausted, config_dict, drive, schedule_value
 from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
-from .trace import RunReport, TraceRecord
+from .trace import RunReport
 
 TauPolicy = Union[float, Sequence[float], Callable[[int, Array, Array], float]]
 SeqRule = Union[float, Sequence[float], Callable[[int], float]]
-
-
-class _Exhausted(Exception):
-    """A caller-supplied sequence ran out of entries."""
-
-
-def _seq_value(rule: SeqRule, k: int, name: str) -> float:
-    if callable(rule):
-        return float(rule(k))
-    if isinstance(rule, (int, float)):
-        return float(rule)
-    if k - 1 >= len(rule):
-        raise _Exhausted(name)
-    return float(rule[k - 1])
 
 
 @dataclass(frozen=True)
@@ -61,14 +48,69 @@ class GdfConfig:
         if self.i_max < 1:
             raise ValueError("i_max must be positive")
 
-    def tau_at(self, k: int, x: Array, g: Array) -> float:
-        if callable(self.tau):
-            return float(self.tau(k, x, g))
-        if isinstance(self.tau, (int, float)):
-            return float(self.tau)
-        if k - 1 >= len(self.tau):
-            raise _Exhausted("tau")
-        return float(self.tau[k - 1])
+
+@dataclass(frozen=True)
+class GdfState:
+    """State after iteration ``k``; ``C`` is the proxy constant iteration k ran with."""
+
+    k: int
+    x: Array
+    delta: float
+    f_x: float
+    C: float = float("nan")
+    tau_sum: float = 0.0
+    last_step: str = "init"  # "step" | "clamped" | "stopped" | "init"
+    last_g_norm: float = float("nan")
+    last_tau: float = 0.0
+    last_candidate_f: Optional[float] = None
+    last_cost: int = 0
+
+
+def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig) -> GdfState:
+    """Advance one iteration x <- x - tau_k g_k under the injected policies.
+
+    Negative stepsizes from a rule are clamped to 0 and flagged as status
+    "clamped". Each iteration spends one extra evaluation on phi at the new
+    iterate so the trace carries current values; a step that cannot afford it
+    is dropped whole, leaving x intact.
+    """
+    k = state.k + 1
+    c_k = schedule_value(cfg.c_seq, k)
+    nu_k = None if cfg.nu_seq is None else schedule_value(cfg.nu_seq, k)
+    if c_k <= 0:
+        raise ValueError(f"c_seq must stay positive, got {c_k} at iteration {k}")
+
+    res = adaptive_gradient(
+        oracle, scheme, state.x, state.delta, c_k, cfg.mu, cfg.theta,
+        nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget,
+    )
+    cost = (res.inner_steps + 1) * scheme.evals_per_call(state.x.shape[0])
+    g_norm = float(np.linalg.norm(res.g))
+    if res.exhausted:
+        return replace(
+            state, k=k, delta=res.delta_next, C=c_k, f_x=float("nan"),
+            last_step="stopped", last_g_norm=g_norm, last_tau=0.0,
+            last_candidate_f=None, last_cost=cost,
+        )
+
+    try:
+        tau_k = schedule_value(cfg.tau, k, state.x, res.g)
+    except ScheduleExhausted as stop:
+        stop.declared_cost += cost
+        raise
+    if oracle.eval_count >= cfg.budget:
+        raise BudgetExhausted("budget exhausted before the trace probe", declared_cost=cost)
+    status = "step"
+    if tau_k < 0.0:
+        tau_k = 0.0
+        status = "clamped"
+    x = state.x - tau_k * res.g
+    f_x = oracle.evaluate(x)
+    return GdfState(
+        k=k, x=x, delta=res.delta_next, f_x=f_x, C=c_k,
+        tau_sum=state.tau_sum + tau_k, last_step=status, last_g_norm=g_norm,
+        last_tau=tau_k, last_candidate_f=f_x, last_cost=cost + 1,
+    )
 
 
 def gdf_run(
@@ -78,111 +120,13 @@ def gdf_run(
     noise_level: float = 0.0,
     seed: int = 0,
 ) -> RunReport:
-    """Iterate x <- x - tau_k g_k under the injected policies.
-
-    Negative stepsizes from a rule are clamped to 0 and flagged in the trace
-    as status "clamped". Each iteration spends one extra evaluation on phi at
-    the new iterate so the trace carries current values; the cost is part of
-    the declared accounting.
-    """
-    if cfg.x1.shape != (objective.dim,):
-        raise ValueError("x1 dimension does not match the objective")
-    oracle = Oracle(objective, noise_level, seed)
-    f1 = oracle.evaluate(cfg.x1)
-    x = cfg.x1.copy()
-    declared = 1
-    f_best = f1
-    delta = cfg.delta1
-    k = 0
-    tau_total = 0.0
-    trace: list[TraceRecord] = []
-    iterates = [x.copy()]
-    termination = "budget"
-    truncated = False
-    per_call = scheme.evals_per_call(objective.dim)
-
-    while oracle.eval_count < cfg.budget:
-        k += 1
-        try:
-            c_k = _seq_value(cfg.c_seq, k, "c_seq")
-            nu_k = None if cfg.nu_seq is None else _seq_value(cfg.nu_seq, k, "nu_seq")
-        except _Exhausted:
-            termination = "schedule"
-            break
-        if c_k <= 0:
-            raise ValueError(f"c_seq must stay positive, got {c_k} at iteration {k}")
-
-        try:
-            res = adaptive_gradient(
-                oracle, scheme, x, delta, c_k, cfg.mu, cfg.theta,
-                nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget,
-            )
-        except BudgetExhausted as stop:
-            declared += stop.declared_cost
-            truncated = True
-            break
-        declared += (res.inner_steps + 1) * per_call
-        delta = res.delta_next
-        g_norm = float(np.linalg.norm(res.g))
-
-        if res.exhausted:
-            trace.append(
-                TraceRecord(
-                    iter=k, evals=oracle.eval_count, f_current=float("nan"),
-                    f_best=f_best, grad_norm_approx=g_norm, delta=delta,
-                    C=c_k, tau=0.0, step_status="stopped",
-                )
-            )
-            termination = "stationary"
-            break
-
-        try:
-            tau_k = cfg.tau_at(k, x, res.g)
-        except _Exhausted:
-            termination = "schedule"
-            break
-        if oracle.eval_count >= cfg.budget:
-            # cannot afford the trace probe: drop the whole step, keep x intact
-            truncated = True
-            break
-        status = "step"
-        if tau_k < 0.0:
-            tau_k = 0.0
-            status = "clamped"
-        x = x - tau_k * res.g
-        tau_total += tau_k
-        f_x = oracle.evaluate(x)
-        declared += 1
-        f_best = min(f_best, f_x)
-        trace.append(
-            TraceRecord(
-                iter=k, evals=oracle.eval_count, f_current=f_x, f_best=f_best,
-                grad_norm_approx=g_norm, delta=delta, C=c_k, tau=tau_k,
-                step_status=status,
-            )
-        )
-        iterates.append(x.copy())
-
-    return RunReport(
-        solver_id=f"gdf-{scheme.value}",
-        trace=trace,
-        final_x=x.copy(),
-        best_f=f_best,
-        evals=oracle.eval_count,
-        declared_evals=declared,
-        budget=cfg.budget,
-        termination=termination,
-        truncated=truncated,
-        tau_sum=tau_total,
-        iterates=iterates,
-        config={
-            "solver": "gdf",
-            "scheme": scheme.value,
-            "x1": [float(v) for v in cfg.x1],
-            "budget": cfg.budget,
-            "delta1": cfg.delta1,
-            "theta": cfg.theta,
-            "mu": cfg.mu,
-            "i_max": cfg.i_max,
-        },
+    """Iterate :func:`gdf_step` to the budget, a stationary stop or the end of a
+    caller-supplied sequence; every evaluation is part of the declared accounting."""
+    return drive(
+        f"gdf-{scheme.value}", objective, scheme, cfg, noise_level, seed,
+        start=lambda x, f: GdfState(k=0, x=x, delta=cfg.delta1, f_x=f),
+        step=gdf_step,
+        config=config_dict("gdf", scheme, cfg),
+        trace_C=lambda before, after: after.C,
+        extras=lambda state: {"final_C": state.C, "tau_sum": state.tau_sum},
     )

@@ -10,6 +10,7 @@ re-ranking from disk reproduces the report exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -164,12 +165,21 @@ def trace_filename(solver_id: str) -> str:
 
 
 def rank_trace_files(paths: Dict[str, Union[str, Path]]) -> List[Tuple[str, float]]:
-    """Rank solvers by the final f_best stored in their trace files."""
+    """Rank solvers by the final f_best stored in their trace files.
+
+    NaN ranks last; ties, NaN included, break by solver id.
+    """
     finals = {}
     for solver_id, path in paths.items():
         trace = read_csv(path)
         finals[solver_id] = trace[-1].f_best
-    return sorted(finals.items(), key=lambda kv: (kv[1], kv[0]))
+
+    def nan_last(item):
+        solver_id, value = item
+        nan = math.isnan(value)
+        return (nan, 0.0 if nan else value, solver_id)
+
+    return sorted(finals.items(), key=nan_last)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:

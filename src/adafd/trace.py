@@ -54,7 +54,7 @@ class RunReport:
     evals: int
     declared_evals: int
     budget: int
-    termination: str  # "budget" | "stationary" | "schedule" | "complete"
+    termination: str  # "budget" | "stationary" | "schedule"
     truncated: bool = False  # final step cut off mid-operation at the budget edge
     final_C: Optional[float] = None
     tau_sum: Optional[float] = None

@@ -1,0 +1,32 @@
+"""Run-level invariants that every registered solver must keep."""
+
+import pytest
+
+from adafd import BaselineConfig, GradScheme, Objective, imfil_run, random_instance, run_solver
+from adafd.harness import SOLVER_IDS
+
+
+@pytest.mark.parametrize("solver_id", SOLVER_IDS)
+def test_truncated_means_the_last_record_missed_evaluations(solver_id):
+    # a run is truncated exactly when its final operation was cut off at the
+    # budget edge, i.e. when some evaluations are not covered by a record
+    for n in (2, 5):
+        inst = random_instance("least_squares", n=n, seed=n)
+        for noise in (0.0, 1e-4):
+            for budget in range(n + 1, 60):
+                report = run_solver(solver_id, inst, budget, noise, seed=budget,
+                                    x0=[0.0] * n)
+                recorded = report.trace[-1].evals if report.trace else 1
+                assert report.truncated == (report.evals > recorded), (n, noise, budget)
+
+
+def test_imfil_linesearch_cut_by_the_budget_still_counts_toward_f_best():
+    # slope 1 above x=1 and 1e-6 below: the forward stencil at x=1 with h=0.5
+    # reads g=1, the trial at x=0 lowers f by 1e-6 but fails the Armijo test,
+    # and a budget of 1 + 2 + 1 cuts the linesearch before its second trial
+    obj = Objective(dim=1, evaluator=lambda x: 1.0 + (x[0] - 1.0) * (1.0 if x[0] >= 1.0 else 1e-6))
+    cfg = BaselineConfig("imfil", x1=[1.0], budget=4, imfil_scale_sequence=[0.5])
+    report = imfil_run(obj, GradScheme.FORWARD, cfg)
+    assert report.truncated and report.trace == []
+    assert report.evals == report.declared_evals == 4
+    assert report.best_f == 1.0 - 1e-6
