@@ -111,7 +111,9 @@ def backtrack(
     min_f = np.inf
     while True:
         if budget is not None and oracle.eval_count >= budget:
-            raise BudgetExhausted("budget exhausted during linesearch", declared_cost=evals)
+            # the trials already evaluated still count toward the run's f_best
+            raise BudgetExhausted("budget exhausted during linesearch",
+                                  partial=min_f if evals else None, declared_cost=evals)
         f_cand = oracle.evaluate(x - t * g)
         evals += 1
         min_f = min(min_f, f_cand)

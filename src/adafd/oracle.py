@@ -35,13 +35,19 @@ class Objective:
     """A deterministic scalar function on R^dim, optionally with validation extras.
 
     ``analytic_gradient`` and ``lipschitz_grad_constant`` are metadata for tests
-    and diagnostics only; the solver-facing surface is ``Oracle.evaluate``.
+    and diagnostics only; the solver-facing surface is ``Oracle.evaluate`` and
+    ``Oracle.evaluate_batch``.
+
+    ``batch_evaluator``, when given, maps a k-by-dim array whose rows are points
+    to the 1-D array of their k values; it must equal ``evaluator`` row by row
+    up to rounding. Without it, batches loop over ``evaluator``.
     """
 
     dim: int
     evaluator: Callable[[Array], float]
     analytic_gradient: Optional[Callable[[Array], Array]] = None
     lipschitz_grad_constant: Optional[float] = None
+    batch_evaluator: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -86,6 +92,34 @@ class Oracle:
         if self.noise_level > 0.0:
             value += float(self._rng.uniform(-self.noise_level, self.noise_level))
         return value
+
+    def evaluate_batch(self, X: Array) -> Array:
+        """Return phi at each row of X and advance the counter by the row count.
+
+        Counter and noise stream end exactly as after one ``evaluate`` call per
+        row in row order (k scalar draws and one draw of size k read the same
+        PCG64 stream); the values are equal up to the batch evaluator's rounding,
+        and bitwise equal when the objective has no ``batch_evaluator``.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.objective.dim:
+            raise ValueError(
+                f"points have shape {X.shape}, objective expects (k, {self.objective.dim})"
+            )
+        k = X.shape[0]
+        self.eval_count += k
+        batch = self.objective.batch_evaluator
+        if batch is None:
+            values = np.array([float(self.objective.evaluator(x)) for x in X])
+        else:
+            values = np.asarray(batch(X), dtype=float)
+            if values.shape != (k,):
+                raise ValueError(
+                    f"batch evaluator returned shape {values.shape} for {k} points"
+                )
+        if self.noise_level > 0.0:
+            values = values + self._rng.uniform(-self.noise_level, self.noise_level, size=k)
+        return values
 
     def reset_counter(self) -> None:
         """Zero the evaluation counter and rewind the noise stream to its seed."""

@@ -81,12 +81,16 @@ def make_least_squares(A: Array, b: Array) -> ProblemInstance:
         r = A @ x - b
         return float(r @ r)
 
+    def f_rows(X: Array) -> Array:
+        R = X @ A.T - b
+        return np.einsum("ij,ij->i", R, R)
+
     def grad(x: Array) -> Array:
         return 2.0 * (A.T @ (A @ x - b))
 
     L = 2.0 * spectral_norm(A.T @ A)
     objective = Objective(dim=n, evaluator=f, analytic_gradient=grad,
-                          lipschitz_grad_constant=L)
+                          lipschitz_grad_constant=L, batch_evaluator=f_rows)
     return ProblemInstance(family=LEAST_SQUARES, dim=n, objective=objective,
                            A=A, b=b, m=m)
 
@@ -105,6 +109,10 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
         r = A @ x - b
         return float(np.sum(np.log1p(r * r)))
 
+    def f_rows(X: Array) -> Array:
+        R = X @ A.T - b
+        return np.sum(np.log1p(R * R), axis=1)
+
     def grad(x: Array) -> Array:
         r = A @ x - b
         return A.T @ (2.0 * r / (1.0 + r * r))
@@ -112,7 +120,7 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
     AtA = A.T @ A
     L = 2.0 * float(np.max(np.sum(np.abs(AtA), axis=1)))
     objective = Objective(dim=n, evaluator=f, analytic_gradient=grad,
-                          lipschitz_grad_constant=L)
+                          lipschitz_grad_constant=L, batch_evaluator=f_rows)
     return ProblemInstance(family=IMAGE_RESTORATION, dim=n, objective=objective,
                            A=A, b=b, m=n)
 
@@ -125,13 +133,17 @@ def make_rosenbrock(n: int) -> ProblemInstance:
     def f(x: Array) -> float:
         return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
 
+    def f_rows(X: Array) -> Array:
+        head, tail = X[:, :-1], X[:, 1:]
+        return np.sum(100.0 * (tail - head ** 2) ** 2 + (head - 1.0) ** 2, axis=1)
+
     def grad(x: Array) -> Array:
         g = np.zeros_like(x)
         g[:-1] += -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) + 2.0 * (x[:-1] - 1.0)
         g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
         return g
 
-    objective = Objective(dim=n, evaluator=f, analytic_gradient=grad)
+    objective = Objective(dim=n, evaluator=f, analytic_gradient=grad, batch_evaluator=f_rows)
     return ProblemInstance(family=ROSENBROCK, dim=n, objective=objective)
 
 

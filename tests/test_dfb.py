@@ -181,3 +181,15 @@ def test_nu_sequence_validation_and_schedule_exhaustion():
     report = dfb_run(sphere_objective(1), GradScheme.FORWARD, cfg)
     assert report.termination == "schedule"
     assert len(report.trace) == 2
+
+
+def test_linesearch_cut_off_by_the_budget_counts_toward_best_f():
+    """Rosenbrock n=5, central, budget 71: the last linesearch is cut off after
+    trials that saw a value below every recorded f_best."""
+    x1 = np.zeros(5)
+    report = dfb_run(make_rosenbrock(5).objective, GradScheme.CENTRAL,
+                     DfbConfig(x1=x1, budget=71), 1e-4, 0)
+    assert report.truncated
+    assert report.evals == report.declared_evals == 71
+    assert report.best_f < report.trace[-1].f_best
+    assert report.best_f == pytest.approx(3.823630806389958, rel=1e-12)

@@ -164,3 +164,21 @@ def test_budget_overshoot_is_at_most_one_call():
     assert report.evals <= cfg.budget - 1 + per_call
     assert report.evals == report.declared_evals
     assert report.termination == "budget"
+
+
+def test_infinite_stencil_values_shrink_the_interval():
+    """f = ||x||^2 inside |x_i| < 0.5 and +inf outside, started near the wall:
+    a stencil that crosses the wall fails the norm test, so the interval
+    shrinks instead of a step being tried and C escalating."""
+    from adafd import Objective
+
+    def walled(x):
+        return float(x @ x) if np.all(np.abs(x) < 0.5) else float("inf")
+
+    obj = Objective(dim=5, evaluator=walled)
+    cfg = DfcConfig(x1=0.4 * np.ones(5), budget=600)
+    report = dfc_run(obj, GradScheme.FORWARD, cfg, 0.0, 0)
+    assert report.trace
+    assert all(rec.step_status != "rejected" for rec in report.trace)
+    assert report.final_C == cfg.c1
+    assert report.best_f < 1e-20

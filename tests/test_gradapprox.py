@@ -215,3 +215,45 @@ def test_budget_exhaustion_mid_search_signals_partial_state():
     assert oracle.eval_count == 8
     assert info.value.declared_cost == 8
     assert info.value.partial is not None
+
+
+def _forward_per_point(oracle, x, delta):
+    f0 = oracle.evaluate(x)
+    g = np.empty(x.shape[0])
+    for i in range(x.shape[0]):
+        xp = x.copy()
+        xp[i] += delta
+        g[i] = (oracle.evaluate(xp) - f0) / delta
+    return g
+
+
+def _central_per_point(oracle, x, delta):
+    g = np.empty(x.shape[0])
+    for i in range(x.shape[0]):
+        xp = x.copy()
+        xp[i] += delta
+        xm = x.copy()
+        xm[i] -= delta
+        g[i] = (oracle.evaluate(xp) - oracle.evaluate(xm)) / (2.0 * delta)
+    return g
+
+
+@pytest.mark.parametrize("n", [1, 5, 32, 33, 64, 65, 150])
+@pytest.mark.parametrize("batched", [True, False])
+def test_block_stencils_match_one_call_per_point_bitwise(n, batched):
+    """Across block boundaries every noise draw still lands on its own point."""
+    from dataclasses import replace
+
+    from adafd import make_rosenbrock
+
+    obj = make_rosenbrock(n).objective if n > 1 else sphere_objective(1)
+    if not batched:
+        obj = replace(obj, batch_evaluator=None)
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, obj.dim)
+    for stencil, reference in ((forward_diff, _forward_per_point),
+                               (central_diff, _central_per_point)):
+        new = Oracle(obj, noise_level=1e-4, rng_seed=n)
+        ref = Oracle(obj, noise_level=1e-4, rng_seed=n)
+        assert stencil(new, x, 1e-3).tolist() == reference(ref, x, 1e-3).tolist()
+        assert new.eval_count == ref.eval_count
+        assert new.evaluate(x) == ref.evaluate(x)

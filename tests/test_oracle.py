@@ -92,3 +92,63 @@ def test_validation_of_bad_inputs():
         Objective(dim=0, evaluator=lambda x: 0.0)
     with pytest.raises(ValueError):
         Oracle(sphere_objective(1), noise_level=-1.0)
+
+
+def _points(k, dim, seed=3):
+    return np.random.default_rng(seed).standard_normal((k, dim))
+
+
+def test_evaluate_batch_counts_every_row():
+    oracle = Oracle(sphere_objective(3))
+    values = oracle.evaluate_batch(_points(7, 3))
+    assert values.shape == (7,)
+    assert oracle.eval_count == 7
+
+
+def test_evaluate_batch_rejects_wrong_column_count():
+    oracle = Oracle(sphere_objective(3))
+    with pytest.raises(ValueError):
+        oracle.evaluate_batch(np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        oracle.evaluate_batch(np.zeros(3))
+    assert oracle.eval_count == 0
+
+
+def test_noisy_batch_equals_scalar_calls_bitwise():
+    from adafd import make_rosenbrock
+
+    obj = make_rosenbrock(6).objective
+    assert obj.batch_evaluator is not None
+    X = _points(9, 6)
+    batched = Oracle(obj, noise_level=1e-4, rng_seed=21)
+    scalar = Oracle(obj, noise_level=1e-4, rng_seed=21)
+    assert batched.evaluate_batch(X).tolist() == [scalar.evaluate(x) for x in X]
+    assert batched.eval_count == scalar.eval_count == 9
+    # both generators stand at the same place afterwards
+    assert batched.evaluate(X[0]) == scalar.evaluate(X[0])
+
+
+def test_noiseless_batch_never_touches_the_rng():
+    from adafd import make_rosenbrock
+
+    oracle = Oracle(make_rosenbrock(4).objective, noise_level=0.0, rng_seed=7)
+    before = oracle._rng.bit_generator.state["state"]["state"]
+    oracle.evaluate_batch(_points(5, 4))
+    after = oracle._rng.bit_generator.state["state"]["state"]
+    assert before == after
+
+
+def test_batch_without_batch_evaluator_loops_over_the_scalar_one():
+    obj = sphere_objective(4)
+    assert obj.batch_evaluator is None
+    X = _points(6, 4)
+    batched = Oracle(obj, noise_level=1e-3, rng_seed=5)
+    scalar = Oracle(obj, noise_level=1e-3, rng_seed=5)
+    assert batched.evaluate_batch(X).tolist() == [scalar.evaluate(x) for x in X]
+
+
+def test_batch_evaluator_must_return_one_value_per_row():
+    obj = Objective(dim=2, evaluator=lambda x: float(x @ x),
+                    batch_evaluator=lambda X: np.sum(X * X))
+    with pytest.raises(ValueError):
+        Oracle(obj).evaluate_batch(np.ones((3, 2)))
