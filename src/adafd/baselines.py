@@ -10,6 +10,7 @@ constant for its stepsize.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -18,7 +19,7 @@ import numpy as np
 from .driver import ScheduleExhausted, drive
 from .gradapprox import GradScheme, approx_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
-from .trace import RunReport, TraceRecord
+from .trace import RunReport
 
 NELDER_MEAD = "nelder_mead"
 IMFIL = "imfil"
@@ -74,10 +75,101 @@ class BaselineConfig:
         return 1e-6 * (1.0 + float(np.linalg.norm(self.x1)))
 
 
-def _checked_eval(oracle: Oracle, x: Array, budget: int) -> float:
+@dataclass(frozen=True)
+class SimplexState:
+    """Simplex after iteration ``k``: vertex rows ``verts`` with values ``fv``,
+    ``x`` its best vertex and ``f_x`` that vertex's value; ``verts`` is None
+    before the first step. ``last_step`` is "init", "reflect", "expand",
+    "contract_out", "contract_in" or "shrink"."""
+
+    k: int
+    x: Array
+    f_x: float
+    verts: Optional[Array] = None
+    fv: Optional[Array] = None
+    last_step: str = "init"
+    last_candidate_f: Optional[float] = None
+    last_cost: int = 0
+
+    delta = C = last_g_norm = last_tau = float("nan")  # no interval, proxy, gradient or step
+
+
+def _lowest(seen: list) -> float:
+    return min(np.inf, *seen)  # folded from inf, so a NaN hides no later value
+
+
+def _simplex(k: int, verts: Array, fv: Array, status: str, seen: list) -> SimplexState:
+    """The simplex after a step that evaluated the values ``seen``."""
+    values = fv.tolist()
+    f_x = min(values)
+    return SimplexState(k, verts[values.index(f_x)], f_x, verts, fv, status,
+                        _lowest(seen), len(seen))
+
+
+def _probe(oracle: Oracle, x: Array, budget: int, seen: list) -> float:
+    """Evaluate x within the budget; ``seen`` collects the step's values."""
     if oracle.eval_count >= budget:
-        raise BudgetExhausted()
-    return oracle.evaluate(x)
+        raise BudgetExhausted(partial=_lowest(seen), declared_cost=len(seen))
+    f = oracle.evaluate(x)
+    seen.append(f)
+    return f
+
+
+def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
+                     cfg: BaselineConfig) -> SimplexState:
+    """One reflect/expand/contract/shrink iteration on the simplex sorted by value.
+
+    The first call builds the initial simplex instead: one vertex at x1 and one
+    at ``x1 + 0.05 * max(|x1_i|, 1) * e_i`` per coordinate, reported as
+    iteration 0. A step cut off by the budget leaves the simplex as it was.
+    """
+    if state.verts is None:
+        n = state.x.shape[0]
+        verts = np.tile(state.x, (n + 1, 1))
+        for i in range(n):
+            verts[i + 1, i] += 0.05 * max(abs(verts[i + 1, i]), 1.0)
+        seen = [oracle.evaluate(v) for v in verts[1:]]
+        return _simplex(0, verts, np.array([state.f_x] + seen), "init", seen)
+
+    rho, chi, psi, sigma = cfg.nm_coefficients
+    order = np.argsort(state.fv, kind="stable")
+    verts = state.verts[order]
+    fv = state.fv[order]
+    centroid = np.mean(verts[:-1], axis=0)
+    seen: list = []
+    status = "reflect"
+    xr = centroid + rho * (centroid - verts[-1])
+    fr = _probe(oracle, xr, cfg.budget, seen)
+    if fv[0] <= fr < fv[-2]:
+        verts[-1], fv[-1] = xr, fr
+    elif fr < fv[0]:
+        xe = centroid + chi * rho * (centroid - verts[-1])
+        fe = _probe(oracle, xe, cfg.budget, seen)
+        if fe < fr:
+            verts[-1], fv[-1] = xe, fe
+            status = "expand"
+        else:
+            verts[-1], fv[-1] = xr, fr
+    else:  # contract outside when fr beats the worst vertex, else inside
+        outside = fr < fv[-1]
+        if outside:
+            xc = centroid + psi * (xr - centroid)
+        else:
+            xc = centroid - psi * (centroid - verts[-1])
+        fc = _probe(oracle, xc, cfg.budget, seen)
+        if (fc <= fr) if outside else (fc < fv[-1]):
+            verts[-1], fv[-1] = xc, fc
+            status = "contract_out" if outside else "contract_in"
+        else:
+            status = "shrink"
+            verts[1:] = verts[0] + sigma * (verts[1:] - verts[0])
+            for i in range(1, len(fv)):
+                fv[i] = _probe(oracle, verts[i], cfg.budget, seen)
+    return _simplex(state.k + 1, verts, fv, status, seen)
+
+
+def _no_extras(state) -> dict:
+    return {}
 
 
 def nelder_mead_run(
@@ -86,107 +178,22 @@ def nelder_mead_run(
     noise_level: float = 0.0,
     seed: int = 0,
 ) -> RunReport:
-    """Classical reflect/expand/contract/shrink simplex search.
+    """Classical reflect/expand/contract/shrink simplex search: the initial
+    simplex, then :func:`nelder_mead_step` until the budget is exhausted.
 
-    The initial simplex places one vertex at x1 and one at
-    ``x1 + 0.05 * max(|x1_i|, 1) * e_i`` per coordinate.
+    ``final_x`` is the best vertex of the last complete simplex.
     """
-    n = objective.dim
-    if cfg.budget < n + 1:
+    if cfg.budget < objective.dim + 1:
         raise ValueError("budget must cover the initial simplex (dim + 1 evaluations)")
-    rho, chi, psi, sigma = cfg.nm_coefficients
-    oracle = Oracle(objective, noise_level, seed)
-
-    verts = [cfg.x1.copy()]
-    for i in range(n):
-        v = cfg.x1.copy()
-        v[i] += 0.05 * max(abs(v[i]), 1.0)
-        verts.append(v)
-    fv = [oracle.evaluate(v) for v in verts]
-    declared = n + 1
-    f_best = min(fv)
-    trace = [
-        TraceRecord(iter=0, evals=oracle.eval_count, f_current=f_best, f_best=f_best,
-                    grad_norm_approx=float("nan"), delta=float("nan"),
-                    C=float("nan"), tau=float("nan"), step_status="init")
-    ]
-    k = 0
-    truncated = False
-
-    while oracle.eval_count < cfg.budget:
-        k += 1
-        order = np.argsort(fv, kind="stable")
-        verts = [verts[i] for i in order]
-        fv = [fv[i] for i in order]
-        centroid = np.mean(verts[:-1], axis=0)
-        status = "reflect"
-        try:
-            xr = centroid + rho * (centroid - verts[-1])
-            fr = _checked_eval(oracle, xr, cfg.budget)
-            declared += 1
-            f_best = min(f_best, fr)
-            if fv[0] <= fr < fv[-2]:
-                verts[-1], fv[-1] = xr, fr
-            elif fr < fv[0]:
-                xe = centroid + chi * rho * (centroid - verts[-1])
-                fe = _checked_eval(oracle, xe, cfg.budget)
-                declared += 1
-                f_best = min(f_best, fe)
-                if fe < fr:
-                    verts[-1], fv[-1] = xe, fe
-                    status = "expand"
-                else:
-                    verts[-1], fv[-1] = xr, fr
-            else:
-                if fr < fv[-1]:
-                    xc = centroid + psi * (xr - centroid)
-                    fc = _checked_eval(oracle, xc, cfg.budget)
-                    declared += 1
-                    f_best = min(f_best, fc)
-                    if fc <= fr:
-                        verts[-1], fv[-1] = xc, fc
-                        status = "contract_out"
-                    else:
-                        status = "shrink"
-                else:
-                    xcc = centroid - psi * (centroid - verts[-1])
-                    fcc = _checked_eval(oracle, xcc, cfg.budget)
-                    declared += 1
-                    f_best = min(f_best, fcc)
-                    if fcc < fv[-1]:
-                        verts[-1], fv[-1] = xcc, fcc
-                        status = "contract_in"
-                    else:
-                        status = "shrink"
-                if status == "shrink":
-                    for i in range(1, n + 1):
-                        verts[i] = verts[0] + sigma * (verts[i] - verts[0])
-                        fv[i] = _checked_eval(oracle, verts[i], cfg.budget)
-                        declared += 1
-                        f_best = min(f_best, fv[i])
-        except BudgetExhausted:
-            truncated = True
-            break
-        trace.append(
-            TraceRecord(iter=k, evals=oracle.eval_count, f_current=float(min(fv)),
-                        f_best=f_best, grad_norm_approx=float("nan"),
-                        delta=float("nan"), C=float("nan"), tau=float("nan"),
-                        step_status=status)
-        )
-
-    i_best = int(np.argmin(fv))
-    return RunReport(
-        solver_id="nelder-mead",
-        trace=trace,
-        final_x=verts[i_best].copy(),
-        best_f=f_best,
-        evals=oracle.eval_count,
-        declared_evals=declared,
-        budget=cfg.budget,
-        termination="budget",
-        truncated=truncated,
-        config={"solver": "nelder_mead", "coefficients": list(cfg.nm_coefficients),
-                "budget": cfg.budget, "x1": [float(v) for v in cfg.x1]},
+    config = {"solver": "nelder_mead", "coefficients": list(cfg.nm_coefficients),
+              "budget": cfg.budget, "x1": [float(v) for v in cfg.x1]}
+    return drive(
+        "nelder-mead", objective, None, cfg, noise_level, seed,
+        start=lambda x, f: SimplexState(k=0, x=x, f_x=f),
+        step=nelder_mead_step,
+        config=config,
+        extras=_no_extras,
+        collect_iterates=False,
     )
 
 
@@ -264,8 +271,44 @@ def imfil_run(
         start=lambda x, f: ImfilState(k=0, x=x, f_x=f),
         step=imfil_step,
         config=config,
-        extras=lambda state: {"iterates": []},
+        extras=_no_extras,
+        collect_iterates=False,
     )
+
+
+@dataclass  # not frozen: that costs ~1.5 us a step, 4% of a run; no step mutates one
+class RgState:
+    """State after iteration ``k``; ``delta`` is the smoothing radius sigma and
+    ``last_tau`` the fixed stepsize, both set once per run."""
+
+    k: int
+    x: Array
+    f_x: float
+    directions: np.random.Generator
+    delta: float
+    last_tau: float
+    last_g_norm: float = float("nan")
+    last_candidate_f: Optional[float] = None
+    last_cost: int = 0
+    last_step: str = "init"  # "step" | "init"
+
+    C = float("nan")  # no curvature proxy
+
+
+def rg_step(state: RgState, oracle: Oracle, scheme, cfg: BaselineConfig) -> RgState:
+    """One probe at ``x + sigma u`` with u ~ N(0, I), then a step along
+    ``-((phi(x + sigma u) - phi(x)) / sigma) u``; the probe value is not an
+    iterate value, so it stays out of ``f_best``."""
+    sigma = state.delta
+    u = state.directions.standard_normal(state.x.shape[0])
+    f_probe = oracle.evaluate(state.x + sigma * u)
+    if oracle.eval_count >= cfg.budget:
+        raise BudgetExhausted(declared_cost=1)
+    g = ((f_probe - state.f_x) / sigma) * u
+    x = state.x - state.last_tau * g
+    f_x = oracle.evaluate(x)
+    return RgState(state.k + 1, x, f_x, state.directions, sigma, state.last_tau,
+                   math.sqrt(g.dot(g)), f_x, 2, "step")  # np.linalg.norm's own formula
 
 
 def rg_run(
@@ -274,62 +317,25 @@ def rg_run(
     noise_level: float = 0.0,
     seed: int = 0,
 ) -> RunReport:
-    """Two-point Gaussian random search with stepsize 1 / (4 (n + 4) L).
-
-    Each iteration samples u ~ N(0, I), forms
-    ``g = ((phi(x + sigma u) - phi(x)) / sigma) u`` and steps along -g;
-    exactly two evaluations per iteration.
+    """Two-point Gaussian random search with stepsize 1 / (4 (n + 4) L):
+    :func:`rg_step` until the budget is exhausted, exactly two evaluations per
+    iteration. Noise and directions draw from two streams spawned from ``seed``.
     """
     if cfg.rg_lipschitz is None:
         raise ValueError("rg requires rg_lipschitz")
-    n = objective.dim
     noise_ss, dir_ss = np.random.SeedSequence(seed).spawn(2)
-    oracle = Oracle(objective, noise_level,
-                    rng_seed=int(noise_ss.generate_state(1, np.uint64)[0]))
     directions = np.random.default_rng(dir_ss)
     sigma = cfg.smoothing()
-    step = 1.0 / (4.0 * (n + 4) * cfg.rg_lipschitz)
-
-    x = cfg.x1.copy()
-    f_x = oracle.evaluate(x)
-    declared = 1
-    f_best = f_x
-    trace: list[TraceRecord] = []
-    k = 0
-    truncated = False
-
-    while oracle.eval_count < cfg.budget:
-        k += 1
-        u = directions.standard_normal(n)
-        try:
-            f_probe = _checked_eval(oracle, x + sigma * u, cfg.budget)
-            declared += 1
-            if oracle.eval_count >= cfg.budget:
-                raise BudgetExhausted()
-            g = ((f_probe - f_x) / sigma) * u
-            x = x - step * g
-            f_x = oracle.evaluate(x)
-            declared += 1
-        except BudgetExhausted:
-            truncated = True
-            break
-        f_best = min(f_best, f_x)
-        trace.append(
-            TraceRecord(iter=k, evals=oracle.eval_count, f_current=f_x, f_best=f_best,
-                        grad_norm_approx=float(np.linalg.norm(g)), delta=sigma,
-                        C=float("nan"), tau=step, step_status="step")
-        )
-
-    return RunReport(
-        solver_id="rg",
-        trace=trace,
-        final_x=x.copy(),
-        best_f=f_best,
-        evals=oracle.eval_count,
-        declared_evals=declared,
-        budget=cfg.budget,
-        termination="budget",
-        truncated=truncated,
-        config={"solver": "rg", "budget": cfg.budget, "lipschitz": cfg.rg_lipschitz,
-                "smoothing": sigma, "step": step, "x1": [float(v) for v in cfg.x1]},
+    step = 1.0 / (4.0 * (objective.dim + 4) * cfg.rg_lipschitz)
+    config = {"solver": "rg", "budget": cfg.budget, "lipschitz": cfg.rg_lipschitz,
+              "smoothing": sigma, "step": step, "x1": [float(v) for v in cfg.x1]}
+    return drive(
+        "rg", objective, None, cfg, noise_level,
+        int(noise_ss.generate_state(1, np.uint64)[0]),
+        start=lambda x, f: RgState(k=0, x=x, f_x=f, directions=directions,
+                                   delta=sigma, last_tau=step),
+        step=rg_step,
+        config=config,
+        extras=_no_extras,
+        collect_iterates=False,
     )

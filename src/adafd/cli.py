@@ -97,11 +97,8 @@ def _cmd_run(args) -> int:
     merged = {}
     if args.config:
         merged.update(parse_config_file(args.config))
-    for key, attr in (("problem", "problem"), ("n", "n"), ("m", "m"),
-                      ("noise", "noise"), ("solver", "solver"),
-                      ("budget_mult", "budget_mult"), ("seed", "seed"),
-                      ("x0", "x0"), ("out", "out")):
-        value = getattr(args, attr)
+    for key in CONFIG_KEYS:  # each key is also its flag's argparse dest
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
 

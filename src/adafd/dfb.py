@@ -136,13 +136,8 @@ class DfbState:
     last_g_norm: float = float("nan")
     last_tau: float = 0.0
     last_inner_steps: int = 0
-    last_min_candidate_f: Optional[float] = None
+    last_candidate_f: Optional[float] = None  # lowest value the last linesearch saw
     last_cost: int = 0
-
-    @property
-    def last_candidate_f(self) -> Optional[float]:
-        """The lowest value the last linesearch saw, under the driver's name."""
-        return self.last_min_candidate_f
 
 
 def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig) -> DfbState:
@@ -157,7 +152,7 @@ def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig
     grad_cost = (res.inner_steps + 1) * scheme.evals_per_call(state.x.shape[0])
     searched = replace(
         state, k=k, delta=res.delta_next, last_g_norm=float(np.linalg.norm(res.g)),
-        last_tau=0.0, last_inner_steps=res.inner_steps, last_min_candidate_f=None,
+        last_tau=0.0, last_inner_steps=res.inner_steps, last_candidate_f=None,
         last_cost=grad_cost,
     )
     if res.exhausted:
@@ -172,7 +167,7 @@ def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig
     except BudgetExhausted as stop:
         stop.declared_cost += grad_cost
         raise
-    tested = replace(searched, last_min_candidate_f=ls.min_f_seen,
+    tested = replace(searched, last_candidate_f=ls.min_f_seen,
                      last_cost=grad_cost + ls.evals_used)
     if ls.t >= state.t_min:
         # the floor was never crossed, so the exit must have been a passed test

@@ -3,7 +3,8 @@
 Rosenbrock n=5 (its evaluator has no matrix-vector product, so the values do
 not depend on BLAS), noise 1e-4, budget 200 n, started at the origin. Each
 entry pins the sha256 of the emitted trace CSV, the oracle count and the
-termination. No benchmark workload runs GDF, so this is its byte-level gate.
+termination. No benchmark workload runs GDF or rg, so this is their
+byte-level gate. Nelder-Mead and rg take no scheme; their entries read "-".
 """
 
 import hashlib
@@ -23,6 +24,8 @@ from adafd import (
     gdf_run,
     imfil_run,
     make_rosenbrock,
+    nelder_mead_run,
+    rg_run,
 )
 
 N = 5
@@ -45,6 +48,10 @@ GOLDEN = {
     ("imfil", "forward", 1): ("3941095825adff7249b07d82e4337008bef9b63d7245ee4440d25e6eeaf9a181", 1000, "budget"),
     ("imfil", "central", 0): ("242a01521e27252a247281d246275d1648619b98593c409d6a9264fcb5eb9404", 1004, "budget"),
     ("imfil", "central", 1): ("1105dd3ca3037e6064ee44f3ebbedc8eb8292f53c545694db13aac79d3b38e81", 1000, "budget"),
+    ("nelder-mead", "-", 0): ("ba3ff5018e95e043254347b778078f0e73c535f9c594101269965e3427928fca", 1000, "budget"),
+    ("nelder-mead", "-", 1): ("3c18121b4de531a17615ab2feb65f439fd3b8e547f2f321f893295e1c9ce8a68", 1000, "budget"),
+    ("rg", "-", 0): ("6248eb19add4ee43c6d02a150edf7375fe6501cec95470aaab780ca3555293a8", 1000, "budget"),
+    ("rg", "-", 1): ("26b90e09048053bd119193f949a13da57012c10aeced6e5f0a1fbba9246993d9", 1000, "budget"),
 }
 
 
@@ -57,12 +64,18 @@ def _run(solver, scheme, seed):
         return dfb_run(obj, scheme, DfbConfig(x1=x1, budget=BUDGET), 1e-4, seed)
     if solver == "gdf":
         return gdf_run(obj, scheme, GdfConfig(x1=x1, budget=BUDGET, tau=1e-3), 1e-4, seed)
+    if solver == "nelder-mead":
+        return nelder_mead_run(obj, BaselineConfig("nelder_mead", x1=x1, budget=BUDGET),
+                               1e-4, seed)
+    if solver == "rg":
+        return rg_run(obj, BaselineConfig("rg", x1=x1, budget=BUDGET, rg_lipschitz=1e3),
+                      1e-4, seed)
     return imfil_run(obj, scheme, BaselineConfig("imfil", x1=x1, budget=BUDGET), 1e-4, seed)
 
 
 @pytest.mark.parametrize("solver,scheme,seed", sorted(GOLDEN))
 def test_trace_bytes_match_the_pinned_digest(tmp_path, solver, scheme, seed):
-    report = _run(solver, GradScheme(scheme), seed)
+    report = _run(solver, None if scheme == "-" else GradScheme(scheme), seed)
     path = tmp_path / "trace.csv"
     emit_csv(report.trace, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -1,8 +1,17 @@
 """Run-level invariants that every registered solver must keep."""
 
+import numpy as np
 import pytest
 
-from adafd import BaselineConfig, GradScheme, Objective, imfil_run, random_instance, run_solver
+from adafd import (
+    BaselineConfig,
+    GradScheme,
+    Objective,
+    build_instance,
+    imfil_run,
+    random_instance,
+    run_solver,
+)
 from adafd.harness import SOLVER_IDS
 
 
@@ -30,3 +39,19 @@ def test_imfil_linesearch_cut_by_the_budget_still_counts_toward_f_best():
     assert report.truncated and report.trace == []
     assert report.evals == report.declared_evals == 4
     assert report.best_f == 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("solver_id", SOLVER_IDS)
+def test_final_x_is_the_last_recorded_iterate(solver_id):
+    # least squares n=5 from 0.5*1 with budget 1000 cuts Nelder-Mead off in a
+    # shrink whose first new vertex (f = 3.06e-30) beats the last complete
+    # simplex (f = 1.25e-29); final_x must still be the recorded best vertex
+    cases = [(build_instance("least_squares", 5, seed=3), 1000, 0.5 * np.ones(5))]
+    for n in (2, 5):
+        inst = random_instance("least_squares", n=n, seed=n)
+        cases += [(inst, budget, np.zeros(n)) for budget in (n + 1, 7 * n + 3, 200 * n)]
+    for inst, budget, x0 in cases:
+        report = run_solver(solver_id, inst, budget, 0.0, seed=0, x0=x0)
+        if report.trace and np.isfinite(report.trace[-1].f_current):
+            assert inst.objective.evaluator(report.final_x) == report.trace[-1].f_current, (
+                inst.objective.dim, budget)
