@@ -16,11 +16,11 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .driver import config_dict, drive, schedule_value
-from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient
+from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient, check_search_config
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
 
-NuRule = Union[Callable[[int], float], Sequence[float], None]
+NuRule = Union[float, Callable[[int], float], Sequence[float], None]
 
 
 @dataclass(frozen=True)
@@ -36,21 +36,13 @@ class DfbConfig:
     gamma: float = 0.5
     tau_bar: float = 1.0
     t_min1: float = 1e-10
-    nu: NuRule = None  # default: harmonic decay delta1 / k
+    nu: NuRule = None  # positive caps decreasing to 0; default: harmonic decay delta1 / k
     i_max: int = DEFAULT_I_MAX
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.delta1 <= 0:
-            raise ValueError("delta1 must be positive")
+        check_search_config(self)
         if self.c1 <= 0:
             raise ValueError("c1 must be positive")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if self.mu <= 2.0:
-            raise ValueError("mu must exceed 2")
         if self.eta <= 1.0:
             raise ValueError("eta must exceed 1")
         if not 0.0 < self.beta < 0.5:
@@ -61,17 +53,6 @@ class DfbConfig:
             raise ValueError("tau_bar must be positive")
         if not 0.0 < self.t_min1 < self.tau_bar:
             raise ValueError("t_min1 must lie in (0, tau_bar)")
-        if self.i_max < 1:
-            raise ValueError("i_max must be positive")
-
-    def nu_at(self, k: int) -> float:
-        """Error cap for iteration k (1-based); must be positive and decrease to 0."""
-        if self.nu is None:
-            return self.delta1 / k
-        value = schedule_value(self.nu, k)
-        if value <= 0:
-            raise ValueError(f"nu must stay positive, got {value} at iteration {k}")
-        return value
 
 
 @dataclass(frozen=True)
@@ -145,33 +126,31 @@ def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig
     if state.last_step == "stopped":
         raise RuntimeError("cannot step a stopped solver state")
     k = state.k + 1
+    nu_k = cfg.delta1 / k if cfg.nu is None else schedule_value(cfg.nu, k)
     res = adaptive_gradient(
         oracle, scheme, state.x, state.delta, state.C, cfg.mu, cfg.theta,
-        nu_k=cfg.nu_at(k), i_max=cfg.i_max, budget=cfg.budget,
+        nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget,
     )
-    grad_cost = (res.inner_steps + 1) * scheme.evals_per_call(state.x.shape[0])
     searched = replace(
-        state, k=k, delta=res.delta_next, last_g_norm=float(np.linalg.norm(res.g)),
-        last_tau=0.0, last_inner_steps=res.inner_steps, last_candidate_f=None,
-        last_cost=grad_cost,
+        state, k=k, delta=res.delta_next, last_g_norm=res.g_norm, last_tau=0.0,
+        last_inner_steps=res.inner_steps, last_candidate_f=None, last_cost=res.cost,
     )
     if res.exhausted:
         return replace(searched, last_step="stopped")
 
-    g = res.g
     try:
         ls = backtrack(
-            oracle, state.x, g, state.f_x, cfg.beta, cfg.gamma, cfg.tau_bar,
+            oracle, state.x, res.g, state.f_x, cfg.beta, cfg.gamma, cfg.tau_bar,
             state.t_min, budget=cfg.budget,
         )
     except BudgetExhausted as stop:
-        stop.declared_cost += grad_cost
+        stop.declared_cost += res.cost
         raise
     tested = replace(searched, last_candidate_f=ls.min_f_seen,
-                     last_cost=grad_cost + ls.evals_used)
+                     last_cost=res.cost + ls.evals_used)
     if ls.t >= state.t_min:
         # the floor was never crossed, so the exit must have been a passed test
-        return replace(tested, x=state.x - ls.t * g, f_x=ls.f_candidate,
+        return replace(tested, x=state.x - ls.t * res.g, f_x=ls.f_candidate,
                        last_step="accepted", last_tau=ls.t)
     return replace(tested, C=state.C * cfg.eta, t_min=state.t_min * cfg.gamma,
                    last_step="null")
@@ -187,7 +166,8 @@ def dfb_run(
     """Run to budget exhaustion, a near-stationarity stop or the end of a finite nu
     sequence; return the full trace."""
     config = config_dict("dfb", scheme, cfg)
-    config["nu"] = "harmonic(delta1/k)" if cfg.nu is None else "custom"
+    if cfg.nu is None:
+        config["nu"] = "harmonic(delta1/k)"
     return drive(
         f"dfb-{scheme.value}", objective, scheme, cfg, noise_level, seed,
         start=lambda x, f: DfbState(k=0, x=x, delta=cfg.delta1, C=cfg.c1,

@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-import numpy as np
-
 from .driver import config_dict, drive
-from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient
+from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient, check_search_config
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
 
@@ -33,23 +31,13 @@ class DfcConfig:
     i_max: int = DEFAULT_I_MAX
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.delta1 <= 0:
-            raise ValueError("delta1 must be positive")
+        check_search_config(self)
         if self.c1 <= 0:
             raise ValueError("c1 must be positive")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if self.mu <= 2.0:
-            raise ValueError("mu must exceed 2")
         if self.r <= 1.0:
             raise ValueError("r must exceed 1")
         if self.kappa <= 0.0:
             raise ValueError("kappa must be positive")
-        if self.i_max < 1:
-            raise ValueError("i_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -77,22 +65,20 @@ def dfc_step(state: DfcState, oracle: Oracle, scheme: GradScheme, cfg: DfcConfig
         oracle, scheme, state.x, state.delta, state.C, cfg.mu, cfg.theta,
         nu_k=None, i_max=cfg.i_max, budget=cfg.budget,
     )
-    grad_cost = (res.inner_steps + 1) * scheme.evals_per_call(state.x.shape[0])
-    g_norm = float(np.linalg.norm(res.g))
     searched = replace(
-        state, k=state.k + 1, delta=res.delta_next, last_g_norm=g_norm, last_tau=0.0,
-        last_inner_steps=res.inner_steps, last_candidate_f=None, last_cost=grad_cost,
+        state, k=state.k + 1, delta=res.delta_next, last_g_norm=res.g_norm, last_tau=0.0,
+        last_inner_steps=res.inner_steps, last_candidate_f=None, last_cost=res.cost,
     )
     if res.exhausted:
         return replace(searched, last_step="stopped")
 
     if oracle.eval_count >= cfg.budget:
-        raise BudgetExhausted("budget exhausted before the decrease test", declared_cost=grad_cost)
+        raise BudgetExhausted("budget exhausted before the decrease test", declared_cost=res.cost)
     tau = cfg.kappa / state.C
     candidate = state.x - tau * res.g
     f_cand = oracle.evaluate(candidate)
-    threshold = state.f_x - cfg.kappa * (cfg.mu - 2.0) / (2.0 * state.C * cfg.mu) * g_norm**2
-    tested = replace(searched, last_candidate_f=f_cand, last_cost=grad_cost + 1)
+    threshold = state.f_x - cfg.kappa * (cfg.mu - 2.0) / (2.0 * state.C * cfg.mu) * res.g_norm**2
+    tested = replace(searched, last_candidate_f=f_cand, last_cost=res.cost + 1)
     if f_cand <= threshold:
         return replace(tested, x=candidate, f_x=f_cand, last_step="accepted", last_tau=tau)
     return replace(tested, C=state.C * cfg.r, last_step="rejected")

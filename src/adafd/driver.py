@@ -34,7 +34,7 @@ def schedule_value(rule, k: int, *args) -> float:
     """Entry k (1-based) of a constant, a sequence, or a rule ``rule(k, *args)``."""
     if callable(rule):
         return float(rule(k, *args))
-    if isinstance(rule, (int, float)):
+    if isinstance(rule, numbers.Real):
         return float(rule)
     if k - 1 >= len(rule):
         raise ScheduleExhausted()
@@ -50,6 +50,8 @@ def config_dict(solver: str, scheme, cfg) -> dict:
             value = [float(v) for v in value]
         elif value is not None and not isinstance(value, numbers.Real):
             value = "custom"
+        elif hasattr(value, "item"):  # a numpy scalar, which json cannot write
+            value = value.item()
         out[f.name] = value
     return out
 

@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
 from .driver import ScheduleExhausted, config_dict, drive, schedule_value
-from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient
+from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient, check_search_config
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
 
@@ -36,17 +34,7 @@ class GdfConfig:
     i_max: int = DEFAULT_I_MAX
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.delta1 <= 0:
-            raise ValueError("delta1 must be positive")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if self.mu <= 2.0:
-            raise ValueError("mu must exceed 2")
-        if self.i_max < 1:
-            raise ValueError("i_max must be positive")
+        check_search_config(self)
 
 
 @dataclass(frozen=True)
@@ -77,29 +65,24 @@ def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig
     k = state.k + 1
     c_k = schedule_value(cfg.c_seq, k)
     nu_k = None if cfg.nu_seq is None else schedule_value(cfg.nu_seq, k)
-    if c_k <= 0:
-        raise ValueError(f"c_seq must stay positive, got {c_k} at iteration {k}")
-
     res = adaptive_gradient(
         oracle, scheme, state.x, state.delta, c_k, cfg.mu, cfg.theta,
         nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget,
     )
-    cost = (res.inner_steps + 1) * scheme.evals_per_call(state.x.shape[0])
-    g_norm = float(np.linalg.norm(res.g))
     if res.exhausted:
         return replace(
-            state, k=k, delta=res.delta_next, C=c_k, f_x=float("nan"),
-            last_step="stopped", last_g_norm=g_norm, last_tau=0.0,
-            last_candidate_f=None, last_cost=cost,
+            state, k=k, delta=res.delta_next, C=c_k, last_step="stopped",
+            last_g_norm=res.g_norm, last_tau=0.0, last_candidate_f=None,
+            last_cost=res.cost,
         )
 
     try:
         tau_k = schedule_value(cfg.tau, k, state.x, res.g)
     except ScheduleExhausted as stop:
-        stop.declared_cost += cost
+        stop.declared_cost += res.cost
         raise
     if oracle.eval_count >= cfg.budget:
-        raise BudgetExhausted("budget exhausted before the trace probe", declared_cost=cost)
+        raise BudgetExhausted("budget exhausted before the trace probe", declared_cost=res.cost)
     status = "step"
     if tau_k < 0.0:
         tau_k = 0.0
@@ -108,8 +91,8 @@ def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig
     f_x = oracle.evaluate(x)
     return GdfState(
         k=k, x=x, delta=res.delta_next, f_x=f_x, C=c_k,
-        tau_sum=state.tau_sum + tau_k, last_step=status, last_g_norm=g_norm,
-        last_tau=tau_k, last_candidate_f=f_x, last_cost=cost + 1,
+        tau_sum=state.tau_sum + tau_k, last_step=status, last_g_norm=res.g_norm,
+        last_tau=tau_k, last_candidate_f=f_x, last_cost=res.cost + 1,
     )
 
 

@@ -22,6 +22,23 @@ from .oracle import Array, BudgetExhausted, Oracle
 #: near-stationarity signal (the exact-zero-gradient case would never pass).
 DEFAULT_I_MAX = 60
 
+
+def check_search_config(cfg) -> None:
+    """Coerce ``cfg.x1`` to a float array and check the interval-search fields
+    that every solver config carries: budget, delta1, theta, mu and i_max."""
+    object.__setattr__(cfg, "x1", np.asarray(cfg.x1, dtype=float))
+    if cfg.budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if cfg.delta1 <= 0:
+        raise ValueError("delta1 must be positive")
+    if not 0.0 < cfg.theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
+    if cfg.mu <= 2.0:
+        raise ValueError("mu must exceed 2")
+    if cfg.i_max < 1:
+        raise ValueError("i_max must be positive")
+
+
 #: Perturbed points built and evaluated per ``Oracle.evaluate_batch`` call
 #: (about 200 KB of points at n = 400). Evaluating a whole 2n-by-n stencil at
 #: once costs more peak memory than it saves time; per-point calls cost a
@@ -106,13 +123,17 @@ class AdaptiveGradResult:
     """Outcome of one adaptive interval search.
 
     Unless ``exhausted``, the accepted estimate satisfies
-    ``norm(g) > mu * c_k * delta_next`` and ``delta_next = theta**inner_steps * delta_k``.
+    ``g_norm > mu * c_k * delta_next`` and ``delta_next = theta**inner_steps * delta_k``.
+    ``g_norm`` is ``norm(g)``, the value the test compared, and ``cost`` is the
+    evaluations the search spent: ``inner_steps + 1`` stencil calls.
     """
 
     g: Array
     delta_next: float
     inner_steps: int
     exhausted: bool
+    g_norm: float
+    cost: int
 
 
 def adaptive_gradient(
@@ -153,7 +174,9 @@ def adaptive_gradient(
         raise ValueError("nu_k must be positive when given")
 
     x = np.asarray(x, dtype=float)
+    per_call = scheme.evals_per_call(x.shape[0])
     g = None
+    norm = float("nan")
     radius = delta_k
     steps = 0
     for i in range(i_max + 1):
@@ -164,15 +187,16 @@ def adaptive_gradient(
         if budget is not None and oracle.eval_count >= budget:
             partial = None
             if g is not None:
-                partial = AdaptiveGradResult(g, theta ** (i - 1) * delta_k, i - 1, True)
+                partial = AdaptiveGradResult(g, theta ** (i - 1) * delta_k, i - 1, True,
+                                             norm, i * per_call)
             raise BudgetExhausted(
                 "budget exhausted during interval search",
                 partial=partial,
-                declared_cost=i * scheme.evals_per_call(x.shape[0]),
+                declared_cost=i * per_call,
             )
         g = approx_gradient(oracle, scheme, x, interval)
         steps = i
         norm = float(np.linalg.norm(g))
         if np.isfinite(norm) and norm > mu * c_k * radius:
-            return AdaptiveGradResult(g, radius, i, False)
-    return AdaptiveGradResult(g, radius, steps, True)
+            return AdaptiveGradResult(g, radius, i, False, norm, (i + 1) * per_call)
+    return AdaptiveGradResult(g, radius, steps, True, norm, (steps + 1) * per_call)

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from adafd import GdfConfig, GradScheme, gdf_run
+from adafd import DfbConfig, GdfConfig, GradScheme, dfb_run, gdf_run
 
 from conftest import sphere_objective
 
@@ -100,3 +102,29 @@ def test_budget_accounting_includes_trace_probes():
     increments = np.diff([1] + [r.evals for r in report.trace])
     assert np.all(increments >= 3)
     assert np.all(increments % 2 == 1)
+
+
+def test_stationary_stop_records_the_iterate_value():
+    # from the minimizer every estimate is zero, so the search exhausts at once
+    report = gdf_run(sphere_objective(2), GradScheme.CENTRAL,
+                     GdfConfig(x1=[0.0, 0.0], budget=1000))
+    assert report.termination == "stationary"
+    assert report.trace[-1].step_status == "stopped"
+    assert report.trace[-1].f_current == 0.0
+
+
+def test_constant_schedules_accept_numpy_scalars():
+    obj = sphere_objective(2)
+    for field, value in (("tau", np.float32(0.1)), ("c_seq", np.int64(2))):
+        runs = [gdf_run(obj, GradScheme.CENTRAL,
+                        GdfConfig(x1=[0.3, -0.2], budget=200, **{field: v}))
+                for v in (value, value.item())]
+        assert runs[0].trace == runs[1].trace
+        assert runs[0].config[field] == value.item()
+    report = dfb_run(obj, GradScheme.FORWARD,
+                     DfbConfig(x1=[0.3, -0.2], budget=200, nu=np.float32(0.05)))
+    assert report.termination == "budget"
+    assert report.config["nu"] == np.float32(0.05).item()
+    json.dumps(report.config)  # report.json must be able to hold it
+    default = dfb_run(obj, GradScheme.FORWARD, DfbConfig(x1=[0.3, -0.2], budget=200))
+    assert default.config["nu"] == "harmonic(delta1/k)"

@@ -3,6 +3,9 @@ import pytest
 
 from adafd import (
     BudgetExhausted,
+    DfbConfig,
+    DfcConfig,
+    GdfConfig,
     GradScheme,
     Oracle,
     adaptive_gradient,
@@ -157,11 +160,28 @@ def test_accepted_result_satisfies_norm_test(rng):
         delta_k = float(10.0 ** rng.uniform(-3, 0.5))
         oracle = Oracle(sphere_objective(dim))
         res = adaptive_gradient(oracle, GradScheme.CENTRAL, x, delta_k, c_k, mu, theta)
+        assert res.g_norm == float(np.linalg.norm(res.g))
+        assert res.cost == oracle.eval_count
         if res.exhausted:
             continue
         assert np.linalg.norm(res.g) > mu * c_k * res.delta_next
         assert res.delta_next == pytest.approx(theta**res.inner_steps * delta_k)
         assert res.delta_next <= delta_k
+
+
+_BAD_SEARCH_FIELDS = [{"budget": -1}, {"delta1": 0.0}, {"theta": 0.0}, {"theta": 1.0},
+                      {"mu": 2.0}, {"i_max": 0}]
+
+
+@pytest.mark.parametrize("config, bad", [
+    *((config, bad) for config in (DfcConfig, DfbConfig, GdfConfig) for bad in _BAD_SEARCH_FIELDS),
+    (DfcConfig, {"c1": 0.0}),
+    (DfbConfig, {"c1": 0.0}),
+])
+def test_every_solver_config_rejects_bad_search_parameters(config, bad):
+    with pytest.raises(ValueError):
+        config(**{"x1": [1.0], "budget": 10, **bad})
+    assert config(x1=[1, 2], budget=10).x1.dtype == np.float64
 
 
 def test_returned_index_is_minimal(rng):
