@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .driver import ScheduleExhausted, drive
+from .driver import ScheduleExhausted, drive, lower
 from .gradapprox import GradScheme, approx_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
@@ -75,12 +75,16 @@ class BaselineConfig:
         return 1e-6 * (1.0 + float(np.linalg.norm(self.x1)))
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen, as RgState: that costs about 1.5 us a step; no step mutates one
 class SimplexState:
     """Simplex after iteration ``k``: vertex rows ``verts`` with values ``fv``,
     ``x`` its best vertex and ``f_x`` that vertex's value; ``verts`` is None
     before the first step. ``last_step`` is "init", "reflect", "expand",
-    "contract_out", "contract_in" or "shrink"."""
+    "contract_out", "contract_in" or "shrink".
+
+    Row order: after a reflect, expand or contract step the rows are sorted by
+    value (stably, NaN last) except the last one, the vertex the step replaced;
+    after "init" and "shrink" they are in no particular order."""
 
     k: int
     x: Array
@@ -95,15 +99,33 @@ class SimplexState:
 
 
 def _lowest(seen: list) -> float:
-    return min(np.inf, *seen)  # folded from inf, so a NaN hides no later value
+    """The lowest non-NaN value in ``seen``; NaN when there is none."""
+    low = min(np.inf, *seen)  # folded from inf, so a NaN hides no later value
+    return low if low != np.inf or np.inf in seen else math.nan
 
 
 def _simplex(k: int, verts: Array, fv: Array, status: str, seen: list) -> SimplexState:
-    """The simplex after a step that evaluated the values ``seen``."""
+    """The simplex after an init or shrink step that evaluated the values ``seen``."""
     values = fv.tolist()
     f_x = min(values)
     return SimplexState(k, verts[values.index(f_x)], f_x, verts, fv, status,
                         _lowest(seen), len(seen))
+
+
+def _sorted(state: SimplexState) -> Tuple[Array, Array]:
+    """Fresh copies of the state's rows, stably sorted by value with NaN last.
+
+    After a one-vertex step only the last row is out of place, so it is moved
+    to where a stable argsort would put it: after every value not above it.
+    """
+    fv = state.fv
+    if state.last_step in ("init", "shrink"):
+        order = np.argsort(fv, kind="stable")
+        return state.verts[order], fv[order]
+    verts = state.verts
+    p = int(fv[:-1].searchsorted(fv[-1], side="right"))
+    return (np.concatenate((verts[:p], verts[-1:], verts[p:-1])),
+            np.concatenate((fv[:p], fv[-1:], fv[p:-1])))
 
 
 def _probe(oracle: Oracle, x: Array, budget: int, seen: list) -> float:
@@ -132,10 +154,8 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
         return _simplex(0, verts, np.array([state.f_x] + seen), "init", seen)
 
     rho, chi, psi, sigma = cfg.nm_coefficients
-    order = np.argsort(state.fv, kind="stable")
-    verts = state.verts[order]
-    fv = state.fv[order]
-    centroid = np.mean(verts[:-1], axis=0)
+    verts, fv = _sorted(state)
+    centroid = np.add.reduce(verts[:-1], axis=0) / (len(fv) - 1)  # np.mean's sum, bit for bit
     seen: list = []
     status = "reflect"
     xr = centroid + rho * (centroid - verts[-1])
@@ -165,7 +185,12 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
             verts[1:] = verts[0] + sigma * (verts[1:] - verts[0])
             for i in range(1, len(fv)):
                 fv[i] = _probe(oracle, verts[i], cfg.budget, seen)
-    return _simplex(state.k + 1, verts, fv, status, seen)
+            return _simplex(state.k + 1, verts, fv, status, seen)
+    # rows 0..n-1 are sorted, so Python's min over fv picks row 0 unless the
+    # new last row is strictly lower; a NaN row 0 (all NaN) stays the pick
+    best = len(fv) - 1 if fv[-1] < fv[0] else 0
+    return SimplexState(state.k + 1, verts[best], fv.item(best), verts, fv, status,
+                        _lowest(seen), len(seen))
 
 
 def _no_extras(state) -> dict:
@@ -232,14 +257,14 @@ def imfil_step(state: ImfilState, oracle: Oracle, scheme: GradScheme,
     if g_norm <= h:
         return replace(failed, last_step="stencil_fail")
     t = 1.0
-    min_f = np.inf
+    min_f = math.nan
     for trial in range(cfg.imfil_max_backtracks):
         if oracle.eval_count >= cfg.budget:
             raise BudgetExhausted("budget exhausted during linesearch", partial=min_f,
                                   declared_cost=cost + trial)
         candidate = state.x - t * g
         f_cand = oracle.evaluate(candidate)
-        min_f = min(min_f, f_cand)
+        min_f = lower(min_f, f_cand)
         if f_cand <= state.f_x - cfg.imfil_armijo * t * g_norm**2:
             return replace(failed, x=candidate, f_x=f_cand, scale=state.scale,
                            last_step="accepted", last_tau=t, last_candidate_f=min_f,

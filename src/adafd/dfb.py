@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
-from .driver import config_dict, drive, schedule_value
+from .driver import config_dict, drive, lower, schedule_value
 from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient, check_search_config
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
@@ -61,7 +59,7 @@ class BacktrackResult:
     sufficient: bool
     evals_used: int
     f_candidate: float  # value tested at the returned t
-    min_f_seen: float   # best candidate value seen across the whole search
+    min_f_seen: float   # lowest non-NaN candidate value seen; NaN if none
 
 
 def backtrack(
@@ -89,7 +87,7 @@ def backtrack(
         raise ValueError("backtracking requires a nonzero direction")
     t = tau_bar
     evals = 0
-    min_f = np.inf
+    min_f = float("nan")
     while True:
         if budget is not None and oracle.eval_count >= budget:
             # the trials already evaluated still count toward the run's f_best
@@ -97,7 +95,7 @@ def backtrack(
                                   partial=min_f if evals else None, declared_cost=evals)
         f_cand = oracle.evaluate(x - t * g)
         evals += 1
-        min_f = min(min_f, f_cand)
+        min_f = lower(min_f, f_cand)
         if f_cand <= f_x - beta * t * g_norm_sq:
             return BacktrackResult(t, True, evals, f_cand, min_f)
         if t < t_min:

@@ -10,6 +10,7 @@ mid-step and :class:`ScheduleExhausted` when a caller-supplied sequence runs
 out, both carrying the cost of the work done so far. A cut-off step may also
 pass the lowest value it evaluated as the float ``partial`` of its
 :class:`BudgetExhausted`, which then still counts toward ``f_best``.
+``f_best`` ignores NaN: it is NaN only while no other value has been seen.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def config_dict(solver: str, scheme, cfg) -> dict:
     return out
 
 
+def lower(a: float, b: float) -> float:
+    """The lower of two values, ignoring NaN: NaN only when both are NaN."""
+    return b if b < a or a != a else a
+
+
 def _ran_with_C(before, after) -> float:
     return before.C  # the step may escalate C; the record keeps the value it ran with
 
@@ -99,7 +105,7 @@ def drive(
         except BudgetExhausted as stop:
             declared += stop.declared_cost
             if isinstance(stop.partial, float):  # values the cut-off step saw
-                f_best = min(f_best, stop.partial)
+                f_best = lower(f_best, stop.partial)
             truncated = True
             break
         except ScheduleExhausted as stop:
@@ -108,7 +114,7 @@ def drive(
             break
         declared += state.last_cost
         if state.last_candidate_f is not None:
-            f_best = min(f_best, state.last_candidate_f)
+            f_best = lower(f_best, state.last_candidate_f)
         # positional in CSV_COLUMNS order: keywords cost a microsecond per record
         trace.append(TraceRecord(state.k, oracle.eval_count, state.f_x, f_best,
                                  state.last_g_norm, state.delta, trace_C(before, state),

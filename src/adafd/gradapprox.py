@@ -125,7 +125,8 @@ class AdaptiveGradResult:
     Unless ``exhausted``, the accepted estimate satisfies
     ``g_norm > mu * c_k * delta_next`` and ``delta_next = theta**inner_steps * delta_k``.
     ``g_norm`` is ``norm(g)``, the value the test compared, and ``cost`` is the
-    evaluations the search spent: ``inner_steps + 1`` stencil calls.
+    evaluations the search spent: ``inner_steps + 1`` stencil calls, or none
+    when an exhausted search stopped before its first stencil.
     """
 
     g: Array
@@ -156,7 +157,10 @@ def adaptive_gradient(
     always uses the unclamped radius. An estimate with a non-finite norm (an
     infinite or NaN value in its stencil) never passes, so the interval shrinks.
     Returns the first accepted estimate, or ``exhausted=True`` with the last one
-    if no i qualifies.
+    if no i qualifies. The search also stops, exhausted, before a stencil whose
+    interval no longer moves any coordinate of x (``x + interval == x``), where
+    every difference would be zero or pure noise. If that happens at i = 0, no
+    stencil ran: the cost is 0 and ``g`` and ``g_norm`` are NaN.
 
     Raises :class:`BudgetExhausted` if ``budget`` would be crossed before
     starting a stencil call; the partial result (last computed estimate, if
@@ -175,28 +179,28 @@ def adaptive_gradient(
 
     x = np.asarray(x, dtype=float)
     per_call = scheme.evals_per_call(x.shape[0])
-    g = None
+    g = np.full(x.shape[0], np.nan)  # no estimate until a stencil runs
     norm = float("nan")
     radius = delta_k
-    steps = 0
+    ran = 0  # stencils evaluated; equals i at the top of each pass
     for i in range(i_max + 1):
         radius = theta**i * delta_k
         interval = radius if nu_k is None else min(radius, nu_k)
-        if interval <= 0.0:
-            break  # subnormal underflow; nothing smaller is evaluable
+        if interval <= 0.0 or np.all(x + interval == x):
+            break  # below the float spacing of x (or underflowed): nothing to evaluate
         if budget is not None and oracle.eval_count >= budget:
             partial = None
-            if g is not None:
+            if ran:
                 partial = AdaptiveGradResult(g, theta ** (i - 1) * delta_k, i - 1, True,
-                                             norm, i * per_call)
+                                             norm, ran * per_call)
             raise BudgetExhausted(
                 "budget exhausted during interval search",
                 partial=partial,
-                declared_cost=i * per_call,
+                declared_cost=ran * per_call,
             )
         g = approx_gradient(oracle, scheme, x, interval)
-        steps = i
+        ran += 1
         norm = float(np.linalg.norm(g))
         if np.isfinite(norm) and norm > mu * c_k * radius:
-            return AdaptiveGradResult(g, radius, i, False, norm, (i + 1) * per_call)
-    return AdaptiveGradResult(g, radius, steps, True, norm, (steps + 1) * per_call)
+            return AdaptiveGradResult(g, radius, i, False, norm, ran * per_call)
+    return AdaptiveGradResult(g, radius, max(ran - 1, 0), True, norm, ran * per_call)

@@ -3,8 +3,9 @@
 Every solver in an experiment sees the same instance and the same evaluation
 budget (budget_multiplier * dimension); per-solver oracle seeds are derived
 from the experiment seed with numpy SeedSequence spawning. Each run's trace is
-persisted as CSV and the final ranking is recomputed from those files, so
-re-ranking from disk reproduces the report exactly.
+persisted as CSV. The report ranks the runs by their in-memory final records,
+whose values the CSVs hold exactly (shortest round-trip floats), so
+:func:`rank_trace_files` re-ranks a results directory to the same ranking.
 """
 
 from __future__ import annotations
@@ -164,26 +165,23 @@ def trace_filename(solver_id: str) -> str:
     return f"trace_{solver_id}.csv"
 
 
+def _nan_last(item: Tuple[str, float]):
+    """Ranking key for (solver_id, final f_best): lowest first, NaN last, ties
+    (NaN included) broken by solver id."""
+    solver_id, value = item
+    nan = math.isnan(value)
+    return (nan, 0.0 if nan else value, solver_id)
+
+
 def rank_trace_files(paths: Dict[str, Union[str, Path]]) -> List[Tuple[str, float]]:
-    """Rank solvers by the final f_best stored in their trace files.
-
-    NaN ranks last; ties, NaN included, break by solver id.
-    """
-    finals = {}
-    for solver_id, path in paths.items():
-        trace = read_csv(path)
-        finals[solver_id] = trace[-1].f_best
-
-    def nan_last(item):
-        solver_id, value = item
-        nan = math.isnan(value)
-        return (nan, 0.0 if nan else value, solver_id)
-
-    return sorted(finals.items(), key=nan_last)
+    """Rank solvers by the final f_best stored in their trace files, as
+    :func:`run_experiment` ranks its in-memory runs."""
+    finals = {sid: read_csv(path)[-1].f_best for sid, path in paths.items()}
+    return sorted(finals.items(), key=_nan_last)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
-    """Build the instance, run every solver, persist traces, rank from disk."""
+    """Build the instance, run every solver, persist traces, rank the final records."""
     instance = build_instance(cfg.family, cfg.n, m=cfg.m, seed=cfg.instance_seed)
     x0 = resolve_initial_point(cfg.initial_point, cfg.n)
     out_dir = Path(cfg.output_dir)
@@ -206,7 +204,8 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         reports[solver_id] = report
         paths[solver_id] = path
 
-    ranking = rank_trace_files(paths)
+    finals = {sid: float(rep.trace[-1].f_best) for sid, rep in reports.items()}
+    ranking = sorted(finals.items(), key=_nan_last)
     manifest = {
         "problem": {
             "family": cfg.family,

@@ -67,6 +67,8 @@ class RunReport:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # the common case; subclasses such as np.float64 fall through
+        return repr(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -82,9 +84,11 @@ def emit_csv(trace: List[TraceRecord], path) -> None:
     """
     if not trace:
         raise ValueError("refusing to emit an empty trace")
+    f = _fmt
     lines = [",".join(CSV_COLUMNS)]
-    for rec in trace:
-        lines.append(",".join(_fmt(getattr(rec, col)) for col in CSV_COLUMNS))
+    lines += [f"{f(r.iter)},{f(r.evals)},{f(r.f_current)},{f(r.f_best)},"
+              f"{f(r.grad_norm_approx)},{f(r.delta)},{f(r.C)},{f(r.tau)},{f(r.step_status)}"
+              for r in trace]  # CSV_COLUMNS order
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

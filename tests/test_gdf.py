@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from adafd import DfbConfig, GdfConfig, GradScheme, dfb_run, gdf_run
+from adafd import DfbConfig, GdfConfig, GradScheme, build_instance, dfb_run, gdf_run
 
 from conftest import sphere_objective
 
@@ -128,3 +128,17 @@ def test_constant_schedules_accept_numpy_scalars():
     json.dumps(report.config)  # report.json must be able to hold it
     default = dfb_run(obj, GradScheme.FORWARD, DfbConfig(x1=[0.3, -0.2], budget=200))
     assert default.config["nu"] == "harmonic(delta1/k)"
+
+
+def test_diverged_run_stops_at_the_float_spacing_of_its_iterate():
+    # the iterate diverges to max |x| ~ 4.4e19; its last interval search used to
+    # run on to i_max (486 evaluations in all), past intervals that move no coordinate
+    inst = build_instance("rosenbrock", 5)
+    cfg = GdfConfig(x1=np.zeros(5), budget=1000, tau=0.01, c_seq=2)
+    report = gdf_run(inst.objective, GradScheme.FORWARD, cfg)
+    last = report.trace[-1]
+    assert report.termination == "stationary" and last.step_status == "stopped"
+    assert report.evals == report.declared_evals < 486
+    x = report.final_x
+    assert np.all(x + last.delta == x)
+    assert not np.all(x + last.delta / cfg.theta == x)

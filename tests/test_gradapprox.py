@@ -223,6 +223,32 @@ def test_nu_caps_the_probe_interval_but_not_the_threshold():
                           delta_k=1.0, c_k=1.0, mu=4.0, theta=0.5, nu_k=0.0)
 
 
+def test_search_stops_before_an_interval_that_moves_no_coordinate():
+    # from x = 1 the interval 2**-i stops moving x once it is below half the
+    # spacing of 1.0; every stencil before that ran, none after
+    oracle = Oracle(constant_objective(2))
+    x = np.ones(2)
+    res = adaptive_gradient(oracle, GradScheme.FORWARD, x, delta_k=1.0, c_k=1.0,
+                            mu=4.0, theta=0.5)
+    assert res.exhausted
+    assert res.inner_steps < 60
+    assert res.cost == oracle.eval_count == (res.inner_steps + 1) * 3
+    assert np.any(x + 0.5**res.inner_steps != x)
+    assert np.all(x + 0.5 ** (res.inner_steps + 1) == x)
+    assert res.g_norm == 0.0
+
+
+@pytest.mark.parametrize("scheme", list(GradScheme))
+def test_search_far_out_runs_no_stencil(scheme):
+    oracle = Oracle(sphere_objective(3))
+    res = adaptive_gradient(oracle, scheme, np.full(3, 1e20), delta_k=0.1, c_k=1.0,
+                            mu=4.0, theta=0.5, budget=10_000)
+    assert res.exhausted
+    assert (res.cost, res.inner_steps, oracle.eval_count) == (0, 0, 0)
+    assert res.g.shape == (3,) and np.all(np.isnan(res.g))
+    assert np.isnan(res.g_norm)
+
+
 def test_budget_exhaustion_mid_search_signals_partial_state():
     oracle = Oracle(constant_objective(3))
     with pytest.raises(BudgetExhausted) as info:

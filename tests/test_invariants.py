@@ -1,5 +1,7 @@
 """Run-level invariants that every registered solver must keep."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,24 @@ def test_final_x_is_the_last_recorded_iterate(solver_id):
         if report.trace and np.isfinite(report.trace[-1].f_current):
             assert inst.objective.evaluator(report.final_x) == report.trace[-1].f_current, (
                 inst.objective.dim, budget)
+
+
+@pytest.mark.parametrize("solver_id", SOLVER_IDS)
+def test_a_nan_start_value_does_not_poison_best_f(solver_id):
+    # f(x) = x.x + sum(x) is NaN only at x1 = 0; best_f is the lowest other value
+    def f(x):
+        return float(x @ x + x.sum()) if x.any() else float("nan")
+
+    inst = SimpleNamespace(objective=Objective(dim=3, evaluator=f,
+                                               lipschitz_grad_constant=2.0))
+    report = run_solver(solver_id, inst, 600, 0.0, seed=0, x0=np.zeros(3))
+    if solver_id.endswith("fordif") or solver_id == "rg":
+        # a forward stencil or rg probe shares the NaN base value, so every
+        # gradient and every later point is NaN: no value other than NaN is seen
+        assert np.isnan(report.best_f)
+        assert all(np.isnan(r.f_current) for r in report.trace)
+        return
+    assert not np.isnan(report.best_f)
+    assert report.best_f <= min(r.f_best for r in report.trace if not np.isnan(r.f_best))
+    if solver_id == "nelder-mead":
+        assert report.best_f == report.trace[-1].f_current == pytest.approx(-0.75)
