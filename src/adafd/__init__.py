@@ -7,7 +7,9 @@ injection, and an experiment harness with CSV traces and SVG plots.
 """
 
 from .baselines import (
-    BaselineConfig,
+    ImfilConfig,
+    NelderMeadConfig,
+    RgConfig,
     default_imfil_scales,
     imfil_run,
     nelder_mead_run,
@@ -59,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveGradResult",
     "BacktrackResult",
-    "BaselineConfig",
     "BudgetExhausted",
     "CSV_COLUMNS",
     "ComparisonReport",
@@ -72,14 +73,17 @@ __all__ = [
     "GdfConfig",
     "GradScheme",
     "IMAGE_RESTORATION",
+    "ImfilConfig",
     "InsufficientData",
     "LEAST_SQUARES",
+    "NelderMeadConfig",
     "Objective",
     "Oracle",
     "PowerIterationError",
     "ProblemInstance",
     "ROSENBROCK",
     "RateEstimate",
+    "RgConfig",
     "RunReport",
     "TraceRecord",
     "ValidationError",

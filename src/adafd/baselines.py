@@ -16,14 +16,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .driver import ScheduleExhausted, drive, lower
+from .driver import ScheduleExhausted, check_start, config_dict, drive, lower
 from .gradapprox import GradScheme, approx_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
-
-NELDER_MEAD = "nelder_mead"
-IMFIL = "imfil"
-RG = "rg"
 
 
 def default_imfil_scales(h0: float = 1.0, count: int = 12) -> list:
@@ -31,48 +27,52 @@ def default_imfil_scales(h0: float = 1.0, count: int = 12) -> list:
 
 
 @dataclass(frozen=True)
-class BaselineConfig:
-    solver_kind: str  # "nelder_mead" | "imfil" | "rg"
+class NelderMeadConfig:
     x1: Array
     budget: int
-    # random gradient-free extras
-    rg_lipschitz: Optional[float] = None
-    rg_smoothing: Optional[float] = None  # default 1e-6 * (1 + ||x1||)
-    # implicit filtering extras
-    imfil_scale_sequence: Optional[Sequence[float]] = None  # default 2^-j, 12 scales
-    imfil_armijo: float = 1e-4
-    imfil_ls_gamma: float = 0.5
-    imfil_max_backtracks: int = 10
-    # Nelder-Mead extras: reflection, expansion, contraction, shrink
-    nm_coefficients: Tuple[float, float, float, float] = (1.0, 2.0, 0.5, 0.5)
+    # reflection, expansion, contraction, shrink
+    coefficients: Tuple[float, float, float, float] = (1.0, 2.0, 0.5, 0.5)
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.solver_kind == RG:
-            if self.rg_lipschitz is None or self.rg_lipschitz <= 0:
-                raise ValueError("rg requires a positive rg_lipschitz constant")
-        elif self.solver_kind == IMFIL:
-            scales = self.scales()
-            if not scales:
-                raise ValueError("imfil needs a nonempty scale sequence")
-            if any(s <= 0 for s in scales):
-                raise ValueError("imfil scales must be positive")
-            if not all(a > b for a, b in zip(scales, scales[1:])):
-                raise ValueError("imfil scales must be strictly decreasing")
-        elif self.solver_kind != NELDER_MEAD:
-            raise ValueError(f"unknown solver kind {self.solver_kind!r}")
+        check_start(self)
 
-    def scales(self) -> list:
-        if self.imfil_scale_sequence is None:
-            return default_imfil_scales()
-        return [float(s) for s in self.imfil_scale_sequence]
 
-    def smoothing(self) -> float:
-        if self.rg_smoothing is not None:
-            return float(self.rg_smoothing)
-        return 1e-6 * (1.0 + float(np.linalg.norm(self.x1)))
+@dataclass(frozen=True)
+class ImfilConfig:
+    x1: Array
+    budget: int
+    scales: Sequence[float] = tuple(default_imfil_scales())  # strictly decreasing
+    armijo: float = 1e-4
+    ls_gamma: float = 0.5
+    max_backtracks: int = 10
+
+    def __post_init__(self):
+        check_start(self)
+        scales = tuple(float(s) for s in self.scales)
+        object.__setattr__(self, "scales", scales)
+        if not scales:
+            raise ValueError("imfil needs a nonempty scale sequence")
+        if any(s <= 0 for s in scales):
+            raise ValueError("imfil scales must be positive")
+        if not all(a > b for a, b in zip(scales, scales[1:])):
+            raise ValueError("imfil scales must be strictly decreasing")
+
+
+@dataclass(frozen=True)
+class RgConfig:
+    x1: Array
+    budget: int
+    lipschitz: Optional[float] = None  # required
+    smoothing: Optional[float] = None  # default 1e-6 * (1 + ||x1||)
+
+    def __post_init__(self):
+        check_start(self)
+        if self.lipschitz is None or self.lipschitz <= 0:
+            raise ValueError("rg requires a positive lipschitz constant")
+        smoothing = self.smoothing
+        if smoothing is None:
+            smoothing = 1e-6 * (1.0 + float(np.linalg.norm(self.x1)))
+        object.__setattr__(self, "smoothing", float(smoothing))
 
 
 @dataclass  # not frozen, as RgState: that costs about 1.5 us a step; no step mutates one
@@ -82,9 +82,10 @@ class SimplexState:
     before the first step. ``last_step`` is "init", "reflect", "expand",
     "contract_out", "contract_in" or "shrink".
 
-    Row order: after a reflect, expand or contract step the rows are sorted by
-    value (stably, NaN last) except the last one, the vertex the step replaced;
-    after "init" and "shrink" they are in no particular order."""
+    Row order: the rows are sorted by value (stably, NaN last), except that
+    after a reflect, expand or contract step the last row, the vertex the step
+    replaced, may be out of place. ``x`` is row 0, or that last row when its
+    value is strictly lower."""
 
     k: int
     x: Array
@@ -105,24 +106,20 @@ def _lowest(seen: list) -> float:
 
 
 def _simplex(k: int, verts: Array, fv: Array, status: str, seen: list) -> SimplexState:
-    """The simplex after an init or shrink step that evaluated the values ``seen``."""
-    values = fv.tolist()
-    f_x = min(values)
-    return SimplexState(k, verts[values.index(f_x)], f_x, verts, fv, status,
-                        _lowest(seen), len(seen))
+    """The simplex after an init or shrink step that evaluated the values
+    ``seen``, its rows stably sorted by value with NaN last."""
+    order = np.argsort(fv, kind="stable")
+    verts, fv = verts[order], fv[order]
+    return SimplexState(k, verts[0], fv.item(0), verts, fv, status, _lowest(seen), len(seen))
 
 
 def _sorted(state: SimplexState) -> Tuple[Array, Array]:
     """Fresh copies of the state's rows, stably sorted by value with NaN last.
 
-    After a one-vertex step only the last row is out of place, so it is moved
-    to where a stable argsort would put it: after every value not above it.
+    Only the last row can be out of place, so it is moved to where a stable
+    argsort would put it: after every value not above it.
     """
-    fv = state.fv
-    if state.last_step in ("init", "shrink"):
-        order = np.argsort(fv, kind="stable")
-        return state.verts[order], fv[order]
-    verts = state.verts
+    verts, fv = state.verts, state.fv
     p = int(fv[:-1].searchsorted(fv[-1], side="right"))
     return (np.concatenate((verts[:p], verts[-1:], verts[p:-1])),
             np.concatenate((fv[:p], fv[-1:], fv[p:-1])))
@@ -138,7 +135,7 @@ def _probe(oracle: Oracle, x: Array, budget: int, seen: list) -> float:
 
 
 def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
-                     cfg: BaselineConfig) -> SimplexState:
+                     cfg: NelderMeadConfig) -> SimplexState:
     """One reflect/expand/contract/shrink iteration on the simplex sorted by value.
 
     The first call builds the initial simplex instead: one vertex at x1 and one
@@ -153,7 +150,7 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
         seen = [oracle.evaluate(v) for v in verts[1:]]
         return _simplex(0, verts, np.array([state.f_x] + seen), "init", seen)
 
-    rho, chi, psi, sigma = cfg.nm_coefficients
+    rho, chi, psi, sigma = cfg.coefficients
     verts, fv = _sorted(state)
     centroid = np.add.reduce(verts[:-1], axis=0) / (len(fv) - 1)  # np.mean's sum, bit for bit
     seen: list = []
@@ -186,8 +183,8 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
             for i in range(1, len(fv)):
                 fv[i] = _probe(oracle, verts[i], cfg.budget, seen)
             return _simplex(state.k + 1, verts, fv, status, seen)
-    # rows 0..n-1 are sorted, so Python's min over fv picks row 0 unless the
-    # new last row is strictly lower; a NaN row 0 (all NaN) stays the pick
+    # rows 0..n-1 are sorted, so the best vertex is row 0 unless the new last
+    # row is strictly lower, as a stable argsort would order them
     best = len(fv) - 1 if fv[-1] < fv[0] else 0
     return SimplexState(state.k + 1, verts[best], fv.item(best), verts, fv, status,
                         _lowest(seen), len(seen))
@@ -199,7 +196,7 @@ def _no_extras(state) -> dict:
 
 def nelder_mead_run(
     objective: Objective,
-    cfg: BaselineConfig,
+    cfg: NelderMeadConfig,
     noise_level: float = 0.0,
     seed: int = 0,
 ) -> RunReport:
@@ -210,13 +207,11 @@ def nelder_mead_run(
     """
     if cfg.budget < objective.dim + 1:
         raise ValueError("budget must cover the initial simplex (dim + 1 evaluations)")
-    config = {"solver": "nelder_mead", "coefficients": list(cfg.nm_coefficients),
-              "budget": cfg.budget, "x1": [float(v) for v in cfg.x1]}
     return drive(
         "nelder-mead", objective, None, cfg, noise_level, seed,
         start=lambda x, f: SimplexState(k=0, x=x, f_x=f),
         step=nelder_mead_step,
-        config=config,
+        config=config_dict("nelder_mead", None, cfg),
         extras=_no_extras,
         collect_iterates=False,
     )
@@ -241,13 +236,12 @@ class ImfilState:
 
 
 def imfil_step(state: ImfilState, oracle: Oracle, scheme: GradScheme,
-               cfg: BaselineConfig) -> ImfilState:
+               cfg: ImfilConfig) -> ImfilState:
     """One gradient step at the current scale; a too-small estimate (norm at
     most h) or a failed backtracking search advances the schedule instead."""
-    scales = cfg.scales()
-    if state.scale >= len(scales):
+    if state.scale >= len(cfg.scales):
         raise ScheduleExhausted()
-    h = scales[state.scale]
+    h = cfg.scales[state.scale]
     g = approx_gradient(oracle, scheme, state.x, h)
     cost = scheme.evals_per_call(state.x.shape[0])
     g_norm = float(np.linalg.norm(g))
@@ -258,26 +252,26 @@ def imfil_step(state: ImfilState, oracle: Oracle, scheme: GradScheme,
         return replace(failed, last_step="stencil_fail")
     t = 1.0
     min_f = math.nan
-    for trial in range(cfg.imfil_max_backtracks):
+    for trial in range(cfg.max_backtracks):
         if oracle.eval_count >= cfg.budget:
             raise BudgetExhausted("budget exhausted during linesearch", partial=min_f,
                                   declared_cost=cost + trial)
         candidate = state.x - t * g
         f_cand = oracle.evaluate(candidate)
         min_f = lower(min_f, f_cand)
-        if f_cand <= state.f_x - cfg.imfil_armijo * t * g_norm**2:
+        if f_cand <= state.f_x - cfg.armijo * t * g_norm**2:
             return replace(failed, x=candidate, f_x=f_cand, scale=state.scale,
                            last_step="accepted", last_tau=t, last_candidate_f=min_f,
                            last_cost=cost + trial + 1)
-        t *= cfg.imfil_ls_gamma
+        t *= cfg.ls_gamma
     return replace(failed, last_step="ls_fail", last_candidate_f=min_f,
-                   last_cost=cost + cfg.imfil_max_backtracks)
+                   last_cost=cost + cfg.max_backtracks)
 
 
 def imfil_run(
     objective: Objective,
     scheme: GradScheme,
-    cfg: BaselineConfig,
+    cfg: ImfilConfig,
     noise_level: float = 0.0,
     seed: int = 0,
 ) -> RunReport:
@@ -286,16 +280,11 @@ def imfil_run(
     The sampling interval h walks down the schedule no matter what the iterates
     do. The run ends when the budget or the schedule is exhausted.
     """
-    config = {"solver": "imfil", "scheme": scheme.value, "budget": cfg.budget,
-              "scales": cfg.scales(), "armijo": cfg.imfil_armijo,
-              "ls_gamma": cfg.imfil_ls_gamma,
-              "max_backtracks": cfg.imfil_max_backtracks,
-              "x1": [float(v) for v in cfg.x1]}
     return drive(
         f"imfil-{scheme.value}", objective, scheme, cfg, noise_level, seed,
         start=lambda x, f: ImfilState(k=0, x=x, f_x=f),
         step=imfil_step,
-        config=config,
+        config=config_dict("imfil", scheme, cfg),
         extras=_no_extras,
         collect_iterates=False,
     )
@@ -320,7 +309,7 @@ class RgState:
     C = float("nan")  # no curvature proxy
 
 
-def rg_step(state: RgState, oracle: Oracle, scheme, cfg: BaselineConfig) -> RgState:
+def rg_step(state: RgState, oracle: Oracle, scheme, cfg: RgConfig) -> RgState:
     """One probe at ``x + sigma u`` with u ~ N(0, I), then a step along
     ``-((phi(x + sigma u) - phi(x)) / sigma) u``; the probe value is not an
     iterate value, so it stays out of ``f_best``."""
@@ -338,7 +327,7 @@ def rg_step(state: RgState, oracle: Oracle, scheme, cfg: BaselineConfig) -> RgSt
 
 def rg_run(
     objective: Objective,
-    cfg: BaselineConfig,
+    cfg: RgConfig,
     noise_level: float = 0.0,
     seed: int = 0,
 ) -> RunReport:
@@ -346,19 +335,16 @@ def rg_run(
     :func:`rg_step` until the budget is exhausted, exactly two evaluations per
     iteration. Noise and directions draw from two streams spawned from ``seed``.
     """
-    if cfg.rg_lipschitz is None:
-        raise ValueError("rg requires rg_lipschitz")
     noise_ss, dir_ss = np.random.SeedSequence(seed).spawn(2)
     directions = np.random.default_rng(dir_ss)
-    sigma = cfg.smoothing()
-    step = 1.0 / (4.0 * (objective.dim + 4) * cfg.rg_lipschitz)
-    config = {"solver": "rg", "budget": cfg.budget, "lipschitz": cfg.rg_lipschitz,
-              "smoothing": sigma, "step": step, "x1": [float(v) for v in cfg.x1]}
+    step = 1.0 / (4.0 * (objective.dim + 4) * cfg.lipschitz)
+    config = config_dict("rg", None, cfg)
+    config["step"] = step
     return drive(
         "rg", objective, None, cfg, noise_level,
         int(noise_ss.generate_state(1, np.uint64)[0]),
         start=lambda x, f: RgState(k=0, x=x, f_x=f, directions=directions,
-                                   delta=sigma, last_tau=step),
+                                   delta=cfg.smoothing, last_tau=step),
         step=rg_step,
         config=config,
         extras=_no_extras,

@@ -19,6 +19,8 @@ import numbers
 from dataclasses import fields, replace
 from typing import Callable
 
+import numpy as np
+
 from .oracle import BudgetExhausted, Objective, Oracle
 from .trace import RunReport, TraceRecord
 
@@ -42,15 +44,26 @@ def schedule_value(rule, k: int, *args) -> float:
     return float(rule[k - 1])
 
 
+def check_start(cfg) -> None:
+    """Coerce ``cfg.x1`` to a float array and check the budget, the two fields
+    that every solver config carries."""
+    object.__setattr__(cfg, "x1", np.asarray(cfg.x1, dtype=float))
+    if cfg.budget < 0:
+        raise ValueError("budget must be nonnegative")
+
+
 def config_dict(solver: str, scheme, cfg) -> dict:
-    """A config dataclass as JSON-ready values; rules and sequences become "custom"."""
-    out = {"solver": solver, "scheme": scheme.value}
+    """A config dataclass as JSON-ready values: sequences of numbers become lists
+    of floats and rules "custom"; ``scheme`` is left out when it is None."""
+    out = {"solver": solver}
+    if scheme is not None:
+        out["scheme"] = scheme.value
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if f.name == "x1":
-            value = [float(v) for v in value]
-        elif value is not None and not isinstance(value, numbers.Real):
+        if callable(value):
             value = "custom"
+        elif value is not None and not isinstance(value, numbers.Real):
+            value = [float(v) for v in value]
         elif hasattr(value, "item"):  # a numpy scalar, which json cannot write
             value = value.item()
         out[f.name] = value

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .driver import check_start
 from .oracle import Array, BudgetExhausted, Oracle
 
 #: Default cap on the number of interval reductions in one adaptive search.
@@ -24,11 +25,9 @@ DEFAULT_I_MAX = 60
 
 
 def check_search_config(cfg) -> None:
-    """Coerce ``cfg.x1`` to a float array and check the interval-search fields
-    that every solver config carries: budget, delta1, theta, mu and i_max."""
-    object.__setattr__(cfg, "x1", np.asarray(cfg.x1, dtype=float))
-    if cfg.budget < 0:
-        raise ValueError("budget must be nonnegative")
+    """Check the start (:func:`driver.check_start`) and the interval-search
+    fields that every interval-search config carries: delta1, theta, mu, i_max."""
+    check_start(cfg)
     if cfg.delta1 <= 0:
         raise ValueError("delta1 must be positive")
     if not 0.0 < cfg.theta < 1.0:

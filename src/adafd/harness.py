@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import baselines
-from .baselines import BaselineConfig, imfil_run, nelder_mead_run, rg_run
-from .dfb import DfbConfig, dfb_run
-from .dfc import DfcConfig, dfc_run
+from . import baselines, dfb, dfc
 from .gradapprox import GradScheme
 from .oracle import Array
 from .problems import FAMILIES, ProblemInstance, build_instance
@@ -32,20 +29,27 @@ class ValidationError(ValueError):
     """A request that fails before any solver runs (bad ids, dims, budgets)."""
 
 
-SOLVER_IDS = (
-    "dfc-fordif",
-    "dfc-cendif",
-    "dfb-fordif",
-    "dfb-cendif",
-    "nelder-mead",
-    "imfil-fordif",
-    "imfil-cendif",
-    "rg",
-)
-
-_SCHEME_SUFFIX = {"fordif": GradScheme.FORWARD, "cendif": GradScheme.CENTRAL}
+#: Every registered solver id: (module, run function name, config class, scheme
+#: or None). The run function is looked up by name on each call, so a wrapper
+#: bound to the module attribute (as a profiler installs) is the one that runs.
+SOLVERS = {
+    "dfc-fordif": (dfc, "dfc_run", dfc.DfcConfig, GradScheme.FORWARD),
+    "dfc-cendif": (dfc, "dfc_run", dfc.DfcConfig, GradScheme.CENTRAL),
+    "dfb-fordif": (dfb, "dfb_run", dfb.DfbConfig, GradScheme.FORWARD),
+    "dfb-cendif": (dfb, "dfb_run", dfb.DfbConfig, GradScheme.CENTRAL),
+    "nelder-mead": (baselines, "nelder_mead_run", baselines.NelderMeadConfig, None),
+    "imfil-fordif": (baselines, "imfil_run", baselines.ImfilConfig, GradScheme.FORWARD),
+    "imfil-cendif": (baselines, "imfil_run", baselines.ImfilConfig, GradScheme.CENTRAL),
+    "rg": (baselines, "rg_run", baselines.RgConfig, None),
+}
+SOLVER_IDS = tuple(SOLVERS)
 
 SolverSpec = Union[str, Tuple[str, dict]]
+
+
+def _split_spec(spec: SolverSpec) -> Tuple[str, dict]:
+    """A solver spec as its id and its config overrides."""
+    return (spec, {}) if isinstance(spec, str) else (spec[0], spec[1] or {})
 
 
 @dataclass(frozen=True)
@@ -72,12 +76,21 @@ class ExperimentConfig:
             raise ValidationError("noise level must be nonnegative")
         if not self.solvers:
             raise ValidationError("at least one solver id is required")
+        seen = set()
         for spec in self.solvers:
-            sid = spec[0] if isinstance(spec, tuple) else spec
-            if sid not in SOLVER_IDS:
+            sid, overrides = _split_spec(spec)
+            if sid not in SOLVERS:
                 raise ValidationError(
                     f"unknown solver id {sid!r}; known: {', '.join(SOLVER_IDS)}"
                 )
+            if sid in seen:
+                raise ValidationError(f"solver id {sid!r} is listed twice")
+            seen.add(sid)
+            valid = [f.name for f in fields(SOLVERS[sid][2]) if f.name not in ("x1", "budget")]
+            unknown = sorted(set(overrides) - set(valid))
+            if unknown:
+                raise ValidationError(f"{sid}: unknown override keys {', '.join(unknown)}; "
+                                      f"valid: {', '.join(valid)}")
 
     @property
     def budget(self) -> int:
@@ -126,37 +139,19 @@ def run_solver(
     overrides: Optional[dict] = None,
 ) -> RunReport:
     """Run one registered solver on an instance; overrides patch its config."""
-    overrides = dict(overrides or {})
-    kind, _, suffix = solver_id.partition("-")
-    if kind in ("dfc", "dfb"):
-        scheme = _SCHEME_SUFFIX[suffix]
-        if kind == "dfc":
-            cfg = DfcConfig(x1=x0, budget=budget, **overrides)
-            report = dfc_run(instance.objective, scheme, cfg, noise_level, seed)
-        else:
-            cfg = DfbConfig(x1=x0, budget=budget, **overrides)
-            report = dfb_run(instance.objective, scheme, cfg, noise_level, seed)
-    elif kind == "imfil":
-        scheme = _SCHEME_SUFFIX[suffix]
-        cfg = BaselineConfig(solver_kind=baselines.IMFIL, x1=x0, budget=budget,
-                             **overrides)
-        report = imfil_run(instance.objective, scheme, cfg, noise_level, seed)
-    elif solver_id == "nelder-mead":
-        cfg = BaselineConfig(solver_kind=baselines.NELDER_MEAD, x1=x0, budget=budget,
-                             **overrides)
-        report = nelder_mead_run(instance.objective, cfg, noise_level, seed)
-    elif solver_id == "rg":
-        if "rg_lipschitz" not in overrides:
-            if instance.objective.lipschitz_grad_constant is None:
-                raise ValidationError(
-                    "rg needs a gradient-Lipschitz constant and this instance has none"
-                )
-            overrides["rg_lipschitz"] = instance.objective.lipschitz_grad_constant
-        cfg = BaselineConfig(solver_kind=baselines.RG, x1=x0, budget=budget,
-                             **overrides)
-        report = rg_run(instance.objective, cfg, noise_level, seed)
-    else:
+    if solver_id not in SOLVERS:
         raise ValidationError(f"unknown solver id {solver_id!r}")
+    module, run_name, config_class, scheme = SOLVERS[solver_id]
+    overrides = dict(overrides or {})
+    if solver_id == "rg" and "lipschitz" not in overrides:
+        if instance.objective.lipschitz_grad_constant is None:
+            raise ValidationError(
+                "rg needs a gradient-Lipschitz constant and this instance has none"
+            )
+        overrides["lipschitz"] = instance.objective.lipschitz_grad_constant
+    cfg = config_class(x1=x0, budget=budget, **overrides)
+    args = (cfg,) if scheme is None else (scheme, cfg)
+    report = getattr(module, run_name)(instance.objective, *args, noise_level, seed)
     report.solver_id = solver_id
     return report
 
@@ -191,7 +186,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     reports: Dict[str, RunReport] = {}
     paths: Dict[str, Path] = {}
     for spec, child in zip(cfg.solvers, seed_children):
-        solver_id, overrides = (spec, None) if isinstance(spec, str) else spec
+        solver_id, overrides = _split_spec(spec)
         seed = int(child.generate_state(1, np.uint64)[0])
         report = run_solver(solver_id, instance, cfg.budget, cfg.noise_level,
                             seed, x0, overrides)

@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 from adafd import (
-    BaselineConfig,
     GradScheme,
+    ImfilConfig,
+    NelderMeadConfig,
+    Objective,
+    RgConfig,
+    ValidationError,
     default_imfil_scales,
     imfil_run,
     nelder_mead_run,
+    random_instance,
     rg_run,
+    run_solver,
 )
 
 from conftest import constant_objective, linear_objective, sphere_objective
@@ -15,7 +21,7 @@ from conftest import constant_objective, linear_objective, sphere_objective
 
 class TestNelderMead:
     def test_quadratic_reaches_tight_floor(self):
-        cfg = BaselineConfig("nelder_mead", x1=np.array([1.0, 1.0]), budget=400)
+        cfg = NelderMeadConfig(x1=np.array([1.0, 1.0]), budget=400)
         report = nelder_mead_run(sphere_objective(2), cfg)
         assert report.best_f <= 1e-4
         assert report.evals == report.declared_evals
@@ -23,7 +29,7 @@ class TestNelderMead:
         assert all(b <= a for a, b in zip(fb, fb[1:]))
 
     def test_constant_function_shrinks_without_improvement(self):
-        cfg = BaselineConfig("nelder_mead", x1=np.zeros(2), budget=100)
+        cfg = NelderMeadConfig(x1=np.zeros(2), budget=100)
         report = nelder_mead_run(constant_objective(2, 4.0), cfg)
         assert report.best_f == 4.0
         assert all(r.f_best == 4.0 for r in report.trace)
@@ -31,24 +37,32 @@ class TestNelderMead:
 
     def test_budget_equal_to_initial_simplex_returns_best_vertex(self):
         obj = sphere_objective(3)
-        cfg = BaselineConfig("nelder_mead", x1=np.ones(3), budget=4)
+        cfg = NelderMeadConfig(x1=np.ones(3), budget=4)
         report = nelder_mead_run(obj, cfg)
         assert len(report.trace) == 1  # only the initialization record
         assert report.evals == 4
         # best vertex among x1 and the three axis displacements of 0.05
         assert report.best_f == pytest.approx(3.0)
 
+    def test_a_nan_start_value_does_not_make_x1_the_best_vertex(self):
+        # f = x.x + sum(x) is NaN only at x1 = 0; the three other vertices tie
+        obj = Objective(dim=3, evaluator=lambda x: float(x @ x + x.sum()) if x.any()
+                        else float("nan"))
+        report = nelder_mead_run(obj, NelderMeadConfig(x1=np.zeros(3), budget=4))
+        assert report.final_x.tolist() == [0.05, 0.0, 0.0]
+        assert report.trace[0].f_current == report.best_f == obj.evaluator(report.final_x)
+
     def test_budget_below_simplex_is_rejected(self):
         with pytest.raises(ValueError):
             nelder_mead_run(sphere_objective(3),
-                            BaselineConfig("nelder_mead", x1=np.ones(3), budget=3))
+                            NelderMeadConfig(x1=np.ones(3), budget=3))
 
 
 class TestImplicitFiltering:
     def test_quadratic_with_dyadic_scales(self):
-        cfg = BaselineConfig(
-            "imfil", x1=np.array([1.0, 1.0]), budget=400,
-            imfil_scale_sequence=[2.0**-j for j in range(11)],
+        cfg = ImfilConfig(
+            x1=np.array([1.0, 1.0]), budget=400,
+            scales=[2.0**-j for j in range(11)],
         )
         report = imfil_run(sphere_objective(2), GradScheme.FORWARD, cfg)
         assert report.best_f <= 1e-3
@@ -57,8 +71,7 @@ class TestImplicitFiltering:
     def test_single_scale_with_immediate_stencil_failure_ends_run(self):
         # the central estimate of the sphere vanishes at the origin, so the
         # very first stencil fails and the one-scale schedule is exhausted
-        cfg = BaselineConfig("imfil", x1=np.zeros(2), budget=100,
-                             imfil_scale_sequence=[8.0])
+        cfg = ImfilConfig(x1=np.zeros(2), budget=100, scales=[8.0])
         report = imfil_run(sphere_objective(2), GradScheme.CENTRAL, cfg)
         assert report.termination == "schedule"
         assert len(report.trace) == 1
@@ -67,7 +80,7 @@ class TestImplicitFiltering:
 
     def test_noiseless_linear_objective_descends_monotonically(self, rng):
         c = rng.standard_normal(3)
-        cfg = BaselineConfig("imfil", x1=np.zeros(3), budget=200)
+        cfg = ImfilConfig(x1=np.zeros(3), budget=200)
         report = imfil_run(linear_objective(c), GradScheme.FORWARD, cfg)
         fs = [r.f_current for r in report.trace]
         assert all(b < a for a, b in zip(fs, fs[1:]))
@@ -75,7 +88,7 @@ class TestImplicitFiltering:
         assert report.termination == "budget"
 
     def test_scales_consumed_in_order(self):
-        cfg = BaselineConfig("imfil", x1=np.array([2.0, -1.0]), budget=600)
+        cfg = ImfilConfig(x1=np.array([2.0, -1.0]), budget=600)
         report = imfil_run(sphere_objective(2), GradScheme.CENTRAL, cfg)
         hs = [r.delta for r in report.trace]
         assert all(b <= a for a, b in zip(hs, hs[1:]))
@@ -84,17 +97,15 @@ class TestImplicitFiltering:
 
     def test_scale_sequence_validation(self):
         with pytest.raises(ValueError):
-            BaselineConfig("imfil", x1=np.zeros(2), budget=10,
-                           imfil_scale_sequence=[])
+            ImfilConfig(x1=np.zeros(2), budget=10, scales=[])
         with pytest.raises(ValueError):
-            BaselineConfig("imfil", x1=np.zeros(2), budget=10,
-                           imfil_scale_sequence=[0.5, 0.5])
+            ImfilConfig(x1=np.zeros(2), budget=10, scales=[0.5, 0.5])
 
 
 class TestRandomGradientFree:
     def test_quadratic_seed_pinned(self):
-        cfg = BaselineConfig("rg", x1=np.array([1.0, 1.0]), budget=400,
-                             rg_lipschitz=2.0, rg_smoothing=1e-6)
+        cfg = RgConfig(x1=np.array([1.0, 1.0]), budget=400,
+                       lipschitz=2.0, smoothing=1e-6)
         report = rg_run(sphere_objective(2), cfg, seed=7)
         assert report.best_f <= 1e-1
         assert report.evals == report.declared_evals
@@ -113,16 +124,17 @@ class TestRandomGradientFree:
 
     def test_missing_lipschitz_constant_fails_before_any_evaluation(self):
         with pytest.raises(ValueError):
-            BaselineConfig("rg", x1=np.zeros(2), budget=10)
+            RgConfig(x1=np.zeros(2), budget=10)
 
     def test_runs_are_seed_reproducible(self):
-        cfg = BaselineConfig("rg", x1=np.ones(2), budget=100, rg_lipschitz=2.0)
+        cfg = RgConfig(x1=np.ones(2), budget=100, lipschitz=2.0)
         a = rg_run(sphere_objective(2), cfg, noise_level=1e-3, seed=5)
         b = rg_run(sphere_objective(2), cfg, noise_level=1e-3, seed=5)
         assert a.best_f == b.best_f
         assert np.array_equal(a.final_x, b.final_x)
 
 
-def test_unknown_solver_kind_rejected():
-    with pytest.raises(ValueError):
-        BaselineConfig("genetic", x1=np.zeros(2), budget=10)
+def test_unknown_solver_id_rejected():
+    with pytest.raises(ValidationError):
+        run_solver("genetic", random_instance("least_squares", n=2, seed=0), 10, 0.0, 0,
+                   np.zeros(2))

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from adafd import DfbConfig, GdfConfig, GradScheme, build_instance, dfb_run, gdf_run
+from adafd import (
+    DfbConfig,
+    GdfConfig,
+    GradScheme,
+    NelderMeadConfig,
+    build_instance,
+    dfb_run,
+    gdf_run,
+)
+from adafd.driver import config_dict
 
 from conftest import sphere_objective
 
@@ -128,6 +137,19 @@ def test_constant_schedules_accept_numpy_scalars():
     json.dumps(report.config)  # report.json must be able to hold it
     default = dfb_run(obj, GradScheme.FORWARD, DfbConfig(x1=[0.3, -0.2], budget=200))
     assert default.config["nu"] == "harmonic(delta1/k)"
+
+
+def test_config_records_number_sequences_as_lists_and_rules_as_custom():
+    cfg = GdfConfig(x1=[0.3, -0.2], budget=10, tau=np.array([0.1, 0.05]), c_seq=(1, 2),
+                    nu_seq=lambda k: 0.1 / k)
+    config = config_dict("gdf", GradScheme.FORWARD, cfg)
+    assert config["tau"] == [0.1, 0.05]
+    assert config["c_seq"] == [1.0, 2.0] and all(type(v) is float for v in config["c_seq"])
+    assert config["nu_seq"] == "custom"
+    assert config["scheme"] == "forward"
+    json.dumps(config)
+    assert "scheme" not in config_dict("nelder_mead", None,
+                                       NelderMeadConfig(x1=[0.0], budget=2))
 
 
 def test_diverged_run_stops_at_the_float_spacing_of_its_iterate():

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from adafd import (
-    BaselineConfig,
     DfbConfig,
     DfcConfig,
     GdfConfig,
     GradScheme,
+    ImfilConfig,
+    NelderMeadConfig,
+    RgConfig,
     dfb_run,
     dfc_run,
     emit_csv,
@@ -65,12 +67,10 @@ def _run(solver, scheme, seed):
     if solver == "gdf":
         return gdf_run(obj, scheme, GdfConfig(x1=x1, budget=BUDGET, tau=1e-3), 1e-4, seed)
     if solver == "nelder-mead":
-        return nelder_mead_run(obj, BaselineConfig("nelder_mead", x1=x1, budget=BUDGET),
-                               1e-4, seed)
+        return nelder_mead_run(obj, NelderMeadConfig(x1=x1, budget=BUDGET), 1e-4, seed)
     if solver == "rg":
-        return rg_run(obj, BaselineConfig("rg", x1=x1, budget=BUDGET, rg_lipschitz=1e3),
-                      1e-4, seed)
-    return imfil_run(obj, scheme, BaselineConfig("imfil", x1=x1, budget=BUDGET), 1e-4, seed)
+        return rg_run(obj, RgConfig(x1=x1, budget=BUDGET, lipschitz=1e3), 1e-4, seed)
+    return imfil_run(obj, scheme, ImfilConfig(x1=x1, budget=BUDGET), 1e-4, seed)
 
 
 @pytest.mark.parametrize("solver,scheme,seed", sorted(GOLDEN))

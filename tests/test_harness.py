@@ -16,7 +16,20 @@ from adafd import (
     run_experiment,
 )
 from adafd.cli import main, parse_config_file
+from adafd.harness import SOLVER_IDS
 from adafd.trace import records_equal
+
+#: One non-default config field per solver id, with the value report.json records.
+ONE_OVERRIDE = {
+    "dfc-fordif": ("kappa", 0.25),
+    "dfc-cendif": ("r", 3.0),
+    "dfb-fordif": ("eta", 3.0),
+    "dfb-cendif": ("nu", [0.1, 0.05, 0.025]),
+    "nelder-mead": ("coefficients", [1.0, 2.0, 0.5, 0.25]),
+    "imfil-fordif": ("armijo", 1e-3),
+    "imfil-cendif": ("scales", [0.5, 0.25, 0.125]),
+    "rg": ("smoothing", 1e-5),
+}
 
 
 def _synthetic_trace(values, taus=None):
@@ -153,6 +166,27 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             ExperimentConfig(family="least_squares", n=4, solvers=["bfgs"])
 
+    def test_duplicate_solver_id_rejected(self):
+        with pytest.raises(ValidationError, match="twice"):
+            ExperimentConfig(family="least_squares", n=4,
+                             solvers=["dfc-fordif", ("dfc-fordif", {"kappa": 0.1})])
+
+    @pytest.mark.parametrize("key", ["bogus", "armijo"])
+    def test_unknown_override_key_rejected_before_any_solver_runs(self, key):
+        # "armijo" belongs to implicit filtering, not to Nelder-Mead
+        with pytest.raises(ValidationError, match="valid: coefficients$"):
+            ExperimentConfig(family="least_squares", n=4,
+                             solvers=["dfc-fordif", ("nelder-mead", {key: 5.0})])
+
+    @pytest.mark.parametrize("solver_id", SOLVER_IDS)
+    def test_an_override_reaches_the_report_config(self, tmp_path, solver_id):
+        key, value = ONE_OVERRIDE[solver_id]
+        run_experiment(ExperimentConfig(family="least_squares", n=3,
+                                        solvers=[(solver_id, {key: value})],
+                                        budget_multiplier=20, output_dir=tmp_path))
+        manifest = json.loads((tmp_path / "report.json").read_text())["manifest"]
+        assert manifest["solvers"][solver_id][key] == value
+
     def test_rg_on_rosenbrock_rejected_for_missing_constant(self, tmp_path):
         cfg = ExperimentConfig(family="rosenbrock", n=4, solvers=["rg"],
                                budget_multiplier=10, output_dir=tmp_path)
@@ -207,6 +241,9 @@ class TestCli:
         assert main(["run", "--problem", "leastsquares", "--n", "4",
                      "--solver", "nosuch", "--out", str(tmp_path)]) == 1
         assert main(["run", "--problem", "leastsquares"]) == 1  # missing flags
+        assert main(["run", "--problem", "leastsquares", "--n", "4", "--solver",
+                     "dfc-fordif,dfc-fordif", "--out", str(tmp_path / "dup")]) == 1
+        assert not (tmp_path / "dup").exists()
         assert main(["nosuchcommand"]) == 1
         # i/o problems -> 2
         assert main(["plot", "--traces", str(tmp_path / "missing.csv"),

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from adafd import (
-    BaselineConfig,
     GradScheme,
+    ImfilConfig,
     Objective,
     build_instance,
     imfil_run,
@@ -36,7 +36,7 @@ def test_imfil_linesearch_cut_by_the_budget_still_counts_toward_f_best():
     # reads g=1, the trial at x=0 lowers f by 1e-6 but fails the Armijo test,
     # and a budget of 1 + 2 + 1 cuts the linesearch before its second trial
     obj = Objective(dim=1, evaluator=lambda x: 1.0 + (x[0] - 1.0) * (1.0 if x[0] >= 1.0 else 1e-6))
-    cfg = BaselineConfig("imfil", x1=[1.0], budget=4, imfil_scale_sequence=[0.5])
+    cfg = ImfilConfig(x1=[1.0], budget=4, scales=[0.5])
     report = imfil_run(obj, GradScheme.FORWARD, cfg)
     assert report.truncated and report.trace == []
     assert report.evals == report.declared_evals == 4

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adafd import BaselineConfig, Objective, Oracle, build_instance, emit_csv, nelder_mead_run
+from adafd import NelderMeadConfig, Objective, Oracle, build_instance, emit_csv, nelder_mead_run
 from adafd.baselines import SimplexState, _lowest, _probe, _simplex, nelder_mead_step
 from adafd.driver import drive
 
@@ -28,7 +28,7 @@ def reference_step(state, oracle, scheme, cfg):
         seen = [oracle.evaluate(v) for v in verts[1:]]
         return _simplex(0, verts, np.array([state.f_x] + seen), "init", seen)
 
-    rho, chi, psi, sigma = cfg.nm_coefficients
+    rho, chi, psi, sigma = cfg.coefficients
     order = np.argsort(state.fv, kind="stable")
     verts = state.verts[order]
     fv = state.fv[order]
@@ -76,7 +76,7 @@ def reference_run(objective, cfg, noise_level=0.0, seed=0):
 
 
 def assert_same_run(objective, x1, budget, tmp_path, noise_level=0.0, seed=0):
-    cfg = BaselineConfig("nelder_mead", x1=x1, budget=budget)
+    cfg = NelderMeadConfig(x1=x1, budget=budget)
     ref = reference_run(objective, cfg, noise_level, seed)
     lib = nelder_mead_run(objective, cfg, noise_level, seed)
     emit_csv(ref.trace, tmp_path / "ref.csv")
@@ -135,7 +135,7 @@ def test_budget_cut_off_inside_a_shrink(tmp_path):
 
 
 def test_a_step_never_mutates_the_state_it_received():
-    cfg = BaselineConfig("nelder_mead", x1=np.zeros(3), budget=10_000)
+    cfg = NelderMeadConfig(x1=np.zeros(3), budget=10_000)
     oracle = Oracle(walled(3, "nan"))
     state = SimplexState(0, cfg.x1.copy(), oracle.evaluate(cfg.x1))
     statuses = set()

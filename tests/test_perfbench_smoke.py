@@ -18,3 +18,8 @@ def test_benchmark_smoke_run_passes_its_checks():
     metrics = result["metrics"]
     assert metrics["fd-solvers.dfc.step_calls"]["value"] > 0
     assert metrics["fd-solvers.dfb.step_calls"]["value"] > 0
+    # the span wrappers rebind module attributes, so a run function the solver
+    # table resolved once, ahead of them, would read 0 here
+    assert metrics["simplex-nm.baselines.nelder_mead_self_s"]["value"] > 0
+    assert metrics["fd-solvers.baselines.imfil_self_s"]["value"] > 0
+    assert metrics["fd-solvers.dfc.run_self_s"]["value"] > 0
