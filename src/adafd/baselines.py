@@ -35,6 +35,15 @@ class NelderMeadConfig:
 
     def __post_init__(self):
         check_start(self)
+        coefficients = tuple(self.coefficients)
+        if len(coefficients) != 4 or not all(map(math.isfinite, coefficients)):
+            raise ValueError("nelder-mead coefficients must be four finite numbers "
+                             "(reflection, expansion, contraction, shrink)")
+        rho, chi, psi, sigma = coefficients
+        # Lagarias, Reeds, Wright and Wright (1998), eq. (2.1)
+        if not (rho > 0 and chi > 1 and chi > rho and 0 < psi < 1 and 0 < sigma < 1):
+            raise ValueError("nelder-mead coefficients need rho > 0, chi > 1, chi > rho, "
+                             "0 < psi < 1 and 0 < sigma < 1")
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,8 @@ class RgConfig:
         smoothing = self.smoothing
         if smoothing is None:
             smoothing = 1e-6 * (1.0 + float(np.linalg.norm(self.x1)))
+        if not (math.isfinite(smoothing) and smoothing > 0):
+            raise ValueError("rg smoothing must be positive and finite")
         object.__setattr__(self, "smoothing", float(smoothing))
 
 

@@ -68,10 +68,11 @@ def forward_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     f0 = oracle.evaluate(x)
     g = np.empty(n)
     for lo in range(0, n, STENCIL_BLOCK_ROWS):
-        idx = np.arange(lo, min(lo + STENCIL_BLOCK_ROWS, n))
-        X = np.tile(x, (idx.size, 1))
-        X[idx - lo, idx] += delta
-        g[idx] = (oracle.evaluate_batch(X) - f0) / delta
+        k = min(STENCIL_BLOCK_ROWS, n - lo)
+        X = np.empty((k, n))
+        X[:] = x
+        X.ravel()[lo::n + 1] += delta  # entry (r, lo + r) of each row r
+        g[lo:lo + k] = (oracle.evaluate_batch(X) - f0) / delta
     return g
 
 
@@ -88,13 +89,14 @@ def central_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     n = x.shape[0]
     g = np.empty(n)
     for lo in range(0, n, STENCIL_BLOCK_ROWS // 2):
-        idx = np.arange(lo, min(lo + STENCIL_BLOCK_ROWS // 2, n))
-        rows = 2 * (idx - lo)
-        X = np.tile(x, (2 * idx.size, 1))
-        X[rows, idx] += delta
-        X[rows + 1, idx] -= delta
+        k = min(STENCIL_BLOCK_ROWS // 2, n - lo)
+        X = np.empty((2 * k, n))
+        X[:] = x
+        flat = X.ravel()
+        flat[lo::2 * n + 1] += delta  # entry (2r, lo + r) for each r
+        flat[n + lo::2 * n + 1] -= delta  # entry (2r + 1, lo + r)
         values = oracle.evaluate_batch(X)
-        g[idx] = (values[0::2] - values[1::2]) / (2.0 * delta)
+        g[lo:lo + k] = (values[0::2] - values[1::2]) / (2.0 * delta)
     return g
 
 

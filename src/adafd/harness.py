@@ -144,11 +144,12 @@ def run_solver(
     module, run_name, config_class, scheme = SOLVERS[solver_id]
     overrides = dict(overrides or {})
     if solver_id == "rg" and "lipschitz" not in overrides:
-        if instance.objective.lipschitz_grad_constant is None:
+        lipschitz = instance.objective.lipschitz_grad_constant
+        if lipschitz is None:
             raise ValidationError(
                 "rg needs a gradient-Lipschitz constant and this instance has none"
             )
-        overrides["lipschitz"] = instance.objective.lipschitz_grad_constant
+        overrides["lipschitz"] = lipschitz
     cfg = config_class(x1=x0, budget=budget, **overrides)
     args = (cfg,) if scheme is None else (scheme, cfg)
     report = getattr(module, run_name)(instance.objective, *args, noise_level, seed)

@@ -38,6 +38,12 @@ class Objective:
     and diagnostics only; the solver-facing surface is ``Oracle.evaluate`` and
     ``Oracle.evaluate_batch``.
 
+    ``lipschitz_grad_fn``, when given, is a zero-argument callable returning the
+    gradient-Lipschitz constant. It is called on each read of
+    ``lipschitz_grad_constant`` and never otherwise, so a costly one should
+    cache its value (the benchmark families do); copies made with
+    ``dataclasses.replace`` share the callable and so its cache.
+
     ``batch_evaluator``, when given, maps a k-by-dim array whose rows are points
     to the 1-D array of their k values; it must equal ``evaluator`` row by row
     up to rounding. Without it, batches loop over ``evaluator``.
@@ -46,14 +52,22 @@ class Objective:
     dim: int
     evaluator: Callable[[Array], float]
     analytic_gradient: Optional[Callable[[Array], Array]] = None
-    lipschitz_grad_constant: Optional[float] = None
+    lipschitz_grad_fn: Optional[Callable[[], float]] = None
     batch_evaluator: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"objective dimension must be positive, got {self.dim}")
-        if self.lipschitz_grad_constant is not None and self.lipschitz_grad_constant < 0:
+
+    @property
+    def lipschitz_grad_constant(self) -> Optional[float]:
+        """``lipschitz_grad_fn()``, or None when the objective has no constant."""
+        if self.lipschitz_grad_fn is None:
+            return None
+        L = self.lipschitz_grad_fn()
+        if L < 0:
             raise ValueError("lipschitz_grad_constant must be nonnegative")
+        return L
 
 
 @dataclass

@@ -3,12 +3,14 @@
 Three families: quadratic least-squares residuals, a log-damped nonconvex
 variant of them, and the chained Rosenbrock function. The first two carry
 exact gradient-Lipschitz constants (spectral norm, respectively max absolute
-row sum of 2 A^T A); Rosenbrock's gradient is only locally Lipschitz so no
+row sum of 2 A^T A), computed on first read and cached, since only the rg
+baseline reads them; Rosenbrock's gradient is only locally Lipschitz so no
 constant is stored.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,13 +42,14 @@ def spectral_norm(M: Array, tol: float = 1e-8, max_iter: int = 10_000) -> float:
     v = np.random.default_rng(0).standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
+    w = S @ v
     for _ in range(max_iter):
-        w = S @ v
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
         v = w / norm_w
-        lam_new = float(v @ (S @ v))
+        w = S @ v  # the Rayleigh quotient's product is the next iteration's
+        lam_new = float(v @ w)
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
             return float(np.sqrt(max(lam_new, 0.0)))
         lam = lam_new
@@ -88,9 +91,12 @@ def make_least_squares(A: Array, b: Array) -> ProblemInstance:
     def grad(x: Array) -> Array:
         return 2.0 * (A.T @ (A @ x - b))
 
-    L = 2.0 * spectral_norm(A.T @ A)
+    @functools.cache
+    def lipschitz() -> float:
+        return 2.0 * spectral_norm(A.T @ A)
+
     objective = Objective(dim=n, evaluator=f, analytic_gradient=grad,
-                          lipschitz_grad_constant=L, batch_evaluator=f_rows)
+                          lipschitz_grad_fn=lipschitz, batch_evaluator=f_rows)
     return ProblemInstance(family=LEAST_SQUARES, dim=n, objective=objective,
                            A=A, b=b, m=m)
 
@@ -117,10 +123,12 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
         r = A @ x - b
         return A.T @ (2.0 * r / (1.0 + r * r))
 
-    AtA = A.T @ A
-    L = 2.0 * float(np.max(np.sum(np.abs(AtA), axis=1)))
+    @functools.cache
+    def lipschitz() -> float:
+        return 2.0 * float(np.max(np.sum(np.abs(A.T @ A), axis=1)))
+
     objective = Objective(dim=n, evaluator=f, analytic_gradient=grad,
-                          lipschitz_grad_constant=L, batch_evaluator=f_rows)
+                          lipschitz_grad_fn=lipschitz, batch_evaluator=f_rows)
     return ProblemInstance(family=IMAGE_RESTORATION, dim=n, objective=objective,
                            A=A, b=b, m=n)
 
@@ -134,8 +142,16 @@ def make_rosenbrock(n: int) -> ProblemInstance:
         return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
 
     def f_rows(X: Array) -> Array:
+        # 100 (tail - head^2)^2 + (head - 1)^2 in two buffers, term by term as
+        # the expression would compute it
         head, tail = X[:, :-1], X[:, 1:]
-        return np.sum(100.0 * (tail - head ** 2) ** 2 + (head - 1.0) ** 2, axis=1)
+        a = np.square(head)
+        np.subtract(tail, a, out=a)
+        np.square(a, out=a)
+        np.multiply(100.0, a, out=a)
+        b = np.subtract(head, 1.0)
+        np.square(b, out=b)
+        return np.sum(np.add(a, b, out=a), axis=1)
 
     def grad(x: Array) -> Array:
         g = np.zeros_like(x)

@@ -10,7 +10,7 @@ def sphere_objective(dim: int) -> Objective:
         dim=dim,
         evaluator=lambda x: float(x @ x),
         analytic_gradient=lambda x: 2.0 * x,
-        lipschitz_grad_constant=2.0,
+        lipschitz_grad_fn=lambda: 2.0,
     )
 
 
@@ -28,7 +28,7 @@ def constant_objective(dim: int, value: float = 3.0) -> Objective:
         dim=dim,
         evaluator=lambda x: value,
         analytic_gradient=lambda x: np.zeros(dim),
-        lipschitz_grad_constant=0.0,
+        lipschitz_grad_fn=lambda: 0.0,
     )
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,35 @@ class TestNelderMead:
         with pytest.raises(ValueError):
             nelder_mead_run(sphere_objective(3),
                             NelderMeadConfig(x1=np.ones(3), budget=3))
+
+    @pytest.mark.parametrize("coefficients", [
+        (1.0, 2.0, 0.5),  # too few
+        (1.0, 2.0, 0.5, 0.5, 0.5),  # too many
+        (1.0, 2.0, float("nan"), 0.5),
+        (1.0, float("inf"), 0.5, 0.5),
+        (0.0, 2.0, 0.5, 0.5),  # rho > 0
+        (0.5, 1.0, 0.5, 0.5),  # chi > 1
+        (3.0, 2.0, 0.5, 0.5),  # chi > rho
+        (1.0, 2.0, 0.0, 0.5),  # 0 < psi < 1
+        (1.0, 2.0, 1.0, 0.5),
+        (1.0, 2.0, 0.5, 0.0),  # 0 < sigma < 1
+        (1.0, 2.0, 0.5, 1.0),
+    ])
+    def test_bad_coefficients_fail_before_any_evaluation(self, coefficients):
+        with pytest.raises(ValueError, match="coefficients"):
+            NelderMeadConfig(x1=np.zeros(3), budget=50, coefficients=coefficients)
+        calls = []
+        obj = Objective(dim=3, evaluator=lambda x: calls.append(x) or 0.0)
+        with pytest.raises(ValueError, match="coefficients"):
+            run_solver("nelder-mead", SimpleNamespace(objective=obj), 50, 0.0, 0,
+                       np.zeros(3), {"coefficients": coefficients})
+        assert calls == []
+
+    @pytest.mark.parametrize("coefficients", [(1.0, 2.0, 0.5, 0.5), [1, 2, 0.5, 0.25],
+                                              (0.5, 1.5, 0.25, 0.9)])
+    def test_coefficients_meeting_the_conditions_are_kept_as_given(self, coefficients):
+        cfg = NelderMeadConfig(x1=np.zeros(3), budget=50, coefficients=coefficients)
+        assert cfg.coefficients is coefficients
 
 
 class TestImplicitFiltering:
@@ -125,6 +156,18 @@ class TestRandomGradientFree:
     def test_missing_lipschitz_constant_fails_before_any_evaluation(self):
         with pytest.raises(ValueError):
             RgConfig(x1=np.zeros(2), budget=10)
+
+    @pytest.mark.parametrize("smoothing", [0.0, -1e-6, float("inf"), float("nan")])
+    def test_bad_smoothing_fails_before_any_evaluation(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing"):
+            RgConfig(x1=np.zeros(2), budget=10, lipschitz=2.0, smoothing=smoothing)
+        calls = []
+        obj = Objective(dim=3, evaluator=lambda x: calls.append(x) or 0.0,
+                        lipschitz_grad_fn=lambda: 2.0)
+        with pytest.raises(ValueError, match="smoothing"):
+            run_solver("rg", SimpleNamespace(objective=obj), 30, 0.0, 0, np.zeros(3),
+                       {"smoothing": smoothing})
+        assert calls == []
 
     def test_runs_are_seed_reproducible(self):
         cfg = RgConfig(x1=np.ones(2), budget=100, lipschitz=2.0)

@@ -7,6 +7,7 @@ from adafd import (
     DfcConfig,
     GdfConfig,
     GradScheme,
+    Objective,
     Oracle,
     adaptive_gradient,
     central_diff,
@@ -14,6 +15,7 @@ from adafd import (
     forward_diff,
     make_least_squares,
 )
+from adafd.gradapprox import STENCIL_BLOCK_ROWS
 
 from conftest import constant_objective, cusp_objective, linear_objective, sphere_objective
 
@@ -303,3 +305,44 @@ def test_block_stencils_match_one_call_per_point_bitwise(n, batched):
         assert stencil(new, x, 1e-3).tolist() == reference(ref, x, 1e-3).tolist()
         assert new.eval_count == ref.eval_count
         assert new.evaluate(x) == ref.evaluate(x)
+
+
+def _tile_blocks(scheme, x, delta):
+    """The stencil blocks as np.tile and fancy indexing built them, block by block."""
+    n = x.shape[0]
+    blocks = []
+    if scheme is GradScheme.FORWARD:
+        for lo in range(0, n, STENCIL_BLOCK_ROWS):
+            idx = np.arange(lo, min(lo + STENCIL_BLOCK_ROWS, n))
+            X = np.tile(x, (idx.size, 1))
+            X[idx - lo, idx] += delta
+            blocks.append(X)
+        return blocks
+    for lo in range(0, n, STENCIL_BLOCK_ROWS // 2):
+        idx = np.arange(lo, min(lo + STENCIL_BLOCK_ROWS // 2, n))
+        rows = 2 * (idx - lo)
+        X = np.tile(x, (2 * idx.size, 1))
+        X[rows, idx] += delta
+        X[rows + 1, idx] -= delta
+        blocks.append(X)
+    return blocks
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 31, 32, 33, 63, 64, 65, 100, 129, 401])
+@pytest.mark.parametrize("scheme", list(GradScheme))
+def test_stencil_blocks_are_the_tiled_blocks_row_for_row(n, scheme):
+    seen = []
+
+    def recording(X):
+        seen.append(X.copy())
+        return np.zeros(X.shape[0])
+
+    obj = Objective(dim=n, evaluator=lambda x: 0.0, batch_evaluator=recording)
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    delta = 1e-3 * (1.0 + n)
+    stencil = forward_diff if scheme is GradScheme.FORWARD else central_diff
+    stencil(Oracle(obj), x, delta)
+    expected = _tile_blocks(scheme, x, delta)
+    assert [X.shape for X in seen] == [X.shape for X in expected]
+    for got, want in zip(seen, expected):
+        assert got.tobytes() == want.tobytes()

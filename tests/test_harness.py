@@ -15,6 +15,7 @@ from adafd import (
     read_csv,
     run_experiment,
 )
+from adafd import problems
 from adafd.cli import main, parse_config_file
 from adafd.harness import SOLVER_IDS
 from adafd.trace import records_equal
@@ -192,6 +193,20 @@ class TestRunExperiment:
                                budget_multiplier=10, output_dir=tmp_path)
         with pytest.raises(ValidationError):
             run_experiment(cfg)
+
+    def test_only_rg_computes_the_lipschitz_constant(self, tmp_path, monkeypatch):
+        calls = []
+        norm = problems.spectral_norm
+        monkeypatch.setattr(problems, "spectral_norm",
+                            lambda M: calls.append(M.shape) or norm(M))
+        solvers = [sid for sid in SOLVER_IDS if sid != "rg"]
+        run_experiment(ExperimentConfig(family="least_squares", n=4, solvers=solvers,
+                                        budget_multiplier=10, output_dir=tmp_path))
+        assert calls == []
+        run_experiment(ExperimentConfig(family="least_squares", n=4,
+                                        solvers=solvers + ["rg"], budget_multiplier=10,
+                                        output_dir=tmp_path))
+        assert calls == [(4, 4)]
 
     def test_rosenbrock_both_presets(self, tmp_path):
         for preset in ("zeros", "halves"):

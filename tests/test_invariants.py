@@ -66,7 +66,7 @@ def test_a_nan_start_value_does_not_poison_best_f(solver_id):
         return float(x @ x + x.sum()) if x.any() else float("nan")
 
     inst = SimpleNamespace(objective=Objective(dim=3, evaluator=f,
-                                               lipschitz_grad_constant=2.0))
+                                               lipschitz_grad_fn=lambda: 2.0))
     report = run_solver(solver_id, inst, 600, 0.0, seed=0, x0=np.zeros(3))
     if solver_id.endswith("fordif") or solver_id == "rg":
         # a forward stencil or rg probe shares the NaN base value, so every

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from adafd import (
     Oracle,
     PowerIterationError,
+    build_instance,
     central_diff,
     load_instance_spec,
     make_image_restoration,
@@ -13,6 +16,7 @@ from adafd import (
     save_instance_spec,
     spectral_norm,
 )
+from adafd import problems
 
 
 class TestLeastSquares:
@@ -99,6 +103,15 @@ class TestRosenbrock:
             assert np.linalg.norm(g_fd - g) <= 1e-6 * (1.0 + np.linalg.norm(g))
 
 
+@pytest.mark.parametrize("k", [1, 8, 64])
+@pytest.mark.parametrize("n", [2, 100, 400])
+def test_rosenbrock_rows_are_bitwise_the_one_expression_form(k, n):
+    X = np.random.default_rng(k * n).uniform(-2.0, 2.0, (k, n))
+    head, tail = X[:, :-1], X[:, 1:]
+    expected = np.sum(100.0 * (tail - head ** 2) ** 2 + (head - 1.0) ** 2, axis=1)
+    assert make_rosenbrock(n).objective.batch_evaluator(X).tobytes() == expected.tobytes()
+
+
 class TestRandomInstances:
     def test_seeded_determinism(self):
         a = random_instance("least_squares", 6, m=9, seed=5)
@@ -146,6 +159,75 @@ class TestSpectralNorm:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 150])
+    def test_one_product_per_iteration_is_bitwise_the_two_product_loop(self, n):
+        M = np.random.default_rng(n).standard_normal((n + 1, n))
+        for A in (M, M.T @ M):  # the second is what least squares passes
+            assert spectral_norm(A) == _spectral_norm_two_products(A)
+            for max_iter in (1, 3):
+                with pytest.raises(PowerIterationError) as new:
+                    spectral_norm(A, tol=0.0, max_iter=max_iter)
+                with pytest.raises(PowerIterationError) as old:
+                    _spectral_norm_two_products(A, tol=0.0, max_iter=max_iter)
+                assert new.value.last_estimate == old.value.last_estimate
+
+
+def _spectral_norm_two_products(M, tol=1e-8, max_iter=10_000):
+    """spectral_norm as it was written before it reused the Rayleigh quotient's
+    product S @ v as the next iteration's w."""
+    M = np.asarray(M, dtype=float)
+    S = M.T @ M
+    v = np.random.default_rng(0).standard_normal(S.shape[0])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = S @ v
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            return 0.0
+        v = w / norm_w
+        lam_new = float(v @ (S @ v))
+        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+            return float(np.sqrt(max(lam_new, 0.0)))
+        lam = lam_new
+    raise PowerIterationError("no convergence", last_estimate=float(np.sqrt(max(lam, 0.0))))
+
+
+class TestLazyLipschitzConstant:
+    @pytest.fixture
+    def norm_calls(self, monkeypatch):
+        calls = []
+
+        def counting(M, *args, **kwargs):
+            calls.append(M.shape)
+            return spectral_norm(M, *args, **kwargs)
+
+        monkeypatch.setattr(problems, "spectral_norm", counting)
+        return calls
+
+    def test_least_squares_computes_it_once_on_first_read(self, norm_calls):
+        inst = build_instance("least_squares", 30, m=40, seed=3)
+        assert norm_calls == []
+        L = inst.objective.lipschitz_grad_constant
+        assert L == 2.0 * spectral_norm(inst.A.T @ inst.A)
+        assert inst.objective.lipschitz_grad_constant == L
+        assert norm_calls == [(30, 30)]
+
+    def test_image_restoration_value_is_the_row_sum_bound(self):
+        inst = build_instance("image_restoration", 30, seed=3)
+        AtA = inst.A.T @ inst.A
+        assert inst.objective.lipschitz_grad_constant == \
+            2.0 * float(np.max(np.sum(np.abs(AtA), axis=1)))
+
+    def test_a_replaced_copy_shares_the_value_without_forcing_it(self, norm_calls):
+        inst = build_instance("least_squares", 12, seed=1)
+        copy = dataclasses.replace(inst.objective, evaluator=lambda x: 0.0)
+        assert norm_calls == []
+        L = copy.lipschitz_grad_constant
+        assert L == 2.0 * spectral_norm(inst.A.T @ inst.A)
+        assert inst.objective.lipschitz_grad_constant == L
+        assert len(norm_calls) == 1
 
 
 def test_all_families_are_nonnegative(rng):
