@@ -76,8 +76,8 @@ class RgConfig:
 
     def __post_init__(self):
         check_start(self)
-        if self.lipschitz is None or self.lipschitz <= 0:
-            raise ValueError("rg requires a positive lipschitz constant")
+        if self.lipschitz is None or not (math.isfinite(self.lipschitz) and self.lipschitz > 0):
+            raise ValueError("rg requires a positive, finite lipschitz constant")
         smoothing = self.smoothing
         if smoothing is None:
             smoothing = 1e-6 * (1.0 + float(np.linalg.norm(self.x1)))
@@ -112,6 +112,8 @@ class SimplexState:
 
 def _lowest(seen: list) -> float:
     """The lowest non-NaN value in ``seen``; NaN when there is none."""
+    if len(seen) < 2:
+        return seen[0] if seen else math.nan
     low = min(np.inf, *seen)  # folded from inf, so a NaN hides no later value
     return low if low != np.inf or np.inf in seen else math.nan
 
@@ -122,18 +124,6 @@ def _simplex(k: int, verts: Array, fv: Array, status: str, seen: list) -> Simple
     order = np.argsort(fv, kind="stable")
     verts, fv = verts[order], fv[order]
     return SimplexState(k, verts[0], fv.item(0), verts, fv, status, _lowest(seen), len(seen))
-
-
-def _sorted(state: SimplexState) -> Tuple[Array, Array]:
-    """Fresh copies of the state's rows, stably sorted by value with NaN last.
-
-    Only the last row can be out of place, so it is moved to where a stable
-    argsort would put it: after every value not above it.
-    """
-    verts, fv = state.verts, state.fv
-    p = int(fv[:-1].searchsorted(fv[-1], side="right"))
-    return (np.concatenate((verts[:p], verts[-1:], verts[p:-1])),
-            np.concatenate((fv[:p], fv[-1:], fv[p:-1])))
 
 
 def _probe(oracle: Oracle, x: Array, budget: int, seen: list) -> float:
@@ -162,31 +152,40 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
         return _simplex(0, verts, np.array([state.f_x] + seen), "init", seen)
 
     rho, chi, psi, sigma = cfg.coefficients
-    verts, fv = _sorted(state)
-    centroid = np.add.reduce(verts[:-1], axis=0) / (len(fv) - 1)  # np.mean's sum, bit for bit
+    # fresh rows, stably sorted by value with NaN last: only the last row can be
+    # out of place, so it goes where a stable argsort would put it, after every
+    # value not above it
+    verts, fv = state.verts, state.fv
+    p = int(fv[:-1].searchsorted(fv[-1], side="right"))
+    verts = np.concatenate((verts[:p], verts[-1:], verts[p:-1]))
+    fv = np.concatenate((fv[:p], fv[-1:], fv[p:-1]))
+    f_low, f_second, f_worst = fv.item(0), fv.item(-2), fv.item(-1)
+    centroid = np.add.reduce(verts[:-1], axis=0)  # np.mean's sum, bit for bit
+    centroid /= len(fv) - 1
+    d = centroid - verts[-1]
     seen: list = []
     status = "reflect"
-    xr = centroid + rho * (centroid - verts[-1])
-    fr = _probe(oracle, xr, cfg.budget, seen)
-    if fv[0] <= fr < fv[-2]:
-        verts[-1], fv[-1] = xr, fr
-    elif fr < fv[0]:
-        xe = centroid + chi * rho * (centroid - verts[-1])
+    xr = centroid + rho * d
+    f_new = fr = _probe(oracle, xr, cfg.budget, seen)
+    if f_low <= fr < f_second:
+        verts[-1] = xr
+    elif fr < f_low:
+        xe = centroid + chi * rho * d
         fe = _probe(oracle, xe, cfg.budget, seen)
         if fe < fr:
-            verts[-1], fv[-1] = xe, fe
+            verts[-1], f_new = xe, fe
             status = "expand"
         else:
-            verts[-1], fv[-1] = xr, fr
+            verts[-1] = xr
     else:  # contract outside when fr beats the worst vertex, else inside
-        outside = fr < fv[-1]
+        outside = fr < f_worst
         if outside:
             xc = centroid + psi * (xr - centroid)
         else:
-            xc = centroid - psi * (centroid - verts[-1])
+            xc = centroid - psi * d
         fc = _probe(oracle, xc, cfg.budget, seen)
-        if (fc <= fr) if outside else (fc < fv[-1]):
-            verts[-1], fv[-1] = xc, fc
+        if (fc <= fr) if outside else (fc < f_worst):
+            verts[-1], f_new = xc, fc
             status = "contract_out" if outside else "contract_in"
         else:
             status = "shrink"
@@ -194,11 +193,11 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
             for i in range(1, len(fv)):
                 fv[i] = _probe(oracle, verts[i], cfg.budget, seen)
             return _simplex(state.k + 1, verts, fv, status, seen)
+    fv[-1] = f_new
     # rows 0..n-1 are sorted, so the best vertex is row 0 unless the new last
     # row is strictly lower, as a stable argsort would order them
-    best = len(fv) - 1 if fv[-1] < fv[0] else 0
-    return SimplexState(state.k + 1, verts[best], fv.item(best), verts, fv, status,
-                        _lowest(seen), len(seen))
+    x, f_x = (verts[-1], f_new) if f_new < f_low else (verts[0], f_low)
+    return SimplexState(state.k + 1, x, f_x, verts, fv, status, _lowest(seen), len(seen))
 
 
 def _no_extras(state) -> dict:

@@ -128,7 +128,7 @@ def drive(
         declared += state.last_cost
         if state.last_candidate_f is not None:
             f_best = lower(f_best, state.last_candidate_f)
-        # positional in CSV_COLUMNS order: keywords cost a microsecond per record
+        # positional, in CSV_COLUMNS order
         trace.append(TraceRecord(state.k, oracle.eval_count, state.f_x, f_best,
                                  state.last_g_norm, state.delta, trace_C(before, state),
                                  state.last_tau, state.last_step))

@@ -81,7 +81,8 @@ def make_least_squares(A: Array, b: Array) -> ProblemInstance:
     m, n = A.shape
 
     def f(x: Array) -> float:
-        r = A @ x - b
+        r = A @ x
+        r -= b
         return float(r @ r)
 
     def f_rows(X: Array) -> Array:
@@ -112,8 +113,11 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
     n = A.shape[0]
 
     def f(x: Array) -> float:
-        r = A @ x - b
-        return float(np.sum(np.log1p(r * r)))
+        # log1p(r * r) summed, in r's own buffer
+        r = A @ x
+        r -= b
+        np.multiply(r, r, out=r)
+        return float(np.add.reduce(np.log1p(r, out=r)))
 
     def f_rows(X: Array) -> Array:
         R = X @ A.T - b
@@ -133,25 +137,28 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
                            A=A, b=b, m=n)
 
 
+def _rosenbrock_terms(head: Array, tail: Array) -> Array:
+    """The chained Rosenbrock terms 100 (tail - head^2)^2 + (head - 1)^2, in two
+    buffers, computed term by term as that expression would compute them."""
+    a = np.square(head, dtype=float)
+    np.subtract(tail, a, out=a)
+    np.square(a, out=a)
+    np.multiply(100.0, a, out=a)
+    b = np.subtract(head, 1.0)
+    np.square(b, out=b)
+    return np.add(a, b, out=a)
+
+
 def make_rosenbrock(n: int) -> ProblemInstance:
     """Chained Rosenbrock; global minimum 0 at the all-ones point."""
     if n < 2:
         raise ValueError("rosenbrock needs dimension >= 2")
 
     def f(x: Array) -> float:
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+        return float(np.add.reduce(_rosenbrock_terms(x[:-1], x[1:])))
 
     def f_rows(X: Array) -> Array:
-        # 100 (tail - head^2)^2 + (head - 1)^2 in two buffers, term by term as
-        # the expression would compute it
-        head, tail = X[:, :-1], X[:, 1:]
-        a = np.square(head)
-        np.subtract(tail, a, out=a)
-        np.square(a, out=a)
-        np.multiply(100.0, a, out=a)
-        b = np.subtract(head, 1.0)
-        np.square(b, out=b)
-        return np.sum(np.add(a, b, out=a), axis=1)
+        return np.add.reduce(_rosenbrock_terms(X[:, :-1], X[:, 1:]), axis=1)
 
     def grad(x: Array) -> Array:
         g = np.zeros_like(x)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,12 +24,13 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One solver iteration: budget position, values, and step bookkeeping.
 
-    Fields that have no meaning for a given solver (e.g. ``C`` for Nelder-Mead)
-    are recorded as NaN.
+    A named tuple with the fields in ``CSV_COLUMNS`` order: immutable, and
+    about three times cheaper to build than a frozen dataclass. Fields that
+    have no meaning for a given solver (e.g. ``C`` for Nelder-Mead) are
+    recorded as NaN.
     """
 
     iter: int
@@ -76,19 +77,37 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+#: Field types of the records that ``drive`` builds, which one format writes.
+_DRIVE_TYPES = (int, int, float, float, float, float, float, float, str)
+_DRIVE_ROW = "%d,%d,%s,%s,%r,%r,%r,%r,%s"
+
+
 def emit_csv(trace: List[TraceRecord], path) -> None:
     """Write a trace as a header row plus one row per record.
 
     Re-emitting the same trace yields a byte-identical file, and reading it
-    back reproduces every finite value exactly.
+    back reproduces every finite value exactly. ``f_current`` and ``f_best``
+    reuse the text of the last value written in either column when they equal
+    it and are nonzero: equal nonzero floats have the same bits, while
+    ``0.0 == -0.0``. Rows holding other types (numpy scalars, bools) are
+    formatted field by field.
     """
     if not trace:
         raise ValueError("refusing to emit an empty trace")
-    f = _fmt
     lines = [",".join(CSV_COLUMNS)]
-    lines += [f"{f(r.iter)},{f(r.evals)},{f(r.f_current)},{f(r.f_best)},"
-              f"{f(r.grad_norm_approx)},{f(r.delta)},{f(r.C)},{f(r.tau)},{f(r.step_status)}"
-              for r in trace]  # CSV_COLUMNS order
+    append = lines.append
+    last, text = math.nan, ""  # NaN equals nothing, so the first value is formatted
+    for r in trace:
+        if tuple(map(type, r)) != _DRIVE_TYPES:
+            append(",".join(map(_fmt, r)))
+            continue
+        k, evals, f_current, f_best, g_norm, delta, C, tau, status = r
+        if f_current != last or f_current == 0.0:
+            last, text = f_current, repr(f_current)
+        current = text
+        if f_best != last or f_best == 0.0:
+            last, text = f_best, repr(f_best)
+        append(_DRIVE_ROW % (k, evals, current, text, g_norm, delta, C, tau, status))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,22 +1,27 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from adafd import (
+    BudgetExhausted,
     GradScheme,
     ImfilConfig,
     NelderMeadConfig,
     Objective,
+    Oracle,
     RgConfig,
     ValidationError,
     default_imfil_scales,
     imfil_run,
+    make_rosenbrock,
     nelder_mead_run,
     random_instance,
     rg_run,
     run_solver,
 )
+from adafd.baselines import SimplexState, nelder_mead_step
 
 from conftest import constant_objective, linear_objective, sphere_objective
 
@@ -53,6 +58,35 @@ class TestNelderMead:
         report = nelder_mead_run(obj, NelderMeadConfig(x1=np.zeros(3), budget=4))
         assert report.final_x.tolist() == [0.05, 0.0, 0.0]
         assert report.trace[0].f_current == report.best_f == obj.evaluator(report.final_x)
+
+    def test_a_step_at_an_exhausted_budget_raises_budget_exhausted(self):
+        cfg = NelderMeadConfig(x1=np.zeros(3), budget=4)
+        oracle = Oracle(make_rosenbrock(3).objective, 0.0, 0)
+        state = nelder_mead_step(SimplexState(0, cfg.x1, oracle.evaluate(cfg.x1)), oracle,
+                                 None, cfg)
+        assert oracle.eval_count == 4
+        with pytest.raises(BudgetExhausted) as stop:
+            nelder_mead_step(state, oracle, None, cfg)
+        assert math.isnan(stop.value.partial) and stop.value.declared_cost == 0
+        assert oracle.eval_count == 4
+
+    @pytest.mark.parametrize("status", ["reflect", "expand", "contract_out", "contract_in",
+                                        "shrink"])
+    def test_a_step_leaves_its_input_state_as_it_was(self, status):
+        n = 6
+        objective = make_rosenbrock(n).objective
+        cfg = NelderMeadConfig(x1=np.full(n, 0.5), budget=2000)
+        oracle = Oracle(objective, 0.0, 0)
+        state = nelder_mead_step(SimplexState(0, cfg.x1, oracle.evaluate(cfg.x1)), oracle,
+                                 None, cfg)
+        while state.last_step != status:
+            assert oracle.eval_count + n + 1 < cfg.budget, f"no {status} step"
+            verts, fv = state.verts.copy(), state.fv.copy()
+            new = nelder_mead_step(state, oracle, None, cfg)
+            assert state.verts.tobytes() == verts.tobytes()
+            assert state.fv.tobytes() == fv.tobytes()
+            assert not np.shares_memory(new.verts, state.verts)
+            state = new
 
     def test_budget_below_simplex_is_rejected(self):
         with pytest.raises(ValueError):
@@ -167,6 +201,18 @@ class TestRandomGradientFree:
         with pytest.raises(ValueError, match="smoothing"):
             run_solver("rg", SimpleNamespace(objective=obj), 30, 0.0, 0, np.zeros(3),
                        {"smoothing": smoothing})
+        assert calls == []
+
+    @pytest.mark.parametrize("lipschitz", [0.0, -1.0, float("inf"), float("nan")])
+    def test_bad_lipschitz_fails_before_any_evaluation(self, lipschitz):
+        with pytest.raises(ValueError, match="lipschitz"):
+            RgConfig(x1=np.zeros(2), budget=10, lipschitz=lipschitz)
+        calls = []
+        obj = Objective(dim=3, evaluator=lambda x: calls.append(x) or 0.0,
+                        lipschitz_grad_fn=lambda: 2.0)
+        with pytest.raises(ValueError, match="lipschitz"):
+            run_solver("rg", SimpleNamespace(objective=obj), 30, 0.0, 0, np.zeros(3),
+                       {"lipschitz": lipschitz})
         assert calls == []
 
     def test_runs_are_seed_reproducible(self):

@@ -112,6 +112,26 @@ def test_rosenbrock_rows_are_bitwise_the_one_expression_form(k, n):
     assert make_rosenbrock(n).objective.batch_evaluator(X).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 17, 100, 400])
+def test_scalar_evaluators_are_bitwise_the_one_expression_forms(n):
+    rng = np.random.default_rng(n)
+    rosenbrock = make_rosenbrock(n).objective.evaluator
+    ls = random_instance("least_squares", n, seed=n)
+    ir = random_instance("image_restoration", n, seed=n)
+    for scale in (1e-3, 1.0, 1e3):
+        for x in rng.uniform(-2.0, 2.0, (20, n)) * scale:
+            assert rosenbrock(x) == float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                                                 + (x[:-1] - 1.0) ** 2))
+            r = ls.A @ x - ls.b
+            assert ls.objective.evaluator(x) == float(r @ r)
+            r = ir.A @ x - ir.b
+            assert ir.objective.evaluator(x) == float(np.sum(np.log1p(r * r)))
+
+
+def test_rosenbrock_accepts_an_integer_point():
+    assert make_rosenbrock(3).objective.evaluator(np.array([0, 2, 1])) == 1302.0
+
+
 class TestRandomInstances:
     def test_seeded_determinism(self):
         a = random_instance("least_squares", 6, m=9, seed=5)
