@@ -148,7 +148,9 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
         verts = np.tile(state.x, (n + 1, 1))
         for i in range(n):
             verts[i + 1, i] += 0.05 * max(abs(verts[i + 1, i]), 1.0)
-        seen = [oracle.evaluate(v) for v in verts[1:]]
+        seen: list = []
+        for v in verts[1:]:
+            _probe(oracle, v, cfg.budget, seen)
         return _simplex(0, verts, np.array([state.f_x] + seen), "init", seen)
 
     rho, chi, psi, sigma = cfg.coefficients
@@ -251,6 +253,8 @@ def imfil_step(state: ImfilState, oracle: Oracle, scheme: GradScheme,
     most h) or a failed backtracking search advances the schedule instead."""
     if state.scale >= len(cfg.scales):
         raise ScheduleExhausted()
+    if oracle.eval_count >= cfg.budget:
+        raise BudgetExhausted()
     h = cfg.scales[state.scale]
     g = approx_gradient(oracle, scheme, state.x, h)
     cost = scheme.evals_per_call(state.x.shape[0])
@@ -323,6 +327,8 @@ def rg_step(state: RgState, oracle: Oracle, scheme, cfg: RgConfig) -> RgState:
     """One probe at ``x + sigma u`` with u ~ N(0, I), then a step along
     ``-((phi(x + sigma u) - phi(x)) / sigma) u``; the probe value is not an
     iterate value, so it stays out of ``f_best``."""
+    if oracle.eval_count >= cfg.budget:
+        raise BudgetExhausted()
     sigma = state.delta
     u = state.directions.standard_normal(state.x.shape[0])
     f_probe = oracle.evaluate(state.x + sigma * u)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 from .driver import config_dict, drive, lower, schedule_value
-from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient, check_search_config
+from .gradapprox import GradScheme, SearchConfig, adaptive_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
 
@@ -22,23 +22,17 @@ NuRule = Union[float, Callable[[int], float], Sequence[float], None]
 
 
 @dataclass(frozen=True)
-class DfbConfig:
-    x1: Array
-    budget: int
-    delta1: float = 0.1
+class DfbConfig(SearchConfig):
     c1: float = 1.0
-    theta: float = 0.5
-    mu: float = 4.0
     eta: float = 2.0
     beta: float = 0.25
     gamma: float = 0.5
     tau_bar: float = 1.0
     t_min1: float = 1e-10
     nu: NuRule = None  # positive caps decreasing to 0; default: harmonic decay delta1 / k
-    i_max: int = DEFAULT_I_MAX
 
     def __post_init__(self):
-        check_search_config(self)
+        super().__post_init__()
         if self.c1 <= 0:
             raise ValueError("c1 must be positive")
         if self.eta <= 1.0:
@@ -114,7 +108,6 @@ class DfbState:
     last_step: str = "init"  # "accepted" | "null" | "stopped" | "init"
     last_g_norm: float = float("nan")
     last_tau: float = 0.0
-    last_inner_steps: int = 0
     last_candidate_f: Optional[float] = None  # lowest value the last linesearch saw
     last_cost: int = 0
 
@@ -129,10 +122,8 @@ def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig
         oracle, scheme, state.x, state.delta, state.C, cfg.mu, cfg.theta,
         nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget,
     )
-    searched = replace(
-        state, k=k, delta=res.delta_next, last_g_norm=res.g_norm, last_tau=0.0,
-        last_inner_steps=res.inner_steps, last_candidate_f=None, last_cost=res.cost,
-    )
+    searched = replace(state, k=k, delta=res.delta_next, last_g_norm=res.g_norm,
+                       last_tau=0.0, last_candidate_f=None, last_cost=res.cost)
     if res.exhausted:
         return replace(searched, last_step="stopped")
 

@@ -13,25 +13,19 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .driver import config_dict, drive
-from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient, check_search_config
+from .gradapprox import GradScheme, SearchConfig, adaptive_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
 
 
 @dataclass(frozen=True)
-class DfcConfig:
-    x1: Array
-    budget: int
-    delta1: float = 0.1
+class DfcConfig(SearchConfig):
     c1: float = 1.0
-    theta: float = 0.5
-    mu: float = 4.0
     r: float = 2.0
     kappa: float = 0.5
-    i_max: int = DEFAULT_I_MAX
 
     def __post_init__(self):
-        check_search_config(self)
+        super().__post_init__()
         if self.c1 <= 0:
             raise ValueError("c1 must be positive")
         if self.r <= 1.0:
@@ -52,7 +46,6 @@ class DfcState:
     last_step: str = "init"  # "accepted" | "rejected" | "stopped" | "init"
     last_g_norm: float = float("nan")
     last_tau: float = 0.0
-    last_inner_steps: int = 0
     last_candidate_f: Optional[float] = None
     last_cost: int = 0  # declared oracle cost of the last step
 
@@ -65,10 +58,8 @@ def dfc_step(state: DfcState, oracle: Oracle, scheme: GradScheme, cfg: DfcConfig
         oracle, scheme, state.x, state.delta, state.C, cfg.mu, cfg.theta,
         nu_k=None, i_max=cfg.i_max, budget=cfg.budget,
     )
-    searched = replace(
-        state, k=state.k + 1, delta=res.delta_next, last_g_norm=res.g_norm, last_tau=0.0,
-        last_inner_steps=res.inner_steps, last_candidate_f=None, last_cost=res.cost,
-    )
+    searched = replace(state, k=state.k + 1, delta=res.delta_next, last_g_norm=res.g_norm,
+                       last_tau=0.0, last_candidate_f=None, last_cost=res.cost)
     if res.exhausted:
         return replace(searched, last_step="stopped")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 from .driver import ScheduleExhausted, config_dict, drive, schedule_value
-from .gradapprox import DEFAULT_I_MAX, GradScheme, adaptive_gradient, check_search_config
+from .gradapprox import GradScheme, SearchConfig, adaptive_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
 
@@ -22,19 +22,10 @@ SeqRule = Union[float, Sequence[float], Callable[[int], float]]
 
 
 @dataclass(frozen=True)
-class GdfConfig:
-    x1: Array
-    budget: int
+class GdfConfig(SearchConfig):
     c_seq: SeqRule = 1.0
     tau: TauPolicy = 0.0
     nu_seq: Optional[SeqRule] = None
-    delta1: float = 0.1
-    theta: float = 0.5
-    mu: float = 4.0
-    i_max: int = DEFAULT_I_MAX
-
-    def __post_init__(self):
-        check_search_config(self)
 
 
 @dataclass(frozen=True)

@@ -24,18 +24,30 @@ from .oracle import Array, BudgetExhausted, Oracle
 DEFAULT_I_MAX = 60
 
 
-def check_search_config(cfg) -> None:
-    """Check the start (:func:`driver.check_start`) and the interval-search
-    fields that every interval-search config carries: delta1, theta, mu, i_max."""
-    check_start(cfg)
-    if cfg.delta1 <= 0:
-        raise ValueError("delta1 must be positive")
-    if not 0.0 < cfg.theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    if cfg.mu <= 2.0:
-        raise ValueError("mu must exceed 2")
-    if cfg.i_max < 1:
-        raise ValueError("i_max must be positive")
+@dataclass(frozen=True)
+class SearchConfig:
+    """The fields that every interval-search config carries, first in its field
+    order: the start ``x1`` and ``budget`` (checked in :func:`driver.check_start`),
+    then the search parameters delta1, theta, mu and i_max. ``DfcConfig``,
+    ``DfbConfig`` and ``GdfConfig`` add their own fields after these."""
+
+    x1: Array
+    budget: int
+    delta1: float = 0.1
+    theta: float = 0.5
+    mu: float = 4.0
+    i_max: int = DEFAULT_I_MAX
+
+    def __post_init__(self):
+        check_start(self)
+        if self.delta1 <= 0:
+            raise ValueError("delta1 must be positive")
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError("theta must lie in (0, 1)")
+        if self.mu <= 2.0:
+            raise ValueError("mu must exceed 2")
+        if self.i_max < 1:
+            raise ValueError("i_max must be positive")
 
 
 #: Perturbed points built and evaluated per ``Oracle.evaluate_batch`` call
@@ -55,49 +67,50 @@ class GradScheme(enum.Enum):
         return dim + 1 if self is GradScheme.FORWARD else 2 * dim
 
 
+def _stencil(oracle: Oracle, x: Array, delta: float, signs: tuple) -> Array:
+    """Values at x + s * delta e_i, as an (n, len(signs)) array.
+
+    The points are evaluated in row blocks of ``STENCIL_BLOCK_ROWS``, in the
+    order x + signs[0] delta e_i, x + signs[1] delta e_i, ... for i = 0, 1, ...,
+    so each noise draw lands on the same point as when every point is evaluated
+    on its own.
+    """
+    n = x.shape[0]
+    per = len(signs)
+    values = np.empty((n, per))
+    rows = STENCIL_BLOCK_ROWS // per
+    for lo in range(0, n, rows):
+        k = min(rows, n - lo)
+        X = np.empty((per * k, n))
+        X[:] = x
+        flat = X.ravel()
+        for j, s in enumerate(signs):
+            flat[j * n + lo::per * n + 1] += s * delta  # entry (per r + j, lo + r)
+        values[lo:lo + k] = oracle.evaluate_batch(X).reshape(k, per)
+    return values
+
+
 def forward_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     """Forward-difference gradient estimate; costs exactly dim + 1 evaluations.
 
-    The base value phi(x) is evaluated once and shared across all coordinates;
-    the perturbed points x + delta e_i are evaluated in row blocks, in order of i.
+    The base value phi(x) is evaluated once and shared across all coordinates,
+    then the points x + delta e_i, in order of i.
     """
     if delta <= 0:
         raise ValueError(f"sampling interval must be positive, got {delta}")
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
     f0 = oracle.evaluate(x)
-    g = np.empty(n)
-    for lo in range(0, n, STENCIL_BLOCK_ROWS):
-        k = min(STENCIL_BLOCK_ROWS, n - lo)
-        X = np.empty((k, n))
-        X[:] = x
-        X.ravel()[lo::n + 1] += delta  # entry (r, lo + r) of each row r
-        g[lo:lo + k] = (oracle.evaluate_batch(X) - f0) / delta
-    return g
+    return (_stencil(oracle, x, delta, (1.0,))[:, 0] - f0) / delta
 
 
 def central_diff(oracle: Oracle, x: Array, delta: float) -> Array:
-    """Central-difference gradient estimate; costs exactly 2 * dim evaluations.
-
-    Points are evaluated in row blocks in the order x + delta e_i, x - delta e_i
-    for i = 0, 1, ..., so each noise draw lands on the same point as when every
-    point is evaluated on its own.
-    """
+    """Central-difference gradient estimate; costs exactly 2 * dim evaluations,
+    at x + delta e_i and x - delta e_i for i = 0, 1, ..."""
     if delta <= 0:
         raise ValueError(f"sampling interval must be positive, got {delta}")
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    g = np.empty(n)
-    for lo in range(0, n, STENCIL_BLOCK_ROWS // 2):
-        k = min(STENCIL_BLOCK_ROWS // 2, n - lo)
-        X = np.empty((2 * k, n))
-        X[:] = x
-        flat = X.ravel()
-        flat[lo::2 * n + 1] += delta  # entry (2r, lo + r) for each r
-        flat[n + lo::2 * n + 1] -= delta  # entry (2r + 1, lo + r)
-        values = oracle.evaluate_batch(X)
-        g[lo:lo + k] = (values[0::2] - values[1::2]) / (2.0 * delta)
-    return g
+    values = _stencil(oracle, x, delta, (1.0, -1.0))
+    return (values[:, 0] - values[:, 1]) / (2.0 * delta)
 
 
 def approx_gradient(oracle: Oracle, scheme: GradScheme, x: Array, delta: float) -> Array:

@@ -11,7 +11,7 @@ constant is stored.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -177,23 +177,15 @@ def random_instance(family: str, n: int, m: Optional[int] = None,
     Least squares uses an m-by-n matrix (m defaults to n); the log-damped
     family is square by construction.
     """
-    if family == LEAST_SQUARES:
-        m = n if m is None else m
-        rng = np.random.default_rng(seed)
-        A = rng.standard_normal((m, n))
-        b = rng.standard_normal(m)
-        inst = make_least_squares(A, b)
-    elif family == IMAGE_RESTORATION:
-        if m is not None and m != n:
-            raise ValueError("this family is square; m must equal n or be omitted")
-        rng = np.random.default_rng(seed)
-        A = rng.standard_normal((n, n))
-        b = rng.standard_normal(n)
-        inst = make_image_restoration(A, b)
-    else:
+    if family == IMAGE_RESTORATION and m is not None and m != n:
+        raise ValueError("this family is square; m must equal n or be omitted")
+    makers = {LEAST_SQUARES: make_least_squares, IMAGE_RESTORATION: make_image_restoration}
+    if family not in makers:
         raise ValueError(f"family {family!r} is not randomly generated from (A, b)")
-    return ProblemInstance(family=inst.family, dim=inst.dim, objective=inst.objective,
-                           A=inst.A, b=inst.b, m=inst.m, seed=seed)
+    m = n if m is None else m
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    return replace(makers[family](A, rng.standard_normal(m)), seed=seed)
 
 
 def build_instance(family: str, n: int, m: Optional[int] = None,

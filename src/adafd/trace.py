@@ -10,25 +10,11 @@ import numpy as np
 
 from .oracle import Array
 
-#: Fixed CSV column order; floats are written in shortest round-trip form.
-CSV_COLUMNS = (
-    "iter",
-    "evals",
-    "f_current",
-    "f_best",
-    "grad_norm_approx",
-    "delta",
-    "C",
-    "tau",
-    "step_status",
-)
-
-
 class TraceRecord(NamedTuple):
     """One solver iteration: budget position, values, and step bookkeeping.
 
-    A named tuple with the fields in ``CSV_COLUMNS`` order: immutable, and
-    about three times cheaper to build than a frozen dataclass. Fields that
+    A named tuple: immutable, and about three times cheaper to build than a
+    frozen dataclass. Its fields, in order, are the CSV columns. Fields that
     have no meaning for a given solver (e.g. ``C`` for Nelder-Mead) are
     recorded as NaN.
     """
@@ -42,6 +28,11 @@ class TraceRecord(NamedTuple):
     C: float
     tau: float
     step_status: str
+
+
+#: Fixed CSV column order, ``TraceRecord``'s fields; floats are written in
+#: shortest round-trip form.
+CSV_COLUMNS = TraceRecord._fields
 
 
 @dataclass
@@ -77,7 +68,8 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-#: Field types of the records that ``drive`` builds, which one format writes.
+#: Field types of the records that ``drive`` builds and ``read_csv`` returns;
+#: rows of exactly these types are written with one format.
 _DRIVE_TYPES = (int, int, float, float, float, float, float, float, str)
 _DRIVE_ROW = "%d,%d,%s,%s,%r,%r,%r,%r,%s"
 
@@ -123,26 +115,13 @@ def read_csv(path) -> List[TraceRecord]:
         parts = ln.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"{path}: malformed row {ln!r}")
-        out.append(
-            TraceRecord(
-                iter=int(parts[0]),
-                evals=int(parts[1]),
-                f_current=float(parts[2]),
-                f_best=float(parts[3]),
-                grad_norm_approx=float(parts[4]),
-                delta=float(parts[5]),
-                C=float(parts[6]),
-                tau=float(parts[7]),
-                step_status=parts[8],
-            )
-        )
+        out.append(TraceRecord._make(t(v) for t, v in zip(_DRIVE_TYPES, parts)))
     return out
 
 
 def records_equal(a: TraceRecord, b: TraceRecord) -> bool:
     """Field-wise equality that treats NaN as equal to NaN."""
-    for col in CSV_COLUMNS:
-        va, vb = getattr(a, col), getattr(b, col)
+    for va, vb in zip(a, b):
         if isinstance(va, float) and isinstance(vb, float):
             if math.isnan(va) and math.isnan(vb):
                 continue

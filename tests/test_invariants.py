@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from adafd import (
+    BudgetExhausted,
     GradScheme,
     ImfilConfig,
+    NelderMeadConfig,
     Objective,
+    Oracle,
+    RgConfig,
     build_instance,
     imfil_run,
     random_instance,
     run_solver,
 )
+from adafd.baselines import ImfilState, RgState, SimplexState, imfil_step, nelder_mead_step, rg_step
 from adafd.harness import SOLVER_IDS
 
 
@@ -78,3 +83,29 @@ def test_a_nan_start_value_does_not_poison_best_f(solver_id):
     assert report.best_f <= min(r.f_best for r in report.trace if not np.isnan(r.f_best))
     if solver_id == "nelder-mead":
         assert report.best_f == report.trace[-1].f_current == pytest.approx(-0.75)
+
+
+def _direct_step(rule: str, oracle, x1, budget):
+    """Call one step rule directly from the evaluated start, bypassing drive's
+    budget check before the step."""
+    f1 = oracle.evaluate(x1)
+    if rule == "nelder-mead-init":
+        cfg = NelderMeadConfig(x1=x1, budget=budget)
+        return nelder_mead_step(SimplexState(k=0, x=x1, f_x=f1), oracle, None, cfg)
+    if rule == "imfil-cendif":
+        cfg = ImfilConfig(x1=x1, budget=budget)
+        return imfil_step(ImfilState(k=0, x=x1, f_x=f1), oracle, GradScheme.CENTRAL, cfg)
+    cfg = RgConfig(x1=x1, budget=budget, lipschitz=1e3)
+    state = RgState(k=0, x=x1, f_x=f1, directions=np.random.default_rng(0),
+                    delta=cfg.smoothing, last_tau=1e-4)
+    return rg_step(state, oracle, None, cfg)
+
+
+@pytest.mark.parametrize("rule, budget", [("nelder-mead-init", 3), ("imfil-cendif", 1),
+                                          ("rg", 1)])
+def test_a_step_called_directly_starts_no_evaluation_at_the_budget(rule, budget):
+    oracle = Oracle(build_instance("rosenbrock", 5).objective)
+    with pytest.raises(BudgetExhausted) as stop:
+        _direct_step(rule, oracle, np.zeros(5), budget)
+    assert oracle.eval_count == budget
+    assert stop.value.declared_cost == budget - 1
