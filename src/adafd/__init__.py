@@ -6,6 +6,8 @@ specialize, baseline competitors, benchmark problem families with noise
 injection, and an experiment harness with CSV traces and SVG plots.
 """
 
+from types import ModuleType as _ModuleType
+
 from .baselines import (
     ImfilConfig,
     NelderMeadConfig,
@@ -58,63 +60,6 @@ from .trace import CSV_COLUMNS, RunReport, TraceRecord, emit_csv, read_csv
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdaptiveGradResult",
-    "BacktrackResult",
-    "BudgetExhausted",
-    "CSV_COLUMNS",
-    "ComparisonReport",
-    "DfbConfig",
-    "DfbState",
-    "DfcConfig",
-    "DfcState",
-    "ExperimentConfig",
-    "FAMILIES",
-    "GdfConfig",
-    "GradScheme",
-    "IMAGE_RESTORATION",
-    "ImfilConfig",
-    "InsufficientData",
-    "LEAST_SQUARES",
-    "NelderMeadConfig",
-    "Objective",
-    "Oracle",
-    "PowerIterationError",
-    "ProblemInstance",
-    "ROSENBROCK",
-    "RateEstimate",
-    "RgConfig",
-    "RunReport",
-    "TraceRecord",
-    "ValidationError",
-    "adaptive_gradient",
-    "approx_gradient",
-    "backtrack",
-    "build_instance",
-    "central_diff",
-    "default_imfil_scales",
-    "dfb_run",
-    "dfb_step",
-    "dfc_run",
-    "dfc_step",
-    "emit_csv",
-    "emit_plot",
-    "estimate_rate",
-    "fd_error_bound",
-    "forward_diff",
-    "gdf_run",
-    "imfil_run",
-    "load_instance_spec",
-    "make_image_restoration",
-    "make_least_squares",
-    "make_rosenbrock",
-    "nelder_mead_run",
-    "random_instance",
-    "rank_trace_files",
-    "read_csv",
-    "rg_run",
-    "run_experiment",
-    "run_solver",
-    "save_instance_spec",
-    "spectral_norm",
-]
+#: The public names imported above; submodules are reachable but not exported.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -46,7 +46,13 @@ class Objective:
 
     ``batch_evaluator``, when given, maps a k-by-dim array whose rows are points
     to the 1-D array of their k values; it must equal ``evaluator`` row by row
-    up to rounding. Without it, batches loop over ``evaluator``.
+    up to rounding. It receives any 2-D float array, in any memory layout
+    (``Oracle.evaluate_batch`` converts the dtype, not the layout). Of the
+    benchmark families' evaluators, the two matrix families work in the buffer
+    of their one matrix product, and Rosenbrock's copies a non-contiguous
+    array to a contiguous one, computes its terms over that flat buffer,
+    including the pairs that straddle two rows, and drops those. Without it,
+    batches loop over ``evaluator``.
     """
 
     dim: int

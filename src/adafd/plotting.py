@@ -3,7 +3,7 @@
 Hand-rolled rather than delegated to a plotting stack: the output is a small,
 deterministic vector file with one polyline per trace, a legend of solver ids,
 and a value axis that switches to log scale whenever every plotted value is
-positive.
+positive. Records whose ``f_best`` is NaN or infinite are not plotted.
 """
 
 from __future__ import annotations
@@ -37,13 +37,17 @@ def emit_plot(traces: Dict[str, List[TraceRecord]], path) -> None:
         if not trace:
             raise ValueError(f"trace {label!r} is empty")
 
-    all_values = [r.f_best for t in traces.values() for r in t]
-    log_axis = all(v > 0.0 for v in all_values)
+    # Only finite values are drawn, so a NaN or infinite f_best cannot reach
+    # the axis scaling; a trace with none keeps its legend entry alone.
+    curves = {label: [r for r in trace if math.isfinite(r.f_best)]
+              for label, trace in traces.items()}
+    drawn = [r for curve in curves.values() for r in curve]
+    log_axis = bool(drawn) and all(r.f_best > 0.0 for r in drawn)
     transform = math.log10 if log_axis else (lambda v: v)
 
-    xs_max = max(r.evals for t in traces.values() for r in t)
-    xs_min = min(r.evals for t in traces.values() for r in t)
-    ys = [transform(v) for v in all_values]
+    xs = [r.evals for r in drawn] or [r.evals for t in traces.values() for r in t]
+    xs_max, xs_min = max(xs), min(xs)
+    ys = [transform(r.f_best) for r in drawn] or [0.0]
     y_lo, y_hi = min(ys), max(ys)
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
@@ -90,17 +94,18 @@ def emit_plot(traces: Dict[str, List[TraceRecord]], path) -> None:
         f"{y_title}</text>"
     )
 
-    for idx, (label, trace) in enumerate(traces.items()):
+    for idx, (label, curve) in enumerate(curves.items()):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(
-            f"{px(r.evals):.2f},{py(transform(r.f_best)):.2f}" for r in trace
-        )
-        parts.append(
-            f'<polyline class="curve" fill="none" stroke="{color}" '
-            f'stroke-width="1.5" points="{points}"/>'
-        )
-        if len(trace) == 1:
-            r = trace[0]
+        if curve:
+            points = " ".join(
+                f"{px(r.evals):.2f},{py(transform(r.f_best)):.2f}" for r in curve
+            )
+            parts.append(
+                f'<polyline class="curve" fill="none" stroke="{color}" '
+                f'stroke-width="1.5" points="{points}"/>'
+            )
+        if len(curve) == 1:
+            r = curve[0]
             parts.append(
                 f'<circle cx="{px(r.evals):.2f}" cy="{py(transform(r.f_best)):.2f}" '
                 f'r="3" fill="{color}"/>'

@@ -86,7 +86,8 @@ def make_least_squares(A: Array, b: Array) -> ProblemInstance:
         return float(r @ r)
 
     def f_rows(X: Array) -> Array:
-        R = X @ A.T - b
+        R = X @ A.T
+        R -= b
         return np.einsum("ij,ij->i", R, R)
 
     def grad(x: Array) -> Array:
@@ -120,8 +121,10 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
         return float(np.add.reduce(np.log1p(r, out=r)))
 
     def f_rows(X: Array) -> Array:
-        R = X @ A.T - b
-        return np.sum(np.log1p(R * R), axis=1)
+        R = X @ A.T
+        R -= b
+        np.multiply(R, R, out=R)
+        return np.add.reduce(np.log1p(R, out=R), axis=1)
 
     def grad(x: Array) -> Array:
         r = A @ x - b
@@ -137,10 +140,11 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
                            A=A, b=b, m=n)
 
 
-def _rosenbrock_terms(head: Array, tail: Array) -> Array:
+def _rosenbrock_terms(head: Array, tail: Array, out: Optional[Array] = None) -> Array:
     """The chained Rosenbrock terms 100 (tail - head^2)^2 + (head - 1)^2, in two
-    buffers, computed term by term as that expression would compute them."""
-    a = np.square(head, dtype=float)
+    buffers (the first is ``out`` when given), computed term by term as that
+    expression would compute them."""
+    a = np.square(head, out=out, dtype=float)
     np.subtract(tail, a, out=a)
     np.square(a, out=a)
     np.multiply(100.0, a, out=a)
@@ -158,7 +162,13 @@ def make_rosenbrock(n: int) -> ProblemInstance:
         return float(np.add.reduce(_rosenbrock_terms(x[:-1], x[1:])))
 
     def f_rows(X: Array) -> Array:
-        return np.add.reduce(_rosenbrock_terms(X[:, :-1], X[:, 1:]), axis=1)
+        # The terms of the flat block: a pair straddling a row seam is computed
+        # and dropped, so each row sums its own n - 1 terms in the same order.
+        X = np.ascontiguousarray(X, dtype=float)
+        v = X.reshape(-1)
+        terms = np.empty_like(v)
+        _rosenbrock_terms(v[:-1], v[1:], out=terms[:-1])
+        return np.add.reduce(terms.reshape(X.shape[0], n)[:, :-1], axis=1)
 
     def grad(x: Array) -> Array:
         g = np.zeros_like(x)

@@ -7,6 +7,7 @@ whichever model explains the tail better, provided the fit is tight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -55,11 +56,12 @@ def _fit(xs: np.ndarray, ys: np.ndarray):
 def estimate_rate(trace: List[TraceRecord], target_value: float) -> RateEstimate:
     """Classify the tail decay of f_best toward ``target_value``.
 
-    Uses the final half of the records whose gap above the target is positive.
+    Uses the final half of the records whose gap above the target is positive
+    and finite; NaN and infinite ``f_best`` records do not qualify.
     Linear means a per-iteration contraction factor (exp of the fitted slope);
     sublinear means gap ~ k**exponent.
     """
-    qualifying = [r for r in trace if r.f_best > target_value]
+    qualifying = [r for r in trace if math.isfinite(r.f_best) and r.f_best > target_value]
     if len(qualifying) < MIN_RECORDS:
         raise InsufficientData(
             f"need at least {MIN_RECORDS} records above the target, "

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import pytest
 
@@ -41,6 +43,17 @@ def _synthetic_trace(values, taus=None):
                     step_status="accepted")
         for i, v in enumerate(values)
     ]
+
+
+def _best_values(values):
+    """A synthetic trace whose f_best column is exactly ``values``."""
+    return [r._replace(f_best=v) for r, v in zip(_synthetic_trace([1.0] * len(values)), values)]
+
+
+def _svg_numbers(svg):
+    """Every coordinate and length written into the SVG's numeric attributes."""
+    fields = re.findall(r'\b(?:x|y|x1|y1|x2|y2|cx|cy|r|points)="([^"]*)"', svg)
+    return [float(v) for field in fields for v in re.split(r"[ ,]+", field) if v]
 
 
 class TestCsv:
@@ -108,6 +121,39 @@ class TestPlot:
         svg = path.read_text()
         assert "<circle" in svg and "<polyline" in svg
 
+    def test_non_finite_values_are_left_out_of_the_axes_and_curves(self, tmp_path):
+        cases = {
+            "leading_nan": {"alpha": _best_values([math.nan, 4.0, 2.0]),
+                            "beta": _best_values([math.nan, 3.0, 1.0])},
+            "leading_inf": {"alpha": _best_values([math.inf, 4.0, 2.0]),
+                            "beta": _best_values([3.0, 1.0])},
+        }
+        for name, traces in cases.items():
+            path = tmp_path / f"{name}.svg"
+            emit_plot(traces, path)
+            svg = path.read_text()
+            assert svg.count("<polyline") == 2
+            assert svg.count('class="legend"') == 2
+            assert "log scale" in svg
+            assert all(math.isfinite(v) for v in _svg_numbers(svg))
+
+    def test_a_trace_without_finite_values_keeps_only_its_legend_entry(self, tmp_path):
+        path = tmp_path / "partial.svg"
+        emit_plot({"lost": _best_values([math.nan, math.inf]),
+                   "kept": _best_values([2.0, 0.0])}, path)
+        svg = path.read_text()
+        assert svg.count("<polyline") == 1
+        assert svg.count('class="legend"') == 2
+        assert "log scale" not in svg  # chosen from the drawn values only
+        assert all(math.isfinite(v) for v in _svg_numbers(svg))
+
+        path = tmp_path / "none.svg"
+        emit_plot({"lost": _best_values([math.inf]), "nan": _best_values([math.nan])}, path)
+        svg = path.read_text()
+        assert "<polyline" not in svg and "<circle" not in svg
+        assert svg.count('class="legend"') == 2
+        assert all(math.isfinite(v) for v in _svg_numbers(svg))
+
 
 class TestRateEstimate:
     def test_geometric_sequence_is_linear(self):
@@ -132,6 +178,19 @@ class TestRateEstimate:
         # records at or below the target do not qualify
         with pytest.raises(InsufficientData):
             estimate_rate(_synthetic_trace([0.0] * 40), 0.0)
+
+    def test_non_finite_records_do_not_qualify(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientData):
+                estimate_rate(_best_values([math.inf] * 40), 0.0)
+            with pytest.raises(InsufficientData):
+                estimate_rate(_best_values([math.inf] * 30 + [0.5**k for k in range(1, 11)]),
+                              0.0)
+            est = estimate_rate(_best_values([math.inf] * 30
+                                             + [0.5**k for k in range(1, 41)]), 0.0)
+        assert est.kind == "linear"
+        assert est.factor == pytest.approx(0.5, abs=0.01)
 
 
 class TestRunExperiment:
@@ -267,6 +326,14 @@ class TestCli:
         short = tmp_path / "short.csv"
         emit_csv(_synthetic_trace([1.0, 0.5]), short)
         assert main(["rate", "--trace", str(short), "--target", "0"]) == 1
+
+    def test_rate_on_an_all_infinite_trace_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        emit_csv(_best_values([math.inf] * 40), path)
+        assert main(["rate", "--trace", str(path), "--target", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "r2=" not in captured.out
+        assert "records above the target" in captured.err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
