@@ -50,11 +50,17 @@ class SearchConfig:
             raise ValueError("i_max must be positive")
 
 
-#: Perturbed points built and evaluated per ``Oracle.evaluate_batch`` call
-#: (about 200 KB of points at n = 400). Evaluating a whole 2n-by-n stencil at
-#: once costs more peak memory than it saves time; per-point calls cost a
-#: Python-level call each.
-STENCIL_BLOCK_ROWS = 64
+#: Bytes of perturbed points built and evaluated per ``Oracle.evaluate_batch``
+#: call. The budget is in bytes, not rows, because two costs are paid once per
+#: block, so their share of each row falls as blocks grow: a matrix evaluator's
+#: BLAS product repacks the whole matrix once per call, and the Python work of
+#: building and evaluating a block is paid once.
+#: 512 KiB holds a whole stencil up to n = 256 (forward) or n = 181 (central),
+#: and 163 forward or 81 central coordinates at n = 400. Blocks of 1 MiB are
+#: slower: freed, they and the evaluator's temporaries exceed glibc's heap-trim
+#: threshold, so their pages go back to the OS and fault in again on the next
+#: block.
+STENCIL_BLOCK_BYTES = 2**19
 
 
 class GradScheme(enum.Enum):
@@ -70,17 +76,17 @@ class GradScheme(enum.Enum):
 def _stencil(oracle: Oracle, x: Array, delta: float, signs: tuple) -> Array:
     """Values at x + s * delta e_i, as an (n, len(signs)) array.
 
-    The points are evaluated in row blocks of ``STENCIL_BLOCK_ROWS``, in the
-    order x + signs[0] delta e_i, x + signs[1] delta e_i, ... for i = 0, 1, ...,
-    so each noise draw lands on the same point as when every point is evaluated
-    on its own.
+    The points are evaluated in blocks of at most ``STENCIL_BLOCK_BYTES`` (but
+    at least one coordinate), in the order x + signs[0] delta e_i,
+    x + signs[1] delta e_i, ... for i = 0, 1, ..., so each noise draw lands on
+    the same point as when every point is evaluated on its own.
     """
     n = x.shape[0]
     per = len(signs)
     values = np.empty((n, per))
-    rows = STENCIL_BLOCK_ROWS // per
-    for lo in range(0, n, rows):
-        k = min(rows, n - lo)
+    coords = max(1, STENCIL_BLOCK_BYTES // (8 * n * per))  # coordinates per block
+    for lo in range(0, n, coords):
+        k = min(coords, n - lo)
         X = np.empty((per * k, n))
         X[:] = x
         flat = X.ravel()

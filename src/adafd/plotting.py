@@ -16,6 +16,10 @@ from .trace import TraceRecord
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 30, 50
 
+#: Escapes for text in an SVG element. A str.translate table, because importing
+#: xml.sax.saxutils pulls in urllib and http (about 30 ms of import time).
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 PALETTE = (
     "#1b6ca8", "#d1495b", "#2e933c", "#8338ec", "#e07a1f",
     "#0f7173", "#a4036f", "#6b6b6b",
@@ -117,7 +121,8 @@ def emit_plot(traces: Dict[str, List[TraceRecord]], path) -> None:
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text class="legend" x="{lx + 30}" y="{ly}" font-size="12">{label}</text>'
+            f'<text class="legend" x="{lx + 30}" y="{ly}" font-size="12">'
+            f'{label.translate(_TEXT_ESCAPES)}</text>'
         )
 
     parts.append("</svg>")

@@ -59,8 +59,11 @@ def estimate_rate(trace: List[TraceRecord], target_value: float) -> RateEstimate
     Uses the final half of the records whose gap above the target is positive
     and finite; NaN and infinite ``f_best`` records do not qualify.
     Linear means a per-iteration contraction factor (exp of the fitted slope);
-    sublinear means gap ~ k**exponent.
+    sublinear means gap ~ k**exponent. A NaN or infinite ``target_value`` is a
+    ``ValueError``: no gap to it is finite.
     """
+    if not math.isfinite(target_value):
+        raise ValueError(f"target_value must be finite, got {target_value}")
     qualifying = [r for r in trace if math.isfinite(r.f_best) and r.f_best > target_value]
     if len(qualifying) < MIN_RECORDS:
         raise InsufficientData(

@@ -5,7 +5,8 @@ which makes every stencil loop over the scalar evaluator. Evaluation counts
 and step sequences must match exactly; ``best_f`` may differ only by the
 rounding of a matrix product over a block of points instead of one point at a
 time. Rosenbrock has no matrix product, so its traces are byte-identical.
-n = 70 puts both stencils across the 64-row block boundary.
+At the default ``STENCIL_BLOCK_BYTES`` every stencil here is one block, so the
+last test shrinks the budget until n = 70 spans several blocks in both schemes.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from adafd import DfbConfig, DfcConfig, GradScheme, build_instance, dfb_run, dfc_run, emit_csv
+from adafd import gradapprox
 from adafd.problems import FAMILIES, ROSENBROCK
 
 NOISE = 1e-4
@@ -44,3 +46,22 @@ def test_batched_run_matches_per_point_run(family, solver, scheme, seed, n, tmp_
         emit_csv(batched.trace, tmp_path / "batched.csv")
         emit_csv(scalar.trace, tmp_path / "scalar.csv")
         assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "scalar.csv").read_bytes()
+
+
+#: A block budget that splits an n = 70 stencil into 3 forward blocks of up to
+#: 29 coordinates and 5 central blocks of up to 14 coordinates.
+SMALL_BLOCK_BYTES = 2**14
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("scheme", list(GradScheme))
+@pytest.mark.parametrize("solver", ["dfc", "dfb"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_multi_block_run_matches_per_point_run(family, solver, scheme, seed, tmp_path,
+                                               monkeypatch):
+    n = 70
+    per = 1 if scheme is GradScheme.FORWARD else 2
+    coords = SMALL_BLOCK_BYTES // (8 * n * per)
+    assert -(-n // coords) >= 3  # the stencil spans at least 3 blocks
+    monkeypatch.setattr(gradapprox, "STENCIL_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    test_batched_run_matches_per_point_run(family, solver, scheme, seed, n, tmp_path)

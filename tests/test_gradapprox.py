@@ -15,7 +15,8 @@ from adafd import (
     forward_diff,
     make_least_squares,
 )
-from adafd.gradapprox import STENCIL_BLOCK_ROWS
+from adafd import gradapprox
+from adafd.gradapprox import STENCIL_BLOCK_BYTES
 
 from conftest import constant_objective, cusp_objective, linear_objective, sphere_objective
 
@@ -307,23 +308,22 @@ def test_block_stencils_match_one_call_per_point_bitwise(n, batched):
         assert new.evaluate(x) == ref.evaluate(x)
 
 
-def _tile_blocks(scheme, x, delta):
-    """The stencil blocks as np.tile and fancy indexing built them, block by block."""
+def _tile_blocks(scheme, x, delta, coords=None):
+    """The stencil blocks as np.tile and fancy indexing built them, block by block,
+    each covering ``coords`` coordinates: by default as many as fit in
+    ``STENCIL_BLOCK_BYTES`` of points."""
     n = x.shape[0]
+    per = 1 if scheme is GradScheme.FORWARD else 2
+    if coords is None:
+        coords = max(1, STENCIL_BLOCK_BYTES // (x.itemsize * n * per))
     blocks = []
-    if scheme is GradScheme.FORWARD:
-        for lo in range(0, n, STENCIL_BLOCK_ROWS):
-            idx = np.arange(lo, min(lo + STENCIL_BLOCK_ROWS, n))
-            X = np.tile(x, (idx.size, 1))
-            X[idx - lo, idx] += delta
-            blocks.append(X)
-        return blocks
-    for lo in range(0, n, STENCIL_BLOCK_ROWS // 2):
-        idx = np.arange(lo, min(lo + STENCIL_BLOCK_ROWS // 2, n))
-        rows = 2 * (idx - lo)
-        X = np.tile(x, (2 * idx.size, 1))
+    for lo in range(0, n, coords):
+        idx = np.arange(lo, min(lo + coords, n))
+        rows = per * (idx - lo)
+        X = np.tile(x, (per * idx.size, 1))
         X[rows, idx] += delta
-        X[rows + 1, idx] -= delta
+        if per == 2:
+            X[rows + 1, idx] -= delta
         blocks.append(X)
     return blocks
 
@@ -346,3 +346,31 @@ def test_stencil_blocks_are_the_tiled_blocks_row_for_row(n, scheme):
     assert [X.shape for X in seen] == [X.shape for X in expected]
     for got, want in zip(seen, expected):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scheme, n, budget, rows", [
+    (GradScheme.FORWARD, 256, STENCIL_BLOCK_BYTES, [256]),
+    (GradScheme.FORWARD, 257, STENCIL_BLOCK_BYTES, [255, 2]),
+    (GradScheme.FORWARD, 400, STENCIL_BLOCK_BYTES, [163, 163, 74]),
+    (GradScheme.CENTRAL, 181, STENCIL_BLOCK_BYTES, [362]),
+    (GradScheme.CENTRAL, 182, STENCIL_BLOCK_BYTES, [360, 4]),
+    (GradScheme.CENTRAL, 400, STENCIL_BLOCK_BYTES, [162, 162, 162, 162, 152]),
+    (GradScheme.FORWARD, 3, 1, [1, 1, 1]),  # a budget below one coordinate
+    (GradScheme.CENTRAL, 3, 1, [2, 2, 2]),
+])
+def test_stencil_blocks_fill_the_byte_budget(scheme, n, budget, rows, monkeypatch):
+    seen = []
+
+    def recording(X):
+        seen.append(X.copy())
+        return np.zeros(X.shape[0])
+
+    monkeypatch.setattr(gradapprox, "STENCIL_BLOCK_BYTES", budget)
+    obj = Objective(dim=n, evaluator=lambda x: 0.0, batch_evaluator=recording)
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    stencil = forward_diff if scheme is GradScheme.FORWARD else central_diff
+    stencil(Oracle(obj), x, 1e-3)
+    assert [X.shape[0] for X in seen] == rows
+    # The blocks, stacked in call order, are the whole stencil's points in order.
+    whole, = _tile_blocks(scheme, x, 1e-3, coords=n)
+    assert np.vstack(seen).tobytes() == whole.tobytes()

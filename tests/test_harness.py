@@ -2,6 +2,7 @@ import json
 import math
 import re
 import warnings
+from xml.dom import minidom
 
 import pytest
 
@@ -154,6 +155,13 @@ class TestPlot:
         assert svg.count('class="legend"') == 2
         assert all(math.isfinite(v) for v in _svg_numbers(svg))
 
+    def test_legend_labels_are_escaped(self, tmp_path):
+        path = tmp_path / "odd.svg"
+        emit_plot({"a<b>&c": _synthetic_trace([2.0, 1.0])}, path)
+        legend = [node for node in minidom.parse(str(path)).getElementsByTagName("text")
+                  if node.getAttribute("class") == "legend"]
+        assert [node.firstChild.data for node in legend] == ["a<b>&c"]
+
 
 class TestRateEstimate:
     def test_geometric_sequence_is_linear(self):
@@ -191,6 +199,14 @@ class TestRateEstimate:
                                              + [0.5**k for k in range(1, 41)]), 0.0)
         assert est.kind == "linear"
         assert est.factor == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("target", [-math.inf, math.inf, math.nan])
+    def test_non_finite_target_is_rejected_before_any_fit(self, target):
+        trace = _synthetic_trace([0.5**k for k in range(1, 41)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="target_value must be finite"):
+                estimate_rate(trace, target)
 
 
 class TestRunExperiment:
@@ -334,6 +350,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert "r2=" not in captured.out
         assert "records above the target" in captured.err
+
+    def test_rate_against_a_non_finite_target_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "geo.csv"
+        emit_csv(_synthetic_trace([0.5**k for k in range(1, 41)]), path)
+        assert main(["rate", "--trace", str(path), "--target=-inf"]) == 1
+        captured = capsys.readouterr()
+        assert "rate:" not in captured.out
+        assert "target_value must be finite" in captured.err
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
