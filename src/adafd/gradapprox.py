@@ -50,16 +50,16 @@ class SearchConfig:
             raise ValueError("i_max must be positive")
 
 
-#: Bytes of perturbed points built and evaluated per ``Oracle.evaluate_batch``
-#: call. The budget is in bytes, not rows, because two costs are paid once per
-#: block, so their share of each row falls as blocks grow: a matrix evaluator's
-#: BLAS product repacks the whole matrix once per call, and the Python work of
-#: building and evaluating a block is paid once.
-#: 512 KiB holds a whole stencil up to n = 256 (forward) or n = 181 (central),
-#: and 163 forward or 81 central coordinates at n = 400. Blocks of 1 MiB are
-#: slower: freed, they and the evaluator's temporaries exceed glibc's heap-trim
-#: threshold, so their pages go back to the OS and fault in again on the next
-#: block.
+#: Bytes of stencil points per ``Oracle.evaluate_stencil`` call, counted as
+#: 8 bytes per coordinate of each point: the stencil's coordinates are split
+#: into blocks of that many points (at least one coordinate per block). This
+#: bounds the temporaries of the stencil kernels, which hold about one value
+#: per coordinate of each point (Rosenbrock's n - 1 terms; the matrix
+#: families' m residuals, m = n for a square matrix), so they stay under
+#: glibc's heap-trim threshold and their pages are reused from block to block
+#: instead of being returned to the OS and faulted in again. 512 KiB holds a
+#: whole stencil up to n = 256 (forward) or n = 181 (central), and 163
+#: forward or 81 central coordinates at n = 400.
 STENCIL_BLOCK_BYTES = 2**19
 
 
@@ -73,26 +73,21 @@ class GradScheme(enum.Enum):
         return dim + 1 if self is GradScheme.FORWARD else 2 * dim
 
 
-def _stencil(oracle: Oracle, x: Array, delta: float, signs: tuple) -> Array:
-    """Values at x + s * delta e_i, as an (n, len(signs)) array.
+def _stencil(oracle: Oracle, x: Array, steps: tuple) -> Array:
+    """Values at x + steps[j] e_i, as an (n, len(steps)) array.
 
-    The points are evaluated in blocks of at most ``STENCIL_BLOCK_BYTES`` (but
-    at least one coordinate), in the order x + signs[0] delta e_i,
-    x + signs[1] delta e_i, ... for i = 0, 1, ..., so each noise draw lands on
-    the same point as when every point is evaluated on its own.
+    The coordinates are evaluated in blocks of at most ``STENCIL_BLOCK_BYTES``
+    of points (but at least one coordinate), in the order x + steps[0] e_i,
+    x + steps[1] e_i, ... for i = 0, 1, ..., so each noise draw lands on the
+    same point as when every point is evaluated on its own.
     """
     n = x.shape[0]
-    per = len(signs)
-    values = np.empty((n, per))
-    coords = max(1, STENCIL_BLOCK_BYTES // (8 * n * per))  # coordinates per block
+    steps = np.array(steps)
+    values = np.empty((n, steps.shape[0]))
+    coords = max(1, STENCIL_BLOCK_BYTES // (8 * n * steps.shape[0]))
     for lo in range(0, n, coords):
-        k = min(coords, n - lo)
-        X = np.empty((per * k, n))
-        X[:] = x
-        flat = X.ravel()
-        for j, s in enumerate(signs):
-            flat[j * n + lo::per * n + 1] += s * delta  # entry (per r + j, lo + r)
-        values[lo:lo + k] = oracle.evaluate_batch(X).reshape(k, per)
+        hi = min(lo + coords, n)
+        values[lo:hi] = oracle.evaluate_stencil(x, lo, hi, steps)
     return values
 
 
@@ -106,7 +101,7 @@ def forward_diff(oracle: Oracle, x: Array, delta: float) -> Array:
         raise ValueError(f"sampling interval must be positive, got {delta}")
     x = np.asarray(x, dtype=float)
     f0 = oracle.evaluate(x)
-    return (_stencil(oracle, x, delta, (1.0,))[:, 0] - f0) / delta
+    return (_stencil(oracle, x, (delta,))[:, 0] - f0) / delta
 
 
 def central_diff(oracle: Oracle, x: Array, delta: float) -> Array:
@@ -115,7 +110,7 @@ def central_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     if delta <= 0:
         raise ValueError(f"sampling interval must be positive, got {delta}")
     x = np.asarray(x, dtype=float)
-    values = _stencil(oracle, x, delta, (1.0, -1.0))
+    values = _stencil(oracle, x, (delta, -delta))
     return (values[:, 0] - values[:, 1]) / (2.0 * delta)
 
 

@@ -36,7 +36,7 @@ class Objective:
 
     ``analytic_gradient`` and ``lipschitz_grad_constant`` are metadata for tests
     and diagnostics only; the solver-facing surface is ``Oracle.evaluate`` and
-    ``Oracle.evaluate_batch``.
+    ``Oracle.evaluate_stencil``.
 
     ``lipschitz_grad_fn``, when given, is a zero-argument callable returning the
     gradient-Lipschitz constant. It is called on each read of
@@ -44,22 +44,25 @@ class Objective:
     cache its value (the benchmark families do); copies made with
     ``dataclasses.replace`` share the callable and so its cache.
 
-    ``batch_evaluator``, when given, maps a k-by-dim array whose rows are points
-    to the 1-D array of their k values; it must equal ``evaluator`` row by row
-    up to rounding. It receives any 2-D float array, in any memory layout
-    (``Oracle.evaluate_batch`` converts the dtype, not the layout). Of the
-    benchmark families' evaluators, the two matrix families work in the buffer
-    of their one matrix product, and Rosenbrock's copies a non-contiguous
-    array to a contiguous one, computes its terms over that flat buffer,
-    including the pairs that straddle two rows, and drops those. Without it,
-    batches loop over ``evaluator``.
+    ``stencil_evaluator``, when given, evaluates a block of a finite-difference
+    stencil around one base point: ``stencil_evaluator(x, lo, hi, steps)``
+    returns a ``(hi - lo, len(steps))`` array whose entry ``[r, j]`` is f at x
+    with coordinate ``lo + r`` set to the float ``x[lo + r] + steps[j]`` (the
+    other coordinates unchanged). It must equal ``evaluator`` at those points
+    up to rounding, and it must not write to ``x``; ``x`` and ``steps`` are
+    1-D float arrays. This lets a kernel reuse the base point's work: of the
+    benchmark families, Rosenbrock's patches the two chained terms that touch
+    the moved coordinate into the base point's terms, bitwise equal to
+    ``evaluator``, and the two matrix families add the moved coordinate's
+    column, times its displacement, to the base residual ``A x - b``, equal
+    up to rounding. Without it, a stencil loops over ``evaluator``.
     """
 
     dim: int
     evaluator: Callable[[Array], float]
     analytic_gradient: Optional[Callable[[Array], Array]] = None
     lipschitz_grad_fn: Optional[Callable[[], float]] = None
-    batch_evaluator: Optional[Callable[[Array], Array]] = None
+    stencil_evaluator: Optional[Callable[[Array, int, int, Array], Array]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -113,32 +116,44 @@ class Oracle:
             value += float(self._rng.uniform(-self.noise_level, self.noise_level))
         return value
 
-    def evaluate_batch(self, X: Array) -> Array:
-        """Return phi at each row of X and advance the counter by the row count.
+    def evaluate_stencil(self, x: Array, lo: int, hi: int, steps: Array) -> Array:
+        """Return phi at the points x + steps[j] e_i, i = lo, ..., hi - 1, as a
+        ``(hi - lo, len(steps))`` array, and advance the counter by its size.
 
-        Counter and noise stream end exactly as after one ``evaluate`` call per
-        row in row order (k scalar draws and one draw of size k read the same
-        PCG64 stream); the values are equal up to the batch evaluator's rounding,
-        and bitwise equal when the objective has no ``batch_evaluator``.
+        Point ``[r, j]`` is x with coordinate ``lo + r`` set to the float
+        ``x[lo + r] + steps[j]``. Counter and noise stream end exactly as after
+        one ``evaluate`` call per point in row order, ``[0, 0], [0, 1], ...``
+        (k scalar draws and one draw of k values read the same PCG64 stream);
+        the values are equal up to the stencil evaluator's rounding, and
+        bitwise equal when the objective has no ``stencil_evaluator``.
         """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.objective.dim:
-            raise ValueError(
-                f"points have shape {X.shape}, objective expects (k, {self.objective.dim})"
-            )
-        k = X.shape[0]
-        self.eval_count += k
-        batch = self.objective.batch_evaluator
-        if batch is None:
-            values = np.array([float(self.objective.evaluator(x)) for x in X])
+        x = np.asarray(x, dtype=float)
+        steps = np.asarray(steps, dtype=float)
+        n = self.objective.dim
+        if x.shape != (n,):
+            raise ValueError(f"point has shape {x.shape}, objective expects ({n},)")
+        if steps.ndim != 1:
+            raise ValueError(f"steps must be 1-D, got shape {steps.shape}")
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"coordinates [{lo}, {hi}) do not lie in [0, {n})")
+        shape = (hi - lo, steps.shape[0])
+        self.eval_count += shape[0] * shape[1]
+        hook = self.objective.stencil_evaluator
+        if hook is None:
+            values = np.empty(shape)
+            for r, j in np.ndindex(shape):
+                y = x.copy()
+                y[lo + r] += steps[j]
+                values[r, j] = self.objective.evaluator(y)
         else:
-            values = np.asarray(batch(X), dtype=float)
-            if values.shape != (k,):
+            values = np.asarray(hook(x, lo, hi, steps), dtype=float)
+            if values.shape != shape:
                 raise ValueError(
-                    f"batch evaluator returned shape {values.shape} for {k} points"
+                    f"stencil evaluator returned shape {values.shape}, expected {shape}"
                 )
         if self.noise_level > 0.0:
-            values = values + self._rng.uniform(-self.noise_level, self.noise_level, size=k)
+            values = values + self._rng.uniform(-self.noise_level, self.noise_level,
+                                                size=shape)
         return values
 
     def reset_counter(self) -> None:

@@ -288,16 +288,16 @@ def _central_per_point(oracle, x, delta):
 
 
 @pytest.mark.parametrize("n", [1, 5, 32, 33, 64, 65, 150])
-@pytest.mark.parametrize("batched", [True, False])
-def test_block_stencils_match_one_call_per_point_bitwise(n, batched):
+@pytest.mark.parametrize("hook", [True, False])
+def test_block_stencils_match_one_call_per_point_bitwise(n, hook):
     """Across block boundaries every noise draw still lands on its own point."""
     from dataclasses import replace
 
     from adafd import make_rosenbrock
 
     obj = make_rosenbrock(n).objective if n > 1 else sphere_objective(1)
-    if not batched:
-        obj = replace(obj, batch_evaluator=None)
+    if not hook:
+        obj = replace(obj, stencil_evaluator=None)
     x = np.random.default_rng(n).uniform(-1.0, 1.0, obj.dim)
     for stencil, reference in ((forward_diff, _forward_per_point),
                                (central_diff, _central_per_point)):
@@ -308,44 +308,65 @@ def test_block_stencils_match_one_call_per_point_bitwise(n, batched):
         assert new.evaluate(x) == ref.evaluate(x)
 
 
-def _tile_blocks(scheme, x, delta, coords=None):
-    """The stencil blocks as np.tile and fancy indexing built them, block by block,
-    each covering ``coords`` coordinates: by default as many as fit in
-    ``STENCIL_BLOCK_BYTES`` of points."""
+def _tiled_stencil(scheme, x, delta):
+    """The whole stencil's points in evaluation order, as np.tile and fancy
+    indexing build them."""
     n = x.shape[0]
     per = 1 if scheme is GradScheme.FORWARD else 2
-    if coords is None:
-        coords = max(1, STENCIL_BLOCK_BYTES // (x.itemsize * n * per))
-    blocks = []
-    for lo in range(0, n, coords):
-        idx = np.arange(lo, min(lo + coords, n))
-        rows = per * (idx - lo)
-        X = np.tile(x, (per * idx.size, 1))
-        X[rows, idx] += delta
-        if per == 2:
-            X[rows + 1, idx] -= delta
-        blocks.append(X)
-    return blocks
+    idx = np.arange(n)
+    rows = per * idx
+    X = np.tile(x, (per * n, 1))
+    X[rows, idx] += delta
+    if per == 2:
+        X[rows + 1, idx] -= delta
+    return X
+
+
+def _recording_hook(calls):
+    """A stencil evaluator that records its arguments and returns zeros."""
+
+    def hook(x, lo, hi, steps):
+        calls.append((x.copy(), lo, hi, steps.copy()))
+        return np.zeros((hi - lo, steps.shape[0]))
+
+    return hook
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 31, 32, 33, 63, 64, 65, 100, 129, 401])
 @pytest.mark.parametrize("scheme", list(GradScheme))
-def test_stencil_blocks_are_the_tiled_blocks_row_for_row(n, scheme):
-    seen = []
-
-    def recording(X):
-        seen.append(X.copy())
-        return np.zeros(X.shape[0])
-
-    obj = Objective(dim=n, evaluator=lambda x: 0.0, batch_evaluator=recording)
+def test_stencil_points_are_the_tiled_points_row_for_row(n, scheme):
     x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
     delta = 1e-3 * (1.0 + n)
     stencil = forward_diff if scheme is GradScheme.FORWARD else central_diff
+    expected = _tiled_stencil(scheme, x, delta)
+
+    # Without a stencil evaluator the oracle builds every point itself.
+    seen = []
+
+    def recording(y):
+        seen.append(y.copy())
+        return 0.0
+
+    obj = Objective(dim=n, evaluator=recording)
     stencil(Oracle(obj), x, delta)
-    expected = _tile_blocks(scheme, x, delta)
-    assert [X.shape for X in seen] == [X.shape for X in expected]
-    for got, want in zip(seen, expected):
-        assert got.tobytes() == want.tobytes()
+    if scheme is GradScheme.FORWARD:
+        assert seen.pop(0).tobytes() == x.tobytes()  # the base value comes first
+    assert np.array(seen).tobytes() == expected.tobytes()
+
+    # A stencil evaluator gets the base point and the steps whose points those are.
+    calls = []
+    obj = Objective(dim=n, evaluator=lambda y: 0.0, stencil_evaluator=_recording_hook(calls))
+    stencil(Oracle(obj), x, delta)
+    points = []
+    for base, lo, hi, steps in calls:
+        assert base.tobytes() == x.tobytes()
+        assert steps.tolist() == ([delta] if scheme is GradScheme.FORWARD else [delta, -delta])
+        for i in range(lo, hi):
+            for step in steps:
+                y = base.copy()
+                y[i] += step
+                points.append(y)
+    assert np.array(points).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("scheme, n, budget, rows", [
@@ -359,18 +380,13 @@ def test_stencil_blocks_are_the_tiled_blocks_row_for_row(n, scheme):
     (GradScheme.CENTRAL, 3, 1, [2, 2, 2]),
 ])
 def test_stencil_blocks_fill_the_byte_budget(scheme, n, budget, rows, monkeypatch):
-    seen = []
-
-    def recording(X):
-        seen.append(X.copy())
-        return np.zeros(X.shape[0])
-
+    calls = []
     monkeypatch.setattr(gradapprox, "STENCIL_BLOCK_BYTES", budget)
-    obj = Objective(dim=n, evaluator=lambda x: 0.0, batch_evaluator=recording)
+    obj = Objective(dim=n, evaluator=lambda x: 0.0, stencil_evaluator=_recording_hook(calls))
     x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
     stencil = forward_diff if scheme is GradScheme.FORWARD else central_diff
     stencil(Oracle(obj), x, 1e-3)
-    assert [X.shape[0] for X in seen] == rows
-    # The blocks, stacked in call order, are the whole stencil's points in order.
-    whole, = _tile_blocks(scheme, x, 1e-3, coords=n)
-    assert np.vstack(seen).tobytes() == whole.tobytes()
+    assert [(hi - lo) * steps.shape[0] for _, lo, hi, steps in calls] == rows
+    # The blocks, in call order, cover every coordinate once, in order.
+    assert [lo for _, lo, _, _ in calls] == [0] + [hi for _, _, hi, _ in calls[:-1]]
+    assert calls[-1][2] == n

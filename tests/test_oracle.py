@@ -94,61 +94,84 @@ def test_validation_of_bad_inputs():
         Oracle(sphere_objective(1), noise_level=-1.0)
 
 
-def _points(k, dim, seed=3):
-    return np.random.default_rng(seed).standard_normal((k, dim))
+def _base(dim, seed=3):
+    return np.random.default_rng(seed).standard_normal(dim)
 
 
-def test_evaluate_batch_counts_every_row():
+def _per_point(oracle, x, lo, hi, steps):
+    """One ``evaluate`` call per stencil point, in row order."""
+    values = []
+    for i in range(lo, hi):
+        for step in steps:
+            y = x.copy()
+            y[i] += step
+            values.append(oracle.evaluate(y))
+    return values
+
+
+def test_evaluate_stencil_counts_every_point():
     oracle = Oracle(sphere_objective(3))
-    values = oracle.evaluate_batch(_points(7, 3))
-    assert values.shape == (7,)
+    values = oracle.evaluate_stencil(_base(3), 0, 3, np.array([0.1, -0.1]))
+    assert values.shape == (3, 2)
+    assert oracle.eval_count == 6
+    assert oracle.evaluate_stencil(_base(3), 1, 2, np.array([0.1])).shape == (1, 1)
     assert oracle.eval_count == 7
 
 
-def test_evaluate_batch_rejects_wrong_column_count():
+def test_evaluate_stencil_rejects_bad_arguments():
     oracle = Oracle(sphere_objective(3))
+    steps = np.array([0.1])
+    for x in (np.zeros(2), np.zeros((1, 3)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            oracle.evaluate_stencil(x, 0, 1, steps)
+    for lo, hi in ((-1, 2), (0, 4), (2, 1), (4, 4)):
+        with pytest.raises(ValueError):
+            oracle.evaluate_stencil(np.zeros(3), lo, hi, steps)
     with pytest.raises(ValueError):
-        oracle.evaluate_batch(np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        oracle.evaluate_batch(np.zeros(3))
+        oracle.evaluate_stencil(np.zeros(3), 0, 3, np.ones((1, 1)))
     assert oracle.eval_count == 0
 
 
-def test_noisy_batch_equals_scalar_calls_bitwise():
+def test_noisy_stencil_equals_scalar_calls_bitwise():
     from adafd import make_rosenbrock
 
     obj = make_rosenbrock(6).objective
-    assert obj.batch_evaluator is not None
-    X = _points(9, 6)
-    batched = Oracle(obj, noise_level=1e-4, rng_seed=21)
+    assert obj.stencil_evaluator is not None
+    x, steps = _base(6), np.array([1e-3, -1e-3])
+    stencil = Oracle(obj, noise_level=1e-4, rng_seed=21)
     scalar = Oracle(obj, noise_level=1e-4, rng_seed=21)
-    assert batched.evaluate_batch(X).tolist() == [scalar.evaluate(x) for x in X]
-    assert batched.eval_count == scalar.eval_count == 9
+    values = stencil.evaluate_stencil(x, 1, 5, steps)
+    assert values.ravel().tolist() == _per_point(scalar, x, 1, 5, steps)
+    assert stencil.eval_count == scalar.eval_count == 8
     # both generators stand at the same place afterwards
-    assert batched.evaluate(X[0]) == scalar.evaluate(X[0])
+    assert stencil.evaluate(x) == scalar.evaluate(x)
 
 
-def test_noiseless_batch_never_touches_the_rng():
+def test_noiseless_stencil_never_touches_the_rng():
     from adafd import make_rosenbrock
 
     oracle = Oracle(make_rosenbrock(4).objective, noise_level=0.0, rng_seed=7)
     before = oracle._rng.bit_generator.state["state"]["state"]
-    oracle.evaluate_batch(_points(5, 4))
+    oracle.evaluate_stencil(_base(4), 0, 4, np.array([1e-3]))
     after = oracle._rng.bit_generator.state["state"]["state"]
     assert before == after
 
 
-def test_batch_without_batch_evaluator_loops_over_the_scalar_one():
+def test_stencil_without_stencil_evaluator_loops_over_the_scalar_one():
     obj = sphere_objective(4)
-    assert obj.batch_evaluator is None
-    X = _points(6, 4)
-    batched = Oracle(obj, noise_level=1e-3, rng_seed=5)
+    assert obj.stencil_evaluator is None
+    x, steps = _base(4), np.array([0.5, -0.25])
+    stencil = Oracle(obj, noise_level=1e-3, rng_seed=5)
     scalar = Oracle(obj, noise_level=1e-3, rng_seed=5)
-    assert batched.evaluate_batch(X).tolist() == [scalar.evaluate(x) for x in X]
+    values = stencil.evaluate_stencil(x, 0, 4, steps)
+    assert values.ravel().tolist() == _per_point(scalar, x, 0, 4, steps)
+    assert stencil.evaluate(x) == scalar.evaluate(x)
 
 
-def test_batch_evaluator_must_return_one_value_per_row():
-    obj = Objective(dim=2, evaluator=lambda x: float(x @ x),
-                    batch_evaluator=lambda X: np.sum(X * X))
+def test_stencil_evaluator_must_return_one_value_per_point():
+    def flat(x, lo, hi, steps):
+        return np.zeros((hi - lo) * steps.shape[0])
+
+    obj = Objective(dim=2, evaluator=lambda x: float(x @ x), stencil_evaluator=flat)
     with pytest.raises(ValueError):
-        Oracle(obj).evaluate_batch(np.ones((3, 2)))
+        Oracle(obj).evaluate_stencil(np.ones(2), 0, 2, np.array([0.1, -0.1]))
