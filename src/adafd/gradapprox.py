@@ -50,19 +50,6 @@ class SearchConfig:
             raise ValueError("i_max must be positive")
 
 
-#: Bytes of stencil points per ``Oracle.evaluate_stencil`` call, counted as
-#: 8 bytes per coordinate of each point: the stencil's coordinates are split
-#: into blocks of that many points (at least one coordinate per block). This
-#: bounds the temporaries of the stencil kernels, which hold about one value
-#: per coordinate of each point (Rosenbrock's n - 1 terms; the matrix
-#: families' m residuals, m = n for a square matrix), so they stay under
-#: glibc's heap-trim threshold and their pages are reused from block to block
-#: instead of being returned to the OS and faulted in again. 512 KiB holds a
-#: whole stencil up to n = 256 (forward) or n = 181 (central), and 163
-#: forward or 81 central coordinates at n = 400.
-STENCIL_BLOCK_BYTES = 2**19
-
-
 class GradScheme(enum.Enum):
     """Finite-difference stencil choice, with its exact per-call oracle cost."""
 
@@ -71,24 +58,6 @@ class GradScheme(enum.Enum):
 
     def evals_per_call(self, dim: int) -> int:
         return dim + 1 if self is GradScheme.FORWARD else 2 * dim
-
-
-def _stencil(oracle: Oracle, x: Array, steps: tuple) -> Array:
-    """Values at x + steps[j] e_i, as an (n, len(steps)) array.
-
-    The coordinates are evaluated in blocks of at most ``STENCIL_BLOCK_BYTES``
-    of points (but at least one coordinate), in the order x + steps[0] e_i,
-    x + steps[1] e_i, ... for i = 0, 1, ..., so each noise draw lands on the
-    same point as when every point is evaluated on its own.
-    """
-    n = x.shape[0]
-    steps = np.array(steps)
-    values = np.empty((n, steps.shape[0]))
-    coords = max(1, STENCIL_BLOCK_BYTES // (8 * n * steps.shape[0]))
-    for lo in range(0, n, coords):
-        hi = min(lo + coords, n)
-        values[lo:hi] = oracle.evaluate_stencil(x, lo, hi, steps)
-    return values
 
 
 def forward_diff(oracle: Oracle, x: Array, delta: float) -> Array:
@@ -101,7 +70,8 @@ def forward_diff(oracle: Oracle, x: Array, delta: float) -> Array:
         raise ValueError(f"sampling interval must be positive, got {delta}")
     x = np.asarray(x, dtype=float)
     f0 = oracle.evaluate(x)
-    return (_stencil(oracle, x, (delta,))[:, 0] - f0) / delta
+    values = oracle.evaluate_stencil(x, 0, x.shape[0], np.array([delta]))
+    return (values[:, 0] - f0) / delta
 
 
 def central_diff(oracle: Oracle, x: Array, delta: float) -> Array:
@@ -110,7 +80,7 @@ def central_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     if delta <= 0:
         raise ValueError(f"sampling interval must be positive, got {delta}")
     x = np.asarray(x, dtype=float)
-    values = _stencil(oracle, x, (delta, -delta))
+    values = oracle.evaluate_stencil(x, 0, x.shape[0], np.array([delta, -delta]))
     return (values[:, 0] - values[:, 1]) / (2.0 * delta)
 
 

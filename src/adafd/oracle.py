@@ -55,7 +55,11 @@ class Objective:
     the moved coordinate into the base point's terms, bitwise equal to
     ``evaluator``, and the two matrix families add the moved coordinate's
     column, times its displacement, to the base residual ``A x - b``, equal
-    up to rounding. Without it, a stencil loops over ``evaluator``.
+    up to rounding. Each finite-difference stencil reaches it in one call over
+    all coordinates (``lo = 0``, ``hi = dim``), so it bounds its own temporaries:
+    the built-in kernels do the base point's work once per call and walk the
+    coordinates in blocks of at most ``problems.STENCIL_BLOCK_BYTES`` of
+    scratch. Without it, a stencil loops over ``evaluator``.
     """
 
     dim: int
@@ -79,15 +83,25 @@ class Objective:
         return L
 
 
+#: Noise values the oracle draws from its generator at a time. Values are
+#: taken from the chunk in call order, so each point gets the draw it would
+#: get from one generator call per point.
+NOISE_CHUNK = 256
+
+
 @dataclass
 class Oracle:
     """Counting access point to a noisy objective phi(x) = f(x) + xi(x).
 
-    With ``noise_level`` epsilon > 0, each call adds an independent draw from
-    U(-epsilon, epsilon); draws are reproducible from ``rng_seed`` and the call
-    sequence (generator: numpy PCG64 via ``default_rng``). Noise is drawn per
-    call, so re-evaluating the same point re-draws. With epsilon = 0 the exact
-    value f(x) is returned and the generator is never advanced.
+    With ``noise_level`` epsilon > 0, each evaluated point adds an independent
+    draw from U(-epsilon, epsilon); draws are reproducible from ``rng_seed``
+    and the call sequence (generator: numpy PCG64 via ``default_rng``). Noise
+    is drawn per point, so re-evaluating the same point re-draws. The oracle
+    reads ahead ``NOISE_CHUNK`` values at a time (more for a larger stencil)
+    and takes them in call order, so the values are bitwise those of one
+    generator call per point. With epsilon = 0 the exact value f(x) is
+    returned and the generator is never advanced. ``noise_level`` is read when
+    a chunk is drawn, so it must not change after construction.
 
     An Oracle is single-owner mutable state: concurrent runs must construct
     independent oracles (same Objective, distinct seeds).
@@ -101,7 +115,18 @@ class Oracle:
     def __post_init__(self):
         if self.noise_level < 0:
             raise ValueError("noise_level must be nonnegative")
-        self._rng = np.random.default_rng(self.rng_seed)
+        self.reset_counter()
+
+    def _noise(self, k: int) -> Array:
+        """The next k values of the noise stream, drawn ahead in chunks."""
+        at = self._noise_at
+        if at + k > self._noise_chunk.shape[0]:
+            fresh = self._rng.uniform(-self.noise_level, self.noise_level,
+                                      size=max(NOISE_CHUNK, k))
+            self._noise_chunk = np.concatenate((self._noise_chunk[at:], fresh))
+            at = 0
+        self._noise_at = at + k
+        return self._noise_chunk[at:at + k]
 
     def evaluate(self, x: Array) -> float:
         """Return phi(x) and advance the evaluation counter by exactly one."""
@@ -113,7 +138,7 @@ class Oracle:
         self.eval_count += 1
         value = float(self.objective.evaluator(x))
         if self.noise_level > 0.0:
-            value += float(self._rng.uniform(-self.noise_level, self.noise_level))
+            value += float(self._noise(1)[0])
         return value
 
     def evaluate_stencil(self, x: Array, lo: int, hi: int, steps: Array) -> Array:
@@ -122,8 +147,7 @@ class Oracle:
 
         Point ``[r, j]`` is x with coordinate ``lo + r`` set to the float
         ``x[lo + r] + steps[j]``. Counter and noise stream end exactly as after
-        one ``evaluate`` call per point in row order, ``[0, 0], [0, 1], ...``
-        (k scalar draws and one draw of k values read the same PCG64 stream);
+        one ``evaluate`` call per point in row order, ``[0, 0], [0, 1], ...``;
         the values are equal up to the stencil evaluator's rounding, and
         bitwise equal when the objective has no ``stencil_evaluator``.
         """
@@ -152,11 +176,13 @@ class Oracle:
                     f"stencil evaluator returned shape {values.shape}, expected {shape}"
                 )
         if self.noise_level > 0.0:
-            values = values + self._rng.uniform(-self.noise_level, self.noise_level,
-                                                size=shape)
+            values = values + self._noise(values.size).reshape(shape)
         return values
 
     def reset_counter(self) -> None:
-        """Zero the evaluation counter and rewind the noise stream to its seed."""
+        """Zero the evaluation counter and rewind the noise stream to its seed,
+        dropping the values read ahead."""
         self.eval_count = 0
         self._rng = np.random.default_rng(self.rng_seed)
+        self._noise_chunk = np.empty(0)
+        self._noise_at = 0

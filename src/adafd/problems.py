@@ -72,21 +72,58 @@ class ProblemInstance:
     seed: Optional[int] = None  # set when generated via random_instance
 
 
+#: Bytes of scratch per block of a built-in stencil kernel. The kernels'
+#: temporaries hold one value per term of each point: m residuals for the
+#: matrix families, n - 1 chained terms for Rosenbrock. A kernel splits the
+#: coordinates it is asked for into blocks of STENCIL_BLOCK_BYTES //
+#: (8 * terms * len(steps)) coordinates (at least one) and reuses one buffer
+#: of that size for every block, so its scratch stays under glibc's heap-trim
+#: threshold and its pages are not returned to the OS and faulted in again.
+#: At 512 KiB a block holds 164 forward or 82 central coordinates of a
+#: Rosenbrock n = 400 stencil, 163 or 81 of a square least-squares one, and
+#: 32 or 16 at m = 2000.
+STENCIL_BLOCK_BYTES = 2**19
+
+
+def _stencil_blocks(lo: int, hi: int, steps: Array, terms: int, block) -> Array:
+    """The (hi - lo, len(steps)) stencil values, block by block.
+
+    ``block(a, b, T, out)`` fills ``out``, the rows of coordinates a, ..., b - 1,
+    using the scratch ``T`` of shape (b - a, len(steps), terms). Every block
+    shares one buffer of at most ``STENCIL_BLOCK_BYTES`` (but at least one
+    coordinate's worth)."""
+    p = steps.shape[0]
+    values = np.empty((hi - lo, p))
+    coords = max(1, STENCIL_BLOCK_BYTES // max(1, 8 * terms * p))
+    buf = np.empty(min(coords, hi - lo) * p * terms)
+    for a in range(lo, hi, coords):
+        b = min(a + coords, hi)
+        block(a, b, buf[:(b - a) * p * terms].reshape(b - a, p, terms),
+              values[a - lo:b - lo])
+    return values
+
+
 def _residual_stencil(A: Array, b: Array, x: Array, lo: int, hi: int,
-                      steps: Array) -> Array:
-    """The residuals A y - b at the stencil points y of ``Objective.stencil_evaluator``,
-    as a C-ordered (hi - lo, len(steps), m) array: the base residual A x - b
-    plus the moved coordinate's column of A times the displacement that
-    coordinate really has, (x_i + step) - x_i. That is O(m) per point instead
-    of a matrix-vector product's O(m n), equal up to rounding."""
+                      steps: Array, reduce) -> Array:
+    """A matrix family's stencil values: ``reduce(R, out)`` sums the block of
+    residuals R into ``out``, destroying R. The residual A y - b at a stencil
+    point y of ``Objective.stencil_evaluator`` is the base residual A x - b,
+    computed once per call, plus the moved coordinate's column of A times the
+    displacement that coordinate really has, (x_i + step) - x_i. That is O(m)
+    per point instead of a matrix-vector product's O(m n), equal up to
+    rounding."""
     r0 = A @ x
     r0 -= b
     base = x[lo:hi, None]
     moved = (base + steps) - base
-    R = np.empty((hi - lo, steps.shape[0], A.shape[0]))
-    np.multiply(A[:, lo:hi].T[:, None, :], moved[:, :, None], out=R)
-    R += r0
-    return R
+    AT = A.T
+
+    def block(i: int, j: int, R: Array, out: Array) -> None:
+        np.multiply(AT[i:j, None, :], moved[i - lo:j - lo, :, None], out=R)
+        R += r0
+        reduce(R, out)
+
+    return _stencil_blocks(lo, hi, steps, A.shape[0], block)
 
 
 def make_least_squares(A: Array, b: Array) -> ProblemInstance:
@@ -102,9 +139,11 @@ def make_least_squares(A: Array, b: Array) -> ProblemInstance:
         r -= b
         return float(r @ r)
 
+    def reduce(R: Array, out: Array) -> None:
+        np.add.reduce(np.square(R, out=R), axis=2, out=out)
+
     def f_stencil(x: Array, lo: int, hi: int, steps: Array) -> Array:
-        R = _residual_stencil(A, b, x, lo, hi, steps)
-        return np.add.reduce(np.square(R, out=R), axis=2)
+        return _residual_stencil(A, b, x, lo, hi, steps, reduce)
 
     def grad(x: Array) -> Array:
         return 2.0 * (A.T @ (A @ x - b))
@@ -136,10 +175,12 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
         np.multiply(r, r, out=r)
         return float(np.add.reduce(np.log1p(r, out=r)))
 
-    def f_stencil(x: Array, lo: int, hi: int, steps: Array) -> Array:
-        R = _residual_stencil(A, b, x, lo, hi, steps)
+    def reduce(R: Array, out: Array) -> None:
         np.multiply(R, R, out=R)
-        return np.add.reduce(np.log1p(R, out=R), axis=2)
+        np.add.reduce(np.log1p(R, out=R), axis=2, out=out)
+
+    def f_stencil(x: Array, lo: int, hi: int, steps: Array) -> Array:
+        return _residual_stencil(A, b, x, lo, hi, steps, reduce)
 
     def grad(x: Array) -> Array:
         r = A @ x - b
@@ -180,15 +221,30 @@ def make_rosenbrock(n: int) -> ProblemInstance:
         # hold the moved coordinate i: term i - 1 as its tail, term i as its
         # head. Each row is then summed as f sums its terms.
         p = steps.shape[0]
-        T = np.empty((hi - lo, p, n - 1))
-        T[:] = _rosenbrock_terms(x[:-1], x[1:])
+        terms = _rosenbrock_terms(x[:-1], x[1:])
         moved = x[lo:hi, None] + steps
-        i = np.arange(max(lo, 1), hi)
-        T[i - lo, :, i - 1] = _rosenbrock_terms(
-            np.broadcast_to(x[i - 1, None], (i.size, p)), moved[i - lo])
-        i = np.arange(lo, min(hi, n - 1))
-        T[i - lo, :, i] = _rosenbrock_terms(moved[i - lo], x[i + 1, None])
-        return np.add.reduce(T, axis=2)
+        first, last = min(max(lo, 1), hi), min(hi, n - 1)
+        left = _rosenbrock_terms(np.repeat(x[first - 1:hi - 1, None], p, axis=1),
+                                 moved[first - lo:])
+        right = _rosenbrock_terms(moved[:last - lo], x[lo + 1:last + 1, None])
+        # In a block starting at coordinate a, term i - 1 (left) or i (right)
+        # of coordinate i's point j lies (i - a) * row + j * (n - 1) + a - 1
+        # (left) or + a (right) values into the block: a strided view of it.
+        row = p * (n - 1) + 1
+
+        def block(a: int, b: int, T: Array, out: Array) -> None:
+            T[:] = terms
+            size = T.itemsize
+            strides = (size * row, size * (n - 1))
+            i = max(a, 1)
+            np.ndarray((b - i, p), buffer=T, offset=size * ((i - a) * row + a - 1),
+                       strides=strides)[:] = left[i - first:b - first]
+            i = min(b, n - 1)
+            np.ndarray((i - a, p), buffer=T, offset=size * a,
+                       strides=strides)[:] = right[a - lo:i - lo]
+            np.add.reduce(T, axis=2, out=out)
+
+        return _stencil_blocks(lo, hi, steps, n - 1, block)
 
     def grad(x: Array) -> Array:
         g = np.zeros_like(x)

@@ -3,12 +3,20 @@
 In a process that has not yet freed a large array, glibc's heap-trim threshold
 is still low. Stencil temporaries above it are returned to the OS when freed
 and fault their pages in again on the next stencil block, so a cold run pays
-for every block. The stencil kernels keep their temporaries within
-``STENCIL_BLOCK_BYTES``: a cold Rosenbrock n=400 ``dfc-fordif`` run at 25n
-takes about 630 minor faults (2-vCPU x86, glibc, numpy 2.4), where building and
-evaluating whole blocks of points took about 13.5k. The bound leaves room for
-other allocators and library versions while still failing on a fault per
-block.
+for every block. Each built-in stencil kernel sizes its blocks by its own
+temporaries (n - 1 terms per point for Rosenbrock, m residuals per point for
+the matrix families) and reuses one buffer of at most
+``problems.STENCIL_BLOCK_BYTES`` for all of them. On a 2-vCPU x86 host (glibc,
+numpy 2.4), at 25n and noise 1e-4:
+
+- a cold Rosenbrock n=400 ``dfc-fordif`` run takes about 620 minor faults,
+  where building and evaluating whole blocks of points took about 13.5k;
+- a cold least-squares n=100, m=2000 run takes about 250 for ``dfc-fordif``
+  and for ``dfb-cendif``, where blocks sized by n instead of m, so 1.6 or
+  3.2 MB of residuals per stencil, took about 800 and 1,580.
+
+The bounds leave room for other allocators and library versions while still
+failing on a fault per block.
 """
 
 import json
@@ -20,20 +28,19 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MAX_MINOR_FAULTS = 2000
 
 CHILD = r"""
-import json, resource
+import json, resource, sys
 from types import SimpleNamespace
 
 import numpy as np
 
 from adafd import build_instance, run_solver
 
-n = 400
-objective = build_instance("rosenbrock", n).objective
+family, n, m, solver = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]) or None, sys.argv[4]
+objective = build_instance(family, n, m=m).objective
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-report = run_solver("dfc-fordif", SimpleNamespace(objective=objective), 25 * n, 1e-4, 0,
+report = run_solver(solver, SimpleNamespace(objective=objective), 25 * n, 1e-4, 0,
                     np.zeros(n))
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(json.dumps({"faults": faults, "evals": report.evals}))
@@ -42,12 +49,17 @@ print(json.dumps({"faults": faults, "evals": report.evals}))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts glibc heap behaviour through getrusage on Linux")
-def test_cold_rosenbrock_run_takes_few_minor_faults():
+@pytest.mark.parametrize("family, n, m, solver, max_faults", [
+    ("rosenbrock", 400, 0, "dfc-fordif", 2000),
+    ("least_squares", 100, 2000, "dfc-fordif", 500),
+    ("least_squares", 100, 2000, "dfb-cendif", 500),
+])
+def test_cold_run_takes_few_minor_faults(family, n, m, solver, max_faults):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", CHILD, family, str(n), str(m), solver],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["evals"] >= 24 * 400  # the run did spend (nearly) its budget
-    assert out["faults"] < MAX_MINOR_FAULTS, out
+    assert out["evals"] >= 24 * n  # the run did spend (nearly) its budget
+    assert out["faults"] < max_faults, out

@@ -15,8 +15,6 @@ from adafd import (
     forward_diff,
     make_least_squares,
 )
-from adafd import gradapprox
-from adafd.gradapprox import STENCIL_BLOCK_BYTES
 
 from conftest import constant_objective, cusp_objective, linear_objective, sphere_objective
 
@@ -353,10 +351,12 @@ def test_stencil_points_are_the_tiled_points_row_for_row(n, scheme):
         assert seen.pop(0).tobytes() == x.tobytes()  # the base value comes first
     assert np.array(seen).tobytes() == expected.tobytes()
 
-    # A stencil evaluator gets the base point and the steps whose points those are.
+    # A stencil evaluator gets the whole stencil in one call: the base point
+    # and the steps whose points those are.
     calls = []
     obj = Objective(dim=n, evaluator=lambda y: 0.0, stencil_evaluator=_recording_hook(calls))
     stencil(Oracle(obj), x, delta)
+    assert [(lo, hi) for _, lo, hi, _ in calls] == [(0, n)]
     points = []
     for base, lo, hi, steps in calls:
         assert base.tobytes() == x.tobytes()
@@ -367,26 +367,3 @@ def test_stencil_points_are_the_tiled_points_row_for_row(n, scheme):
                 y[i] += step
                 points.append(y)
     assert np.array(points).tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("scheme, n, budget, rows", [
-    (GradScheme.FORWARD, 256, STENCIL_BLOCK_BYTES, [256]),
-    (GradScheme.FORWARD, 257, STENCIL_BLOCK_BYTES, [255, 2]),
-    (GradScheme.FORWARD, 400, STENCIL_BLOCK_BYTES, [163, 163, 74]),
-    (GradScheme.CENTRAL, 181, STENCIL_BLOCK_BYTES, [362]),
-    (GradScheme.CENTRAL, 182, STENCIL_BLOCK_BYTES, [360, 4]),
-    (GradScheme.CENTRAL, 400, STENCIL_BLOCK_BYTES, [162, 162, 162, 162, 152]),
-    (GradScheme.FORWARD, 3, 1, [1, 1, 1]),  # a budget below one coordinate
-    (GradScheme.CENTRAL, 3, 1, [2, 2, 2]),
-])
-def test_stencil_blocks_fill_the_byte_budget(scheme, n, budget, rows, monkeypatch):
-    calls = []
-    monkeypatch.setattr(gradapprox, "STENCIL_BLOCK_BYTES", budget)
-    obj = Objective(dim=n, evaluator=lambda x: 0.0, stencil_evaluator=_recording_hook(calls))
-    x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-    stencil = forward_diff if scheme is GradScheme.FORWARD else central_diff
-    stencil(Oracle(obj), x, 1e-3)
-    assert [(hi - lo) * steps.shape[0] for _, lo, hi, steps in calls] == rows
-    # The blocks, in call order, cover every coordinate once, in order.
-    assert [lo for _, lo, _, _ in calls] == [0] + [hi for _, _, hi, _ in calls[:-1]]
-    assert calls[-1][2] == n

@@ -81,10 +81,10 @@ def test_equal_seeds_equal_sequences():
 def test_noiseless_oracle_never_touches_the_rng():
     obj = sphere_objective(1)
     oracle = Oracle(obj, noise_level=0.0, rng_seed=7)
-    before = oracle._rng.bit_generator.state["state"]["state"]
+    before = oracle._rng.bit_generator.state
     oracle.evaluate(np.array([2.0]))
-    after = oracle._rng.bit_generator.state["state"]["state"]
-    assert before == after
+    oracle.evaluate_stencil(np.array([2.0]), 0, 1, np.array([0.1, -0.1]))
+    assert oracle._rng.bit_generator.state == before
 
 
 def test_validation_of_bad_inputs():
@@ -151,10 +151,9 @@ def test_noiseless_stencil_never_touches_the_rng():
     from adafd import make_rosenbrock
 
     oracle = Oracle(make_rosenbrock(4).objective, noise_level=0.0, rng_seed=7)
-    before = oracle._rng.bit_generator.state["state"]["state"]
+    before = oracle._rng.bit_generator.state
     oracle.evaluate_stencil(_base(4), 0, 4, np.array([1e-3]))
-    after = oracle._rng.bit_generator.state["state"]["state"]
-    assert before == after
+    assert oracle._rng.bit_generator.state == before
 
 
 def test_stencil_without_stencil_evaluator_loops_over_the_scalar_one():
@@ -175,3 +174,45 @@ def test_stencil_evaluator_must_return_one_value_per_point():
     obj = Objective(dim=2, evaluator=lambda x: float(x @ x), stencil_evaluator=flat)
     with pytest.raises(ValueError):
         Oracle(obj).evaluate_stencil(np.ones(2), 0, 2, np.array([0.1, -0.1]))
+
+
+def _zero_objective(dim):
+    """f = 0 everywhere, with a stencil evaluator, so every value is its noise."""
+    return Objective(dim=dim, evaluator=lambda x: 0.0,
+                     stencil_evaluator=lambda x, lo, hi, steps: np.zeros((hi - lo, len(steps))))
+
+
+def _draw_noise(oracle, calls, n):
+    """Noise values of a sequence of calls: an int k is a stencil over
+    coordinates [0, k) with steps (h, -h), None one ``evaluate`` call."""
+    x, steps = np.zeros(n), np.array([0.1, -0.1])
+    values = []
+    for k in calls:
+        if k is None:
+            values.append(oracle.evaluate(x))
+        else:
+            values.extend(oracle.evaluate_stencil(x, 0, k, steps).ravel().tolist())
+    return values
+
+
+#: Mixed calls crossing chunk boundaries: scalar runs, small stencils, and a
+#: 2n = 800-point stencil larger than one chunk, started in mid-chunk.
+MIXED_CALLS = [None] * 3 + [5, None, 400, None, 100] + [None] * 300 + [400, 1, None]
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_noise_read_ahead_is_the_per_point_stream(seed):
+    eps, n = 1e-4, 400
+    oracle = Oracle(_zero_objective(n), noise_level=eps, rng_seed=seed)
+    got = _draw_noise(oracle, MIXED_CALLS, n)
+    assert oracle.eval_count == len(got)
+    expected = np.random.default_rng(seed).uniform(-eps, eps, size=len(got))
+    assert got == expected.tolist()
+
+
+def test_reset_counter_in_mid_chunk_rewinds():
+    oracle = Oracle(_zero_objective(400), noise_level=1e-3, rng_seed=3)
+    first = _draw_noise(oracle, MIXED_CALLS[:8], 400)
+    oracle.reset_counter()
+    assert oracle.eval_count == 0
+    assert _draw_noise(oracle, MIXED_CALLS[:8], 400) == first

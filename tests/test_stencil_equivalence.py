@@ -6,8 +6,9 @@ and step sequences must match exactly; ``best_f`` may differ only by the
 rounding of the matrix families' kernels (the base residual plus one column
 per point, instead of one matrix-vector product per point). Rosenbrock's
 kernel is bitwise the scalar evaluator, so its traces are byte-identical.
-At the default ``STENCIL_BLOCK_BYTES`` every stencil here is one block, so the
-last test shrinks the budget until n = 70 spans several blocks in both schemes.
+At the default ``problems.STENCIL_BLOCK_BYTES`` every kernel call here is one
+block, so the last test shrinks the budget until n = 70 spans several blocks
+of every kernel in both schemes.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from adafd import DfbConfig, DfcConfig, GradScheme, build_instance, dfb_run, dfc_run, emit_csv
-from adafd import gradapprox
+from adafd import problems
 from adafd.problems import FAMILIES, ROSENBROCK
 
 NOISE = 1e-4
@@ -50,7 +51,8 @@ def test_stencil_run_matches_per_point_run(family, solver, scheme, seed, n, tmp_
 
 
 #: A block budget that splits an n = 70 stencil into 3 forward blocks of up to
-#: 29 coordinates and 5 central blocks of up to 14 coordinates.
+#: 29 coordinates and 5 central blocks of up to 14 coordinates, for Rosenbrock's
+#: 69 terms per point as for the matrix families' 70 residuals.
 SMALL_BLOCK_BYTES = 2**14
 
 
@@ -62,7 +64,8 @@ def test_multi_block_run_matches_per_point_run(family, solver, scheme, seed, tmp
                                                monkeypatch):
     n = 70
     per = 1 if scheme is GradScheme.FORWARD else 2
-    coords = SMALL_BLOCK_BYTES // (8 * n * per)
+    terms = n - 1 if family == ROSENBROCK else n
+    coords = SMALL_BLOCK_BYTES // (8 * terms * per)
     assert -(-n // coords) >= 3  # the stencil spans at least 3 blocks
-    monkeypatch.setattr(gradapprox, "STENCIL_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+    monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", SMALL_BLOCK_BYTES)
     test_stencil_run_matches_per_point_run(family, solver, scheme, seed, n, tmp_path)

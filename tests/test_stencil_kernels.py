@@ -7,11 +7,16 @@ each of those points and call ``evaluator`` on it. Rosenbrock's kernel patches
 two terms into the base point's and must be bitwise the scalar value; the
 least-squares and image-restoration kernels add one column to the base
 residual, which rounds differently from a matrix-vector product per point.
+Each kernel walks its coordinates in blocks of ``problems.STENCIL_BLOCK_BYTES``
+of scratch; the blocking may change neither a value nor the scratch bound.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from adafd import GradScheme, Oracle, central_diff, forward_diff, problems
 from adafd import make_rosenbrock, random_instance
 
 NS = (2, 3, 100, 400)
@@ -116,3 +121,47 @@ def test_the_base_point_is_not_written(n):
         before = x.copy()
         instance.objective.stencil_evaluator(x, 0, n, np.array([1e-3, -1e-3]))
         assert x.tobytes() == before.tobytes()
+
+
+#: Block budgets: below one coordinate (one coordinate per block), several
+#: blocks at n = 70, and the default.
+BLOCK_BYTES = (1, 2**14, problems.STENCIL_BLOCK_BYTES)
+
+
+@pytest.mark.parametrize("budget", BLOCK_BYTES)
+@pytest.mark.parametrize("n", (2, 3, 70, 400))
+def test_blocked_kernels_are_bitwise_one_block(n, budget, monkeypatch):
+    x = _base(n)
+    for instance in _instances(n):
+        objective = instance.objective
+        for lo, hi in (_block(n, where) for where in BLOCKS):
+            for steps in (np.array([1e-3]), np.array([1e-3, -1e-3])):
+                monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", 2**62)
+                whole = objective.stencil_evaluator(x, lo, hi, steps)
+                monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", budget)
+                got = objective.stencil_evaluator(x, lo, hi, steps)
+                assert got.tobytes() == whole.tobytes(), (instance.family, lo, hi, steps)
+
+
+#: What one stencil may allocate beyond the block buffer: its values, the
+#: base point's work and Python objects.
+SCRATCH_SLACK_BYTES = 256 * 1024
+
+
+@pytest.mark.parametrize("scheme", list(GradScheme))
+@pytest.mark.parametrize("family, n, m", [("least_squares", 100, 2000),
+                                          ("rosenbrock", 400, None)])
+def test_one_stencil_allocates_at_most_one_block(family, n, m, scheme):
+    objective = (make_rosenbrock(n) if m is None
+                 else random_instance(family, n, m=m, seed=0)).objective
+    stencil = forward_diff if scheme is GradScheme.FORWARD else central_diff
+    oracle = Oracle(objective, noise_level=1e-4, rng_seed=0)
+    x = _base(n)
+    stencil(oracle, x, 1e-3)  # draws the noise chunk and warms up numpy
+    tracemalloc.start()
+    try:
+        stencil(oracle, x, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= problems.STENCIL_BLOCK_BYTES + SCRATCH_SLACK_BYTES, peak
