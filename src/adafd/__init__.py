@@ -52,7 +52,6 @@ from .problems import (
     make_least_squares,
     make_rosenbrock,
     random_instance,
-    save_instance_spec,
     spectral_norm,
 )
 from .rate import InsufficientData, RateEstimate, estimate_rate

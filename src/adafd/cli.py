@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import ExperimentConfig, ValidationError, run_experiment
+from .harness import X0_PRESETS, ExperimentConfig, ValidationError, run_experiment
 from .plotting import emit_plot
 from .rate import InsufficientData, estimate_rate
 from .trace import read_csv
@@ -56,12 +56,12 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _resolve_x0(spec: str, n: int):
-    if spec in ("zeros", "halves"):
+def _resolve_x0(spec: str):
+    if spec in X0_PRESETS:
         return spec
     path = Path(spec)
     if not path.exists():
-        raise ValidationError(f"x0 must be 'zeros', 'halves', or a file; "
+        raise ValidationError(f"x0 must be {', '.join(map(repr, X0_PRESETS))}, or a file; "
                               f"{spec!r} is none of these")
     text = path.read_text().replace(",", " ")
     return np.array([float(tok) for tok in text.split()])
@@ -80,7 +80,7 @@ def _build_parser() -> _Parser:
     run_p.add_argument("--solver", help="comma-separated solver ids")
     run_p.add_argument("--budget-mult", type=int, dest="budget_mult")
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--x0", help="zeros | halves | FILE with one point")
+    run_p.add_argument("--x0", help=" | ".join([*X0_PRESETS, "FILE with one point"]))
     run_p.add_argument("--out", help="output directory")
 
     plot_p = sub.add_parser("plot", help="render trace CSVs to one SVG")
@@ -108,27 +108,26 @@ def _cmd_run(args) -> int:
     problem = str(merged["problem"])
     if problem not in _PROBLEM_NAMES:
         raise ValidationError(f"unknown problem {problem!r}")
-    n = int(merged["n"])
     seed = int(merged.get("seed", 0))
     cfg = ExperimentConfig(
         family=_PROBLEM_NAMES[problem],
-        n=n,
+        n=int(merged["n"]),
         m=int(merged["m"]) if merged.get("m") is not None else None,
         noise_level=float(merged.get("noise", 0.0)),
         solvers=[s.strip() for s in str(merged["solver"]).split(",") if s.strip()],
         budget_multiplier=int(merged.get("budget_mult", 200)),
         instance_seed=seed,
         run_seed=seed,
-        initial_point=_resolve_x0(str(merged.get("x0", "zeros")), n),
+        initial_point=_resolve_x0(str(merged.get("x0", "zeros"))),
         output_dir=merged["out"],
     )
     report = run_experiment(cfg)
     print(f"experiment: {cfg.family} n={cfg.n} noise={cfg.noise_level:g} "
           f"budget={cfg.budget}")
     for rank, (solver_id, final) in enumerate(report.ranking, start=1):
-        res = report.results[solver_id]
-        print(f"  {rank}. {solver_id:14s} f_best={final:.6e} evals={res.evals} "
-              f"({res.termination})")
+        rep = report.reports[solver_id]
+        print(f"  {rank}. {solver_id:14s} f_best={final:.6e} evals={rep.evals} "
+              f"({rep.termination})")
     print(f"report: {Path(cfg.output_dir) / 'report.json'}")
     return 0
 

@@ -2,17 +2,21 @@
 
 Every solver in an experiment sees the same instance and the same evaluation
 budget (budget_multiplier * dimension); per-solver oracle seeds are derived
-from the experiment seed with numpy SeedSequence spawning. Each run's trace is
-persisted as CSV. The report ranks the runs by their in-memory final records,
-whose values the CSVs hold exactly (shortest round-trip floats), so
-:func:`rank_trace_files` re-ranks a results directory to the same ranking.
+from the experiment seed with numpy SeedSequence spawning. A results directory
+holds one ``trace_<solver id>.csv`` per run and ``report.json``, the one record
+of the experiment: the manifest, whose ``problem`` entry is the recipe that
+:func:`adafd.problems.load_instance_spec` rebuilds the instance from, the
+ranking by final ``f_best``, and each run's summary from its
+:class:`RunReport`. The CSVs hold the final records exactly (shortest
+round-trip floats), so :func:`rank_trace_files` re-ranks a results directory
+to the same ranking.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -72,8 +76,8 @@ class ExperimentConfig:
             raise ValidationError("dimension must be positive")
         if self.budget_multiplier < 1:
             raise ValidationError("budget_multiplier must be a positive integer")
-        if self.noise_level < 0:
-            raise ValidationError("noise level must be nonnegative")
+        if not 0.0 <= self.noise_level < math.inf:
+            raise ValidationError("noise level must be finite and nonnegative")
         if not self.solvers:
             raise ValidationError("at least one solver id is required")
         seen = set()
@@ -97,32 +101,28 @@ class ExperimentConfig:
         return self.budget_multiplier * self.n
 
 
-@dataclass(frozen=True)
-class SolverResult:
-    solver_id: str
-    final_f_best: float
-    best_f: float
-    evals: int
-    termination: str
-    truncated: bool
-    trace_path: str
-
-
 @dataclass
 class ComparisonReport:
     ranking: List[Tuple[str, float]]  # (solver_id, final f_best), best first
-    results: Dict[str, SolverResult]
+    reports: Dict[str, RunReport]  # each with trace_path set
     manifest: dict
-    reports: Dict[str, RunReport] = field(default_factory=dict)
+
+    @property
+    def results(self) -> Dict[str, RunReport]:
+        """``reports`` under its former name; it stays only because the benchmark
+        reads it."""
+        return self.reports
+
+
+#: The named initial points and the value of each coordinate at them.
+X0_PRESETS = {"zeros": 0.0, "halves": 0.5}
 
 
 def resolve_initial_point(spec: Union[str, Array], n: int) -> Array:
     if isinstance(spec, str):
-        if spec == "zeros":
-            return np.zeros(n)
-        if spec == "halves":
-            return 0.5 * np.ones(n)
-        raise ValidationError(f"unknown initial point preset {spec!r}")
+        if spec not in X0_PRESETS:
+            raise ValidationError(f"unknown initial point preset {spec!r}")
+        return np.full(n, X0_PRESETS[spec])
     x0 = np.asarray(spec, dtype=float)
     if x0.shape != (n,):
         raise ValidationError(f"initial point has shape {x0.shape}, expected ({n},)")
@@ -157,10 +157,6 @@ def run_solver(
     return report
 
 
-def trace_filename(solver_id: str) -> str:
-    return f"trace_{solver_id}.csv"
-
-
 def _nan_last(item: Tuple[str, float]):
     """Ranking key for (solver_id, final f_best): lowest first, NaN last, ties
     (NaN included) broken by solver id."""
@@ -185,7 +181,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
 
     seed_children = np.random.SeedSequence(cfg.run_seed).spawn(len(cfg.solvers))
     reports: Dict[str, RunReport] = {}
-    paths: Dict[str, Path] = {}
     for spec, child in zip(cfg.solvers, seed_children):
         solver_id, overrides = _split_spec(spec)
         seed = int(child.generate_state(1, np.uint64)[0])
@@ -195,19 +190,18 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
             raise ValidationError(
                 f"{solver_id}: budget {cfg.budget} too small to record any iteration"
             )
-        path = out_dir / trace_filename(solver_id)
-        emit_csv(report.trace, path)
+        report.trace_path = str(out_dir / f"trace_{solver_id}.csv")
+        emit_csv(report.trace, report.trace_path)
         reports[solver_id] = report
-        paths[solver_id] = path
 
-    finals = {sid: float(rep.trace[-1].f_best) for sid, rep in reports.items()}
-    ranking = sorted(finals.items(), key=_nan_last)
+    ranking = sorted(((sid, float(rep.final_f_best)) for sid, rep in reports.items()),
+                     key=_nan_last)
     manifest = {
         "problem": {
-            "family": cfg.family,
-            "n": cfg.n,
+            "family": instance.family,
+            "n": instance.dim,
             "m": instance.m,
-            "instance_seed": cfg.instance_seed if cfg.family != "rosenbrock" else None,
+            "instance_seed": instance.seed,
         },
         "noise_level": cfg.noise_level,
         "budget_multiplier": cfg.budget_multiplier,
@@ -219,38 +213,17 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         "rng": "numpy PCG64; per-solver seeds via SeedSequence(run_seed).spawn",
     }
     results = {
-        sid: SolverResult(
-            solver_id=sid,
-            final_f_best=rep.trace[-1].f_best,
-            best_f=rep.best_f,
-            evals=rep.evals,
-            termination=rep.termination,
-            truncated=rep.truncated,
-            trace_path=str(paths[sid]),
-        )
+        sid: {
+            "final_f_best": rep.final_f_best,
+            "best_f": rep.best_f,
+            "evals": rep.evals,
+            "termination": rep.termination,
+            "truncated": rep.truncated,
+            "trace": rep.trace_path,
+        }
         for sid, rep in reports.items()
     }
-    report = ComparisonReport(ranking=ranking, results=results, manifest=manifest,
-                              reports=reports)
     with open(out_dir / "report.json", "w") as fh:
-        json.dump(
-            {
-                "manifest": manifest,
-                "ranking": [[sid, fb] for sid, fb in ranking],
-                "results": {
-                    sid: {
-                        "final_f_best": res.final_f_best,
-                        "best_f": res.best_f,
-                        "evals": res.evals,
-                        "termination": res.termination,
-                        "truncated": res.truncated,
-                        "trace": res.trace_path,
-                    }
-                    for sid, res in results.items()
-                },
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-    return report
+        json.dump({"manifest": manifest, "ranking": [list(item) for item in ranking],
+                   "results": results}, fh, indent=2, sort_keys=True)
+    return ComparisonReport(ranking=ranking, reports=reports, manifest=manifest)

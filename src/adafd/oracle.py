@@ -113,8 +113,8 @@ class Oracle:
     eval_count: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be nonnegative")
+        if not 0.0 <= self.noise_level < np.inf:
+            raise ValueError("noise_level must be finite and nonnegative")
         self.reset_counter()
 
     def _noise(self, k: int) -> Array:

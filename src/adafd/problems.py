@@ -11,7 +11,9 @@ constant is stored.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -69,7 +71,7 @@ class ProblemInstance:
     A: Optional[Array] = None
     b: Optional[Array] = None
     m: Optional[int] = None
-    seed: Optional[int] = None  # set when generated via random_instance
+    seed: Optional[int] = None  # set by random_instance; report.json records it
 
 
 #: Bytes of scratch per block of a built-in stencil kernel. The kernels'
@@ -279,42 +281,27 @@ def build_instance(family: str, n: int, m: Optional[int] = None,
                    seed: int = 0) -> ProblemInstance:
     """Uniform entry point: random (A, b) families or deterministic Rosenbrock."""
     if family == ROSENBROCK:
+        if m is not None:
+            raise ValueError("rosenbrock has no m; omit it")
         return make_rosenbrock(n)
     return random_instance(family, n, m=m, seed=seed)
 
 
-def save_instance_spec(instance: ProblemInstance, path) -> None:
-    """Persist the recipe (family, dims, seed); matrices are never stored.
-
-    Only regenerable instances qualify: seed-generated (A, b) families or
-    Rosenbrock.
-    """
-    lines = [f"family = {instance.family}", f"n = {instance.dim}"]
-    if instance.family == ROSENBROCK:
-        pass
-    elif instance.seed is not None:
-        lines.append(f"m = {instance.m}")
-        lines.append(f"seed = {instance.seed}")
-    else:
-        raise ValueError("instance was built from explicit matrices; no recipe to save")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def load_instance_spec(path) -> ProblemInstance:
-    """Rebuild an instance from a recipe file written by :func:`save_instance_spec`."""
-    fields = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    family = fields.get("family")
-    if family not in FAMILIES:
-        raise ValueError(f"{path}: unknown family {family!r}")
-    n = int(fields["n"])
-    if family == ROSENBROCK:
-        return make_rosenbrock(n)
-    return random_instance(family, n, m=int(fields["m"]), seed=int(fields["seed"]))
+    """Rebuild the instance of an experiment from its results directory or its
+    ``report.json``, whose ``manifest.problem`` holds the recipe (family, n, m,
+    instance_seed); matrices are regenerated from the seed, never stored."""
+    path = Path(path)
+    if path.is_dir():
+        path = path / "report.json"
+    try:
+        with open(path) as fh:
+            problem = json.load(fh)["manifest"]["problem"]
+        family, seed = problem["family"], problem["instance_seed"]
+        if family != ROSENBROCK and seed is None:
+            raise ValueError("no instance_seed to regenerate A and b from")
+        return build_instance(family, problem["n"], m=problem["m"], seed=seed)
+    except KeyError as exc:
+        raise ValueError(f"{path}: no key {exc} in the report") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -52,6 +52,7 @@ class RunReport:
     tau_sum: Optional[float] = None
     iterates: List[Array] = field(default_factory=list)
     config: dict = field(default_factory=dict)
+    trace_path: Optional[str] = None  # the CSV that run_experiment wrote
 
     @property
     def final_f_best(self) -> float:

@@ -327,8 +327,8 @@ def _grid_cell(family, n, noise, out_dir, mult=200):
                            instance_seed=GRID_INSTANCE_SEED,
                            run_seed=GRID_RUN_SEED, output_dir=out_dir)
     rep = run_experiment(cfg)
-    best_dfc = min(rep.results[s].final_f_best for s in DFC_IDS)
-    best_base = min(rep.results[s].final_f_best for s in BASELINE_IDS)
+    best_dfc = min(rep.reports[s].final_f_best for s in DFC_IDS)
+    best_base = min(rep.reports[s].final_f_best for s in BASELINE_IDS)
     return best_dfc, best_base
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -218,13 +219,13 @@ class TestRunExperiment:
             output_dir=tmp_path,
         )
         report = run_experiment(cfg)
-        assert set(report.results) == {"dfc-cendif", "nelder-mead", "imfil-fordif"}
-        paths = {sid: res.trace_path for sid, res in report.results.items()}
+        assert set(report.reports) == {"dfc-cendif", "nelder-mead", "imfil-fordif"}
+        assert report.results is report.reports
+        paths = {sid: rep.trace_path for sid, rep in report.reports.items()}
         assert rank_trace_files(paths) == report.ranking
-        # identical budget for every solver; overshoot at most one call batch
-        for res in report.results.values():
-            assert res.evals <= cfg.budget + 2 * cfg.n
         for rep in report.reports.values():
+            # identical budget for every solver; overshoot at most one call batch
+            assert rep.evals <= cfg.budget + 2 * cfg.n
             evals = [r.evals for r in rep.trace]
             assert all(b > a for a, b in zip(evals, evals[1:]))
             fb = [r.f_best for r in rep.trace]
@@ -232,6 +233,22 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "report.json").read_text())["manifest"]
         assert manifest["budget"] == 360
         assert "solvers" in manifest and "dfc-cendif" in manifest["solvers"]
+
+    def test_report_json_bytes_are_pinned(self, tmp_path):
+        # Rosenbrock evaluates without BLAS, so these bytes hold on every platform.
+        run_experiment(ExperimentConfig(
+            family="rosenbrock", n=5, solvers=[s for s in SOLVER_IDS if s != "rg"],
+            noise_level=1e-4, budget_multiplier=30, output_dir=tmp_path))
+        text = (tmp_path / "report.json").read_text().replace(str(tmp_path), "TMP")
+        assert '"trace": "TMP/trace_nelder-mead.csv"' in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7cf2028f86dd30178e5b461d3fbb8496a345f31b73ce01da645253e7f0327ee2")
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
+    def test_non_finite_noise_level_rejected(self, noise):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            ExperimentConfig(family="least_squares", n=4, solvers=["dfc-fordif"],
+                             noise_level=noise)
 
     def test_zero_budget_multiplier_rejected(self):
         with pytest.raises(ValidationError):
@@ -294,7 +311,7 @@ class TestRunExperiment:
             assert (out / "report.json").exists()
             assert len(report.ranking) == 2
             for sid, final in report.ranking:
-                assert final == report.results[sid].final_f_best
+                assert final == report.reports[sid].final_f_best
 
     def test_noise_makes_runs_reproducible_per_seed(self, tmp_path):
         cfg = dict(family="image_restoration", n=5, solvers=["dfc-fordif"],
@@ -342,6 +359,27 @@ class TestCli:
         short = tmp_path / "short.csv"
         emit_csv(_synthetic_trace([1.0, 0.5]), short)
         assert main(["rate", "--trace", str(short), "--target", "0"]) == 1
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_is_a_validation_error(self, tmp_path, capsys, noise):
+        out = tmp_path / "o"
+        assert main(["run", "--problem", "leastsquares", "--n", "3", f"--noise={noise}",
+                     "--solver", "dfc-fordif", "--out", str(out)]) == 1
+        assert "noise level must be finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_rosenbrock_with_an_m_is_a_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--problem", "rosenbrock", "--n", "3", "--m", "50",
+                     "--solver", "dfc-fordif", "--out", str(out)]) == 1
+        assert "rosenbrock has no m" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_unknown_x0_names_the_presets_and_the_file_option(self, tmp_path, capsys):
+        assert main(["run", "--problem", "rosenbrock", "--n", "3", "--solver",
+                     "dfc-fordif", "--x0", "ones", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "'zeros', 'halves', or a file" in err and "'ones'" in err
 
     def test_rate_on_an_all_infinite_trace_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "inf.csv"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,12 @@ def test_validation_of_bad_inputs():
         Objective(dim=0, evaluator=lambda x: 0.0)
     with pytest.raises(ValueError):
         Oracle(sphere_objective(1), noise_level=-1.0)
+
+
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+def test_non_finite_noise_level_is_rejected(level):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Oracle(sphere_objective(1), noise_level=level)
 
 
 def _base(dim, seed=3):

@@ -61,13 +61,12 @@ EXPORTED = {
     "rg_run",
     "run_experiment",
     "run_solver",
-    "save_instance_spec",
     "spectral_norm",
 }
 
 
 def test_the_exported_names_are_the_public_imports():
-    assert len(adafd.__all__) == len(EXPORTED) == 58
+    assert len(adafd.__all__) == len(EXPORTED) == 57
     assert set(adafd.__all__) == EXPORTED
     assert adafd.__all__ == sorted(adafd.__all__)
     for name in adafd.__all__:

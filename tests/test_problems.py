@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +15,9 @@ from adafd import (
     make_least_squares,
     make_rosenbrock,
     random_instance,
-    save_instance_spec,
     spectral_norm,
 )
-from adafd import problems
+from adafd import ExperimentConfig, problems, run_experiment
 
 
 class TestLeastSquares:
@@ -278,26 +279,74 @@ def test_stored_lipschitz_constant_is_an_upper_bound(family, rng):
         assert lhs <= L * np.linalg.norm(x - y) * (1.0 + 1e-12)
 
 
-class TestSerialization:
-    def test_random_instance_round_trip(self, tmp_path):
-        inst = random_instance("least_squares", 7, m=12, seed=99)
-        path = tmp_path / "instance.txt"
-        save_instance_spec(inst, path)
-        loaded = load_instance_spec(path)
-        assert loaded.family == inst.family
-        assert np.array_equal(loaded.A, inst.A)
-        assert np.array_equal(loaded.b, inst.b)
-        # matrices are regenerated, never stored
-        assert "seed" in path.read_text() and "99" in path.read_text()
-        assert len(path.read_text()) < 200
+def test_rosenbrock_rejects_an_m():
+    with pytest.raises(ValueError, match="rosenbrock has no m"):
+        build_instance("rosenbrock", 3, m=50)
 
-    def test_rosenbrock_round_trip(self, tmp_path):
-        path = tmp_path / "rosen.txt"
-        save_instance_spec(make_rosenbrock(6), path)
-        loaded = load_instance_spec(path)
-        assert loaded.family == "rosenbrock" and loaded.dim == 6
 
-    def test_hand_built_instances_have_no_recipe(self, tmp_path):
-        inst = make_least_squares(np.eye(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            save_instance_spec(inst, tmp_path / "nope.txt")
+def _experiment_dir(tmp_path, family, n, m=None):
+    out = tmp_path / family
+    run_experiment(ExperimentConfig(family=family, n=n, m=m, solvers=["nelder-mead"],
+                                    budget_multiplier=2, instance_seed=99,
+                                    output_dir=out))
+    return out
+
+
+class TestLoadInstanceSpec:
+    @pytest.mark.parametrize("family, n, m", [("least_squares", 7, 12),
+                                              ("image_restoration", 5, None),
+                                              ("rosenbrock", 6, None)])
+    def test_directory_and_report_rebuild_the_instance(self, tmp_path, family, n, m):
+        out = _experiment_dir(tmp_path, family, n, m)
+        inst = build_instance(family, n, m=m, seed=99)
+        for path in (out, out / "report.json", str(out)):
+            loaded = load_instance_spec(path)
+            assert (loaded.family, loaded.dim, loaded.m) == (family, n, inst.m)
+            x = np.linspace(-1.0, 1.0, n)
+            assert loaded.objective.evaluator(x) == inst.objective.evaluator(x)
+            if family == "rosenbrock":
+                assert loaded.A is None and loaded.seed is None
+            else:
+                # matrices are regenerated from the seed, bitwise
+                assert loaded.seed == 99
+                assert np.array_equal(loaded.A, inst.A) and np.array_equal(loaded.b, inst.b)
+        if m is not None:
+            assert loaded.A.shape == (m, n)
+
+    def _edited(self, tmp_path, edit):
+        out = _experiment_dir(tmp_path, "least_squares", 4)
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        edit(report["manifest"]["problem"])
+        path.write_text(json.dumps(report))
+        return path
+
+    def test_unknown_family_names_the_path(self, tmp_path):
+        path = self._edited(tmp_path, lambda p: p.update(family="sphere"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*'sphere'"):
+            load_instance_spec(path.parent)
+
+    @pytest.mark.parametrize("key", ["family", "n", "m", "instance_seed"])
+    def test_missing_key_names_the_path_and_the_key(self, tmp_path, key):
+        path = self._edited(tmp_path, lambda p: p.pop(key))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no key '{key}'")):
+            load_instance_spec(path)
+
+    def test_a_null_seed_is_not_a_recipe(self, tmp_path):
+        path = self._edited(tmp_path, lambda p: p.update(instance_seed=None))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no instance_seed")):
+            load_instance_spec(path)
+
+    def test_rosenbrock_with_an_m_is_rejected(self, tmp_path):
+        out = _experiment_dir(tmp_path, "rosenbrock", 3)
+        path = out / "report.json"
+        path.write_text(path.read_text().replace('"m": null', '"m": 50'))
+        with pytest.raises(ValueError, match="rosenbrock has no m"):
+            load_instance_spec(out)
+
+    @pytest.mark.parametrize("text", ["{not json", "[]", '{"manifest": {}}'])
+    def test_malformed_report_names_the_path(self, tmp_path, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_instance_spec(tmp_path)
