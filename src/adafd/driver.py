@@ -54,11 +54,14 @@ def check_start(cfg) -> None:
 
 def config_dict(solver: str, scheme, cfg) -> dict:
     """A config dataclass as JSON-ready values: sequences of numbers become lists
-    of floats and rules "custom"; ``scheme`` is left out when it is None."""
+    of floats and rules "custom"; ``scheme`` is left out when it is None, and so
+    are ``x1`` and ``budget``, which ``report.json`` records once per experiment."""
     out = {"solver": solver}
     if scheme is not None:
         out["scheme"] = scheme.value
     for f in fields(cfg):
+        if f.name in ("x1", "budget"):
+            continue
         value = getattr(cfg, f.name)
         if callable(value):
             value = "custom"

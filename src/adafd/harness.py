@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -78,6 +79,11 @@ class ExperimentConfig:
             raise ValidationError("budget_multiplier must be a positive integer")
         if not 0.0 <= self.noise_level < math.inf:
             raise ValidationError("noise level must be finite and nonnegative")
+        for name in ("instance_seed", "run_seed"):
+            # None would draw from OS entropy: a run that cannot be repeated
+            seed = getattr(self, name)
+            if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+                raise ValidationError(f"{name} must be a nonnegative integer, got {seed!r}")
         if not self.solvers:
             raise ValidationError("at least one solver id is required")
         seen = set()

@@ -74,16 +74,16 @@ class ProblemInstance:
     seed: Optional[int] = None  # set by random_instance; report.json records it
 
 
-#: Bytes of scratch per block of a built-in stencil kernel. The kernels'
-#: temporaries hold one value per term of each point: m residuals for the
-#: matrix families, n - 1 chained terms for Rosenbrock. A kernel splits the
+#: Bytes of scratch per block of the Rosenbrock and image-restoration stencil
+#: kernels (the least-squares one is in closed form and needs no blocks). Their
+#: temporaries hold one value per term of each point: n - 1 chained terms for
+#: Rosenbrock, n residuals for image restoration. A kernel splits the
 #: coordinates it is asked for into blocks of STENCIL_BLOCK_BYTES //
 #: (8 * terms * len(steps)) coordinates (at least one) and reuses one buffer
 #: of that size for every block, so its scratch stays under glibc's heap-trim
 #: threshold and its pages are not returned to the OS and faulted in again.
 #: At 512 KiB a block holds 164 forward or 82 central coordinates of a
-#: Rosenbrock n = 400 stencil, 163 or 81 of a square least-squares one, and
-#: 32 or 16 at m = 2000.
+#: Rosenbrock n = 400 stencil and 163 or 81 of an image-restoration one.
 STENCIL_BLOCK_BYTES = 2**19
 
 
@@ -105,29 +105,6 @@ def _stencil_blocks(lo: int, hi: int, steps: Array, terms: int, block) -> Array:
     return values
 
 
-def _residual_stencil(A: Array, b: Array, x: Array, lo: int, hi: int,
-                      steps: Array, reduce) -> Array:
-    """A matrix family's stencil values: ``reduce(R, out)`` sums the block of
-    residuals R into ``out``, destroying R. The residual A y - b at a stencil
-    point y of ``Objective.stencil_evaluator`` is the base residual A x - b,
-    computed once per call, plus the moved coordinate's column of A times the
-    displacement that coordinate really has, (x_i + step) - x_i. That is O(m)
-    per point instead of a matrix-vector product's O(m n), equal up to
-    rounding."""
-    r0 = A @ x
-    r0 -= b
-    base = x[lo:hi, None]
-    moved = (base + steps) - base
-    AT = A.T
-
-    def block(i: int, j: int, R: Array, out: Array) -> None:
-        np.multiply(AT[i:j, None, :], moved[i - lo:j - lo, :, None], out=R)
-        R += r0
-        reduce(R, out)
-
-    return _stencil_blocks(lo, hi, steps, A.shape[0], block)
-
-
 def make_least_squares(A: Array, b: Array) -> ProblemInstance:
     """f(x) = ||A x - b||^2 with gradient 2 A^T (A x - b)."""
     A = np.asarray(A, dtype=float)
@@ -141,11 +118,24 @@ def make_least_squares(A: Array, b: Array) -> ProblemInstance:
         r -= b
         return float(r @ r)
 
-    def reduce(R: Array, out: Array) -> None:
-        np.add.reduce(np.square(R, out=R), axis=2, out=out)
+    @functools.cache
+    def column_norms() -> Array:
+        return np.einsum("ij,ij->j", A, A)
 
     def f_stencil(x: Array, lo: int, hi: int, steps: Array) -> Array:
-        return _residual_stencil(A, b, x, lo, hi, steps, reduce)
+        # Moving coordinate i by s = (x_i + step) - x_i, the displacement it
+        # really has, gives ||r0 + s a_i||^2 = f0 + s (2 a_i^T r0 + s ||a_i||^2)
+        # with r0 = A x - b and f0 = r0^T r0: O(1) per point once the call has
+        # r0 and the slopes 2 a_i^T r0.
+        r0 = A @ x
+        r0 -= b
+        base = x[lo:hi, None]
+        s = (base + steps) - base
+        values = s * column_norms()[lo:hi, None]
+        values += 2.0 * (r0 @ A[:, lo:hi])[:, None]
+        values *= s
+        values += r0 @ r0
+        return values
 
     def grad(x: Array) -> Array:
         return 2.0 * (A.T @ (A @ x - b))
@@ -177,12 +167,26 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
         np.multiply(r, r, out=r)
         return float(np.add.reduce(np.log1p(r, out=r)))
 
-    def reduce(R: Array, out: Array) -> None:
-        np.multiply(R, R, out=R)
-        np.add.reduce(np.log1p(R, out=R), axis=2, out=out)
-
     def f_stencil(x: Array, lo: int, hi: int, steps: Array) -> Array:
-        return _residual_stencil(A, b, x, lo, hi, steps, reduce)
+        # log1p has no closed form in the displacement, so each point's
+        # residual is built: the base residual r0 = A x - b, computed once per
+        # call, plus the moved coordinate's column of A times the displacement
+        # that coordinate really has, (x_i + step) - x_i. That is O(m) per
+        # point instead of a matrix-vector product's O(m n), equal up to
+        # rounding.
+        r0 = A @ x
+        r0 -= b
+        base = x[lo:hi, None]
+        moved = (base + steps) - base
+        AT = A.T
+
+        def block(i: int, j: int, R: Array, out: Array) -> None:
+            np.multiply(AT[i:j, None, :], moved[i - lo:j - lo, :, None], out=R)
+            R += r0
+            np.multiply(R, R, out=R)
+            np.add.reduce(np.log1p(R, out=R), axis=2, out=out)
+
+        return _stencil_blocks(lo, hi, steps, n, block)
 
     def grad(x: Array) -> Array:
         r = A @ x - b

@@ -3,17 +3,18 @@
 In a process that has not yet freed a large array, glibc's heap-trim threshold
 is still low. Stencil temporaries above it are returned to the OS when freed
 and fault their pages in again on the next stencil block, so a cold run pays
-for every block. Each built-in stencil kernel sizes its blocks by its own
-temporaries (n - 1 terms per point for Rosenbrock, m residuals per point for
-the matrix families) and reuses one buffer of at most
-``problems.STENCIL_BLOCK_BYTES`` for all of them. On a 2-vCPU x86 host (glibc,
-numpy 2.4), at 25n and noise 1e-4:
+for every block. The Rosenbrock and image-restoration kernels size their
+blocks by their own temporaries (n - 1 terms or n residuals per point) and
+reuse one buffer of at most ``problems.STENCIL_BLOCK_BYTES`` for all of them;
+the least-squares kernel is in closed form and holds O(1) scratch per point.
+On a 2-vCPU x86 host (glibc, numpy 2.4), at 25n and noise 1e-4:
 
 - a cold Rosenbrock n=400 ``dfc-fordif`` run takes about 620 minor faults,
   where building and evaluating whole blocks of points took about 13.5k;
-- a cold least-squares n=100, m=2000 run takes about 250 for ``dfc-fordif``
-  and for ``dfb-cendif``, where blocks sized by n instead of m, so 1.6 or
-  3.2 MB of residuals per stencil, took about 800 and 1,580.
+- a cold least-squares n=100, m=2000 run takes about 25 for ``dfc-fordif``
+  and for ``dfb-cendif``. Blocks of m residuals per point took about 250, and
+  blocks sized by n instead of m, so 1.6 or 3.2 MB of residuals per stencil,
+  took about 800 and 1,580.
 
 The bounds leave room for other allocators and library versions while still
 failing on a fault per block.

@@ -242,7 +242,25 @@ class TestRunExperiment:
         text = (tmp_path / "report.json").read_text().replace(str(tmp_path), "TMP")
         assert '"trace": "TMP/trace_nelder-mead.csv"' in text
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "7cf2028f86dd30178e5b461d3fbb8496a345f31b73ce01da645253e7f0327ee2")
+            "47605f51213d90b42729bca2077ea1d5cb96890daf87e1631b8db7cee6e47197")
+
+    def test_report_json_records_start_and_budget_once(self, tmp_path):
+        x0 = [0.25, -0.5, 1.0]
+        run_experiment(ExperimentConfig(
+            family="least_squares", n=3, solvers=["dfb-fordif", "nelder-mead", "rg"],
+            budget_multiplier=20, initial_point=x0, output_dir=tmp_path))
+        manifest = json.loads((tmp_path / "report.json").read_text())["manifest"]
+        assert manifest["initial_point"] == x0 and manifest["budget"] == 60
+        for sid, config in manifest["solvers"].items():
+            assert "x1" not in config and "budget" not in config, sid
+
+    @pytest.mark.parametrize("value", [None, -1, 1.5, True])
+    @pytest.mark.parametrize("name", ["instance_seed", "run_seed"])
+    def test_unrepeatable_seed_rejected(self, name, value):
+        # None would draw A, b or the oracle seeds from OS entropy
+        with pytest.raises(ValidationError, match=f"{name} must be a nonnegative integer"):
+            ExperimentConfig(family="least_squares", n=4, solvers=["dfc-fordif"],
+                             **{name: value})
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
     def test_non_finite_noise_level_rejected(self, noise):

@@ -3,12 +3,14 @@
 Each run is repeated on the same objective without its ``stencil_evaluator``,
 which makes every stencil loop over the scalar evaluator. Evaluation counts
 and step sequences must match exactly; ``best_f`` may differ only by the
-rounding of the matrix families' kernels (the base residual plus one column
-per point, instead of one matrix-vector product per point). Rosenbrock's
-kernel is bitwise the scalar evaluator, so its traces are byte-identical.
-At the default ``problems.STENCIL_BLOCK_BYTES`` every kernel call here is one
-block, so the last test shrinks the budget until n = 70 spans several blocks
-of every kernel in both schemes.
+rounding of the matrix families' kernels (least squares in closed form, image
+restoration the base residual plus one column per point, instead of one
+matrix-vector product per point). Rosenbrock's kernel is bitwise the scalar
+evaluator, so its traces are byte-identical. At the default
+``problems.STENCIL_BLOCK_BYTES`` every kernel call here is one block, so the
+last test shrinks the budget until n = 70 spans several blocks of every
+blocked kernel in both schemes; the least-squares kernel has no blocks, so
+its case there repeats the first test.
 """
 
 import dataclasses

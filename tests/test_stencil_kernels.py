@@ -4,11 +4,13 @@ they stand for.
 Entry ``[r, j]`` of ``stencil_evaluator(x, lo, hi, steps)`` is f at x with
 coordinate ``lo + r`` set to ``x[lo + r] + steps[j]``; the references here build
 each of those points and call ``evaluator`` on it. Rosenbrock's kernel patches
-two terms into the base point's and must be bitwise the scalar value; the
-least-squares and image-restoration kernels add one column to the base
-residual, which rounds differently from a matrix-vector product per point.
-Each kernel walks its coordinates in blocks of ``problems.STENCIL_BLOCK_BYTES``
-of scratch; the blocking may change neither a value nor the scratch bound.
+two terms into the base point's and must be bitwise the scalar value. The
+least-squares kernel is the closed form f0 + s (2 a_i^T r0 + s ||a_i||^2), O(1)
+per point and without blocks; the image-restoration kernel adds one column to
+the base residual. Both round differently from a matrix-vector product per
+point. The Rosenbrock and image-restoration kernels walk their coordinates in
+blocks of ``problems.STENCIL_BLOCK_BYTES`` of scratch; the blocking may change
+neither a value nor the scratch bound.
 """
 
 import tracemalloc
@@ -89,6 +91,21 @@ def test_least_squares_stencil_of_a_tall_matrix():
     np.testing.assert_allclose(got, expected, rtol=MATRIX_RTOL, atol=0.0)
 
 
+@pytest.mark.parametrize("m, n", [(3, 9), (400, 400)])
+def test_least_squares_closed_form_matches_the_scalar_evaluator(m, n):
+    # a wide A (m < n) has a null space; n = 400 is the benchmark's size
+    objective = random_instance("least_squares", n, m=m, seed=m).objective
+    x = _base(n, seed=1)
+    cuts = np.random.default_rng(m).integers(0, n + 1, size=(4, 2))
+    ranges = [(0, n), (0, 1), (n - 1, n)] + [(min(c), max(c)) for c in cuts if c[0] != c[1]]
+    for lo, hi in ranges:
+        for steps in (np.array([1e-3]), np.array([1e-3, -1e-3])):
+            got = objective.stencil_evaluator(x, lo, hi, steps)
+            expected = _scalar_stencil(objective, x, lo, hi, steps)
+            np.testing.assert_allclose(got, expected, rtol=MATRIX_RTOL, atol=0.0,
+                                       err_msg=f"{lo}:{hi} {steps}")
+
+
 def _instances(n):
     return [make_rosenbrock(n), random_instance("least_squares", n, seed=n),
             random_instance("image_restoration", n, seed=n)]
@@ -148,20 +165,38 @@ def test_blocked_kernels_are_bitwise_one_block(n, budget, monkeypatch):
 SCRATCH_SLACK_BYTES = 256 * 1024
 
 
+def _stencil_peak(objective, scheme):
+    """The ``tracemalloc`` peak of one noisy stencil after a warm-up stencil."""
+    stencil = forward_diff if scheme is GradScheme.FORWARD else central_diff
+    oracle = Oracle(objective, noise_level=1e-4, rng_seed=0)
+    x = _base(objective.dim)
+    stencil(oracle, x, 1e-3)  # draws the noise chunk, warms up numpy, fills caches
+    tracemalloc.start()
+    try:
+        stencil(oracle, x, 1e-3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("scheme", list(GradScheme))
 @pytest.mark.parametrize("family, n, m", [("least_squares", 100, 2000),
                                           ("rosenbrock", 400, None)])
 def test_one_stencil_allocates_at_most_one_block(family, n, m, scheme):
     objective = (make_rosenbrock(n) if m is None
                  else random_instance(family, n, m=m, seed=0)).objective
-    stencil = forward_diff if scheme is GradScheme.FORWARD else central_diff
-    oracle = Oracle(objective, noise_level=1e-4, rng_seed=0)
-    x = _base(n)
-    stencil(oracle, x, 1e-3)  # draws the noise chunk and warms up numpy
-    tracemalloc.start()
-    try:
-        stencil(oracle, x, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _stencil_peak(objective, scheme)
     assert peak <= problems.STENCIL_BLOCK_BYTES + SCRATCH_SLACK_BYTES, peak
+
+
+#: What one least-squares stencil may allocate: its values, the base residual
+#: and the slopes, with no scratch that grows with m per point.
+LEAST_SQUARES_STENCIL_BYTES = 64 * 1024
+
+
+@pytest.mark.parametrize("scheme", list(GradScheme))
+@pytest.mark.parametrize("n, m", [(100, 2000), (400, 400)])
+def test_least_squares_stencil_allocates_no_block(n, m, scheme):
+    objective = random_instance("least_squares", n, m=m, seed=0).objective
+    peak = _stencil_peak(objective, scheme)
+    assert peak <= LEAST_SQUARES_STENCIL_BYTES, peak
