@@ -11,8 +11,8 @@ constant for its stepsize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,17 +86,12 @@ class RgConfig:
         object.__setattr__(self, "smoothing", float(smoothing))
 
 
-@dataclass  # not frozen, as RgState: that costs about 1.5 us a step; no step mutates one
-class SimplexState:
+class SimplexState(NamedTuple):
     """Simplex after iteration ``k``: vertex rows ``verts`` with values ``fv``,
-    ``x`` its best vertex and ``f_x`` that vertex's value; ``verts`` is None
-    before the first step. ``last_step`` is "init", "reflect", "expand",
-    "contract_out", "contract_in" or "shrink".
-
-    Row order: the rows are sorted by value (stably, NaN last), except that
-    after a reflect, expand or contract step the last row, the vertex the step
-    replaced, may be out of place. ``x`` is row 0, or that last row when its
-    value is strictly lower."""
+    sorted by value (stably, NaN last), so ``x`` is row 0 and ``f_x`` its
+    value; ``verts`` is None before the first step. ``last_step`` is "init",
+    "reflect", "expand", "contract_out", "contract_in" or "shrink". A step
+    returns a new state with fresh arrays and never mutates the one it got."""
 
     k: int
     x: Array
@@ -154,52 +149,41 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
         return _simplex(0, verts, np.array([state.f_x] + seen), "init", seen)
 
     rho, chi, psi, sigma = cfg.coefficients
-    # fresh rows, stably sorted by value with NaN last: only the last row can be
-    # out of place, so it goes where a stable argsort would put it, after every
-    # value not above it
     verts, fv = state.verts, state.fv
-    p = int(fv[:-1].searchsorted(fv[-1], side="right"))
-    verts = np.concatenate((verts[:p], verts[-1:], verts[p:-1]))
-    fv = np.concatenate((fv[:p], fv[-1:], fv[p:-1]))
     f_low, f_second, f_worst = fv.item(0), fv.item(-2), fv.item(-1)
     centroid = np.add.reduce(verts[:-1], axis=0)  # np.mean's sum, bit for bit
     centroid /= len(fv) - 1
     d = centroid - verts[-1]
     seen: list = []
     status = "reflect"
-    xr = centroid + rho * d
+    x_new = xr = centroid + rho * d
     f_new = fr = _probe(oracle, xr, cfg.budget, seen)
-    if f_low <= fr < f_second:
-        verts[-1] = xr
-    elif fr < f_low:
+    # the reflection stays when f_low <= fr < f_second, or when fr < f_low and
+    # the expansion is no lower
+    if fr < f_low:
         xe = centroid + chi * rho * d
         fe = _probe(oracle, xe, cfg.budget, seen)
         if fe < fr:
-            verts[-1], f_new = xe, fe
-            status = "expand"
-        else:
-            verts[-1] = xr
-    else:  # contract outside when fr beats the worst vertex, else inside
+            x_new, f_new, status = xe, fe, "expand"
+    elif not fr < f_second:  # contract outside when fr beats the worst vertex, else inside
         outside = fr < f_worst
-        if outside:
-            xc = centroid + psi * (xr - centroid)
-        else:
-            xc = centroid - psi * d
+        xc = centroid + psi * (xr - centroid) if outside else centroid - psi * d
         fc = _probe(oracle, xc, cfg.budget, seen)
         if (fc <= fr) if outside else (fc < f_worst):
-            verts[-1], f_new = xc, fc
+            x_new, f_new = xc, fc
             status = "contract_out" if outside else "contract_in"
         else:
-            status = "shrink"
-            verts[1:] = verts[0] + sigma * (verts[1:] - verts[0])
-            for i in range(1, len(fv)):
-                fv[i] = _probe(oracle, verts[i], cfg.budget, seen)
-            return _simplex(state.k + 1, verts, fv, status, seen)
-    fv[-1] = f_new
-    # rows 0..n-1 are sorted, so the best vertex is row 0 unless the new last
-    # row is strictly lower, as a stable argsort would order them
-    x, f_x = (verts[-1], f_new) if f_new < f_low else (verts[0], f_low)
-    return SimplexState(state.k + 1, x, f_x, verts, fv, status, _lowest(seen), len(seen))
+            shrunk = verts[0] + sigma * (verts[1:] - verts[0])
+            values = [f_low] + [_probe(oracle, v, cfg.budget, seen) for v in shrunk]
+            return _simplex(state.k + 1, np.concatenate((verts[:1], shrunk)), np.array(values),
+                            "shrink", seen)
+    # the new vertex replaces the worst one where a stable argsort would put
+    # it, after every value not above it
+    p = int(fv[:-1].searchsorted(f_new, side="right"))
+    verts = np.concatenate((verts[:p], x_new[None], verts[p:-1]))
+    fv = np.concatenate((fv[:p], (f_new,), fv[p:-1]))
+    return SimplexState(state.k + 1, verts[0], fv.item(0), verts, fv, status, _lowest(seen),
+                        len(seen))
 
 
 def _no_extras(state) -> dict:
@@ -229,8 +213,7 @@ def nelder_mead_run(
     )
 
 
-@dataclass(frozen=True)
-class ImfilState:
+class ImfilState(NamedTuple):
     """State after iteration ``k``; ``delta`` is the scale iteration k sampled at."""
 
     k: int
@@ -259,11 +242,9 @@ def imfil_step(state: ImfilState, oracle: Oracle, scheme: GradScheme,
     g = approx_gradient(oracle, scheme, state.x, h)
     cost = scheme.evals_per_call(state.x.shape[0])
     g_norm = float(np.linalg.norm(g))
-    failed = replace(state, k=state.k + 1, scale=state.scale + 1, delta=h,
-                     last_g_norm=g_norm, last_tau=0.0, last_candidate_f=None,
-                     last_cost=cost)
-    if g_norm <= h:
-        return replace(failed, last_step="stencil_fail")
+    if not h < g_norm < math.inf:  # too small, or a NaN or infinite estimate
+        return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "stencil_fail",
+                          g_norm, 0.0, None, cost)
     t = 1.0
     min_f = math.nan
     for trial in range(cfg.max_backtracks):
@@ -274,12 +255,11 @@ def imfil_step(state: ImfilState, oracle: Oracle, scheme: GradScheme,
         f_cand = oracle.evaluate(candidate)
         min_f = lower(min_f, f_cand)
         if f_cand <= state.f_x - cfg.armijo * t * g_norm**2:
-            return replace(failed, x=candidate, f_x=f_cand, scale=state.scale,
-                           last_step="accepted", last_tau=t, last_candidate_f=min_f,
-                           last_cost=cost + trial + 1)
+            return ImfilState(state.k + 1, candidate, f_cand, state.scale, h, "accepted",
+                              g_norm, t, min_f, cost + trial + 1)
         t *= cfg.ls_gamma
-    return replace(failed, last_step="ls_fail", last_candidate_f=min_f,
-                   last_cost=cost + cfg.max_backtracks)
+    return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "ls_fail", g_norm,
+                      0.0, min_f, cost + cfg.max_backtracks)
 
 
 def imfil_run(
@@ -304,8 +284,7 @@ def imfil_run(
     )
 
 
-@dataclass  # not frozen: that costs ~1.5 us a step, 4% of a run; no step mutates one
-class RgState:
+class RgState(NamedTuple):
     """State after iteration ``k``; ``delta`` is the smoothing radius sigma and
     ``last_tau`` the fixed stepsize, both set once per run."""
 

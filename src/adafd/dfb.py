@@ -10,8 +10,8 @@ per-iteration error cap nu_k (decreasing to zero) caps the sampling interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .driver import config_dict, drive, lower, schedule_value
 from .gradapprox import GradScheme, SearchConfig, adaptive_gradient
@@ -47,8 +47,7 @@ class DfbConfig(SearchConfig):
             raise ValueError("t_min1 must lie in (0, tau_bar)")
 
 
-@dataclass(frozen=True)
-class BacktrackResult:
+class BacktrackResult(NamedTuple):
     t: float
     sufficient: bool
     evals_used: int
@@ -97,8 +96,7 @@ def backtrack(
         t *= gamma
 
 
-@dataclass(frozen=True)
-class DfbState:
+class DfbState(NamedTuple):
     k: int
     x: Array
     delta: float
@@ -122,10 +120,9 @@ def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig
         oracle, scheme, state.x, state.delta, state.C, cfg.mu, cfg.theta,
         nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget,
     )
-    searched = replace(state, k=k, delta=res.delta_next, last_g_norm=res.g_norm,
-                       last_tau=0.0, last_candidate_f=None, last_cost=res.cost)
     if res.exhausted:
-        return replace(searched, last_step="stopped")
+        return DfbState(k, state.x, res.delta_next, state.C, state.t_min, state.f_x, "stopped",
+                        res.g_norm, 0.0, None, res.cost)
 
     try:
         ls = backtrack(
@@ -135,14 +132,13 @@ def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig
     except BudgetExhausted as stop:
         stop.declared_cost += res.cost
         raise
-    tested = replace(searched, last_candidate_f=ls.min_f_seen,
-                     last_cost=res.cost + ls.evals_used)
+    cost = res.cost + ls.evals_used
     if ls.t >= state.t_min:
         # the floor was never crossed, so the exit must have been a passed test
-        return replace(tested, x=state.x - ls.t * res.g, f_x=ls.f_candidate,
-                       last_step="accepted", last_tau=ls.t)
-    return replace(tested, C=state.C * cfg.eta, t_min=state.t_min * cfg.gamma,
-                   last_step="null")
+        return DfbState(k, state.x - ls.t * res.g, res.delta_next, state.C, state.t_min,
+                        ls.f_candidate, "accepted", res.g_norm, ls.t, ls.min_f_seen, cost)
+    return DfbState(k, state.x, res.delta_next, state.C * cfg.eta, state.t_min * cfg.gamma,
+                    state.f_x, "null", res.g_norm, 0.0, ls.min_f_seen, cost)
 
 
 def dfb_run(

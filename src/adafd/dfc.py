@@ -9,8 +9,8 @@ after which it stays constant. No Lipschitz constant is ever supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .driver import config_dict, drive
 from .gradapprox import GradScheme, SearchConfig, adaptive_gradient
@@ -34,8 +34,7 @@ class DfcConfig(SearchConfig):
             raise ValueError("kappa must be positive")
 
 
-@dataclass(frozen=True)
-class DfcState:
+class DfcState(NamedTuple):
     """Solver state after iteration ``k`` (k = 0 is the freshly initialized run)."""
 
     k: int
@@ -58,10 +57,9 @@ def dfc_step(state: DfcState, oracle: Oracle, scheme: GradScheme, cfg: DfcConfig
         oracle, scheme, state.x, state.delta, state.C, cfg.mu, cfg.theta,
         nu_k=None, i_max=cfg.i_max, budget=cfg.budget,
     )
-    searched = replace(state, k=state.k + 1, delta=res.delta_next, last_g_norm=res.g_norm,
-                       last_tau=0.0, last_candidate_f=None, last_cost=res.cost)
     if res.exhausted:
-        return replace(searched, last_step="stopped")
+        return DfcState(state.k + 1, state.x, res.delta_next, state.C, state.f_x, "stopped",
+                        res.g_norm, 0.0, None, res.cost)
 
     if oracle.eval_count >= cfg.budget:
         raise BudgetExhausted("budget exhausted before the decrease test", declared_cost=res.cost)
@@ -69,10 +67,11 @@ def dfc_step(state: DfcState, oracle: Oracle, scheme: GradScheme, cfg: DfcConfig
     candidate = state.x - tau * res.g
     f_cand = oracle.evaluate(candidate)
     threshold = state.f_x - cfg.kappa * (cfg.mu - 2.0) / (2.0 * state.C * cfg.mu) * res.g_norm**2
-    tested = replace(searched, last_candidate_f=f_cand, last_cost=res.cost + 1)
     if f_cand <= threshold:
-        return replace(tested, x=candidate, f_x=f_cand, last_step="accepted", last_tau=tau)
-    return replace(tested, C=state.C * cfg.r, last_step="rejected")
+        return DfcState(state.k + 1, candidate, res.delta_next, state.C, f_cand, "accepted",
+                        res.g_norm, tau, f_cand, res.cost + 1)
+    return DfcState(state.k + 1, state.x, res.delta_next, state.C * cfg.r, state.f_x,
+                    "rejected", res.g_norm, 0.0, f_cand, res.cost + 1)
 
 
 def dfc_run(

@@ -1,15 +1,17 @@
 """The one run loop that every solver shares.
 
 A solver is a step rule ``step(state, oracle, scheme, cfg) -> state`` plus its
-initial state. The driver owns everything around it: the initial evaluation,
-the budget check before every step, the declared-cost sum, ``f_best``, the
-trace and iterates, and why the run stopped. A step rule reports its cost in
-``last_cost`` and the lowest value it evaluated at an iterate or candidate
-point in ``last_candidate_f``; it raises :class:`BudgetExhausted` when cut off
-mid-step and :class:`ScheduleExhausted` when a caller-supplied sequence runs
-out, both carrying the cost of the work done so far. A cut-off step may also
-pass the lowest value it evaluated as the float ``partial`` of its
-:class:`BudgetExhausted`, which then still counts toward ``f_best``.
+initial state, a ``NamedTuple``. A step rule returns a new state, built once,
+and never mutates the state it got or its arrays. The driver owns everything
+around it: the initial evaluation, the budget check before every step, the
+declared-cost sum, ``f_best``, the trace and iterates, and why the run
+stopped. A step rule reports its cost in ``last_cost`` and the lowest value it
+evaluated at an iterate or candidate point in ``last_candidate_f``; it raises
+:class:`BudgetExhausted` when cut off mid-step and :class:`ScheduleExhausted`
+when a caller-supplied sequence runs out, both carrying the cost of the work
+done so far. A cut-off step may also pass the lowest value it evaluated as the
+float ``partial`` of its :class:`BudgetExhausted`, which then still counts
+toward ``f_best``.
 ``f_best`` ignores NaN: it is NaN only while no other value has been seen.
 """
 

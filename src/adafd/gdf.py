@@ -9,8 +9,8 @@ what local-convergence studies around nonisolated minimizers need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .driver import ScheduleExhausted, config_dict, drive, schedule_value
 from .gradapprox import GradScheme, SearchConfig, adaptive_gradient
@@ -28,8 +28,7 @@ class GdfConfig(SearchConfig):
     nu_seq: Optional[SeqRule] = None
 
 
-@dataclass(frozen=True)
-class GdfState:
+class GdfState(NamedTuple):
     """State after iteration ``k``; ``C`` is the proxy constant iteration k ran with."""
 
     k: int
@@ -61,11 +60,8 @@ def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig
         nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget,
     )
     if res.exhausted:
-        return replace(
-            state, k=k, delta=res.delta_next, C=c_k, last_step="stopped",
-            last_g_norm=res.g_norm, last_tau=0.0, last_candidate_f=None,
-            last_cost=res.cost,
-        )
+        return GdfState(k, state.x, res.delta_next, state.f_x, c_k, state.tau_sum, "stopped",
+                        res.g_norm, 0.0, None, res.cost)
 
     try:
         tau_k = schedule_value(cfg.tau, k, state.x, res.g)
@@ -80,11 +76,8 @@ def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig
         status = "clamped"
     x = state.x - tau_k * res.g
     f_x = oracle.evaluate(x)
-    return GdfState(
-        k=k, x=x, delta=res.delta_next, f_x=f_x, C=c_k,
-        tau_sum=state.tau_sum + tau_k, last_step=status, last_g_norm=res.g_norm,
-        last_tau=tau_k, last_candidate_f=f_x, last_cost=res.cost + 1,
-    )
+    return GdfState(k, x, res.delta_next, f_x, c_k, state.tau_sum + tau_k, status, res.g_norm,
+                    tau_k, f_x, res.cost + 1)
 
 
 def gdf_run(

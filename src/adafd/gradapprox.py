@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -103,8 +103,7 @@ def fd_error_bound(lipschitz_const: float, dim: int, delta: float) -> float:
     return lipschitz_const * np.sqrt(dim) * delta / 2.0
 
 
-@dataclass(frozen=True)
-class AdaptiveGradResult:
+class AdaptiveGradResult(NamedTuple):
     """Outcome of one adaptive interval search.
 
     Unless ``exhausted``, the accepted estimate satisfies

@@ -1,8 +1,9 @@
 """The library's Nelder-Mead step against a reference step, run by run.
 
-The reference re-sorts the whole simplex every step (stable argsort and a
-fancy-index copy) and takes the centroid with ``np.mean``; the library moves
-only the one out-of-place row and sums the centroid with ``np.add.reduce``.
+The reference re-sorts the whole simplex at the start of every step (stable
+argsort and a fancy-index copy) and takes the centroid with ``np.mean``; the
+library inserts the one new vertex at the end of its step, where a stable
+argsort would put it, and sums the centroid with ``np.add.reduce``.
 Both must give byte-identical traces, ``final_x``, ``best_f`` and ``evals``.
 """
 

@@ -1,0 +1,148 @@
+"""Step states are immutable named tuples, and no step rule mutates its input.
+
+Every step rule is driven by hand from the evaluated start, one step at a
+time, and each returned state is checked before it becomes the next input.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from adafd import (
+    DfbConfig,
+    DfbState,
+    DfcConfig,
+    DfcState,
+    GdfConfig,
+    GradScheme,
+    ImfilConfig,
+    NelderMeadConfig,
+    Objective,
+    Oracle,
+    RgConfig,
+    build_instance,
+    dfb_step,
+    dfc_step,
+    run_solver,
+)
+from adafd.baselines import (
+    ImfilState,
+    RgState,
+    SimplexState,
+    imfil_step,
+    nelder_mead_step,
+    rg_step,
+)
+from adafd.driver import ScheduleExhausted
+from adafd.gdf import GdfState, gdf_step
+from adafd.oracle import BudgetExhausted
+
+
+def _start(rule, x1, f1):
+    """The start state, the step function, its scheme and its config."""
+    budget = 2000
+    if rule == "dfc":
+        cfg = DfcConfig(x1=x1, budget=budget)
+        return DfcState(0, x1, cfg.delta1, cfg.c1, f1), dfc_step, GradScheme.FORWARD, cfg
+    if rule == "dfb":
+        cfg = DfbConfig(x1=x1, budget=budget)
+        return (DfbState(0, x1, cfg.delta1, cfg.c1, cfg.t_min1, f1), dfb_step,
+                GradScheme.CENTRAL, cfg)
+    if rule == "gdf":
+        cfg = GdfConfig(x1=x1, budget=budget, tau=1e-3)
+        return GdfState(0, x1, cfg.delta1, f1), gdf_step, GradScheme.FORWARD, cfg
+    if rule == "imfil":
+        cfg = ImfilConfig(x1=x1, budget=budget)
+        return ImfilState(0, x1, f1), imfil_step, GradScheme.CENTRAL, cfg
+    if rule == "rg":
+        cfg = RgConfig(x1=x1, budget=budget, lipschitz=1e3)
+        return (RgState(0, x1, f1, np.random.default_rng(0), cfg.smoothing, 1e-4), rg_step,
+                None, cfg)
+    cfg = NelderMeadConfig(x1=x1, budget=budget)
+    return SimplexState(0, x1, f1), nelder_mead_step, None, cfg
+
+
+def _arrays(state):
+    return [a.tobytes() for a in (state.x, getattr(state, "verts", None),
+                                  getattr(state, "fv", None)) if a is not None]
+
+
+def _steps(rule, objective, x1, count=200):
+    """Up to ``count`` states from ``rule``, each checked against its input."""
+    oracle = Oracle(objective)
+    state, step, scheme, cfg = _start(rule, x1, oracle.evaluate(x1))
+    states = []
+    for _ in range(count):
+        before = _arrays(state)
+        try:
+            nxt = step(state, oracle, scheme, cfg)
+        except (BudgetExhausted, ScheduleExhausted):
+            break
+        assert _arrays(state) == before
+        assert isinstance(nxt, tuple) and type(nxt) is type(state)
+        for name in nxt._fields:
+            with pytest.raises(AttributeError):
+                setattr(nxt, name, getattr(nxt, name))
+        states.append(nxt)
+        if nxt.last_step == "stopped":
+            break
+        state = nxt
+    return states
+
+
+@pytest.mark.parametrize("rule", ["dfc", "dfb", "gdf", "imfil", "rg", "nelder-mead"])
+def test_a_step_returns_a_new_immutable_state_and_leaves_its_input(rule):
+    objective = build_instance("rosenbrock", 5).objective
+    assert len(_steps(rule, objective, np.full(5, 0.5))) >= 100
+
+
+def _sorted_nan_last(fv):
+    nan = np.isnan(fv)
+    return not np.any(nan[:-1] & ~nan[1:]) and np.all(np.diff(fv[~nan]) >= 0)
+
+
+@pytest.mark.parametrize("kind", ["rosenbrock", "speckled", "stairs"])
+def test_every_simplex_is_sorted_with_nan_last_and_x_its_first_row(kind):
+    # speckled: NaN on every other 1e-4-wide band of x_0, so the initial and
+    # shrunk simplices hold NaN values; stairs: ties between vertices
+    def f(x):
+        if kind == "speckled" and int(abs(x[0]) * 1e4) % 2 == 0:
+            return float("nan")
+        if kind == "stairs":
+            return float(np.floor(32.0 * (x @ x + x.sum())))
+        return float(x @ x + x.sum())
+
+    objective = (build_instance("rosenbrock", 4).objective if kind == "rosenbrock"
+                 else Objective(dim=4, evaluator=f))
+    states = _steps("nelder-mead", objective, np.zeros(4), count=300)
+    assert {s.last_step for s in states} >= {"init", "reflect", "contract_in"}
+    if kind == "speckled":
+        assert sum(np.isnan(s.fv).any() for s in states) >= 10
+    for state in states:
+        assert _sorted_nan_last(state.fv)
+        assert state.x.tobytes() == state.verts[0].tobytes()
+        assert state.f_x == state.fv[0] or np.isnan(state.f_x) and np.isnan(state.fv[0])
+
+
+@pytest.mark.parametrize("wall", ["nan", "inf"])
+def test_implicit_filtering_never_steps_along_a_non_finite_estimate(wall):
+    # nan: f = x.x + sum(x) is NaN only at x1 = 0, so every forward stencil
+    # there reads NaN; inf: f is +inf beyond x_0 = 0.25, so the stencils at
+    # x1 = 0.2 read an infinite slope until h < 0.05
+    points = []
+
+    def f(x):
+        points.append(x.copy())
+        if wall == "nan" and not x.any():
+            return float("nan")
+        if wall == "inf" and x[0] > 0.25:
+            return float("inf")
+        return float(x @ x + x.sum())
+
+    x0 = np.zeros(3) if wall == "nan" else np.full(3, 0.2)
+    report = run_solver("imfil-fordif", SimpleNamespace(objective=Objective(dim=3, evaluator=f)),
+                        600, 0.0, seed=0, x0=x0)
+    assert len(points) == report.evals
+    assert all(np.isfinite(p).all() for p in points)
+    assert report.trace[0].step_status == "stencil_fail"
