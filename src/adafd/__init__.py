@@ -44,7 +44,6 @@ from .problems import (
     IMAGE_RESTORATION,
     LEAST_SQUARES,
     ROSENBROCK,
-    PowerIterationError,
     ProblemInstance,
     build_instance,
     load_instance_spec,
@@ -52,7 +51,6 @@ from .problems import (
     make_least_squares,
     make_rosenbrock,
     random_instance,
-    spectral_norm,
 )
 from .rate import InsufficientData, RateEstimate, estimate_rate
 from .trace import CSV_COLUMNS, RunReport, TraceRecord, emit_csv, read_csv

@@ -68,9 +68,8 @@ def forward_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     """
     if delta <= 0:
         raise ValueError(f"sampling interval must be positive, got {delta}")
-    x = np.asarray(x, dtype=float)
     f0 = oracle.evaluate(x)
-    values = oracle.evaluate_stencil(x, 0, x.shape[0], np.array([delta]))
+    values = oracle.evaluate_stencil(x, np.array([delta]))
     return (values[:, 0] - f0) / delta
 
 
@@ -79,8 +78,7 @@ def central_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     at x + delta e_i and x - delta e_i for i = 0, 1, ..."""
     if delta <= 0:
         raise ValueError(f"sampling interval must be positive, got {delta}")
-    x = np.asarray(x, dtype=float)
-    values = oracle.evaluate_stencil(x, 0, x.shape[0], np.array([delta, -delta]))
+    values = oracle.evaluate_stencil(x, np.array([delta, -delta]))
     return (values[:, 0] - values[:, 1]) / (2.0 * delta)
 
 

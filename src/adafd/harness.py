@@ -73,17 +73,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown problem family {self.family!r}")
-        if self.n < 1:
-            raise ValidationError("dimension must be positive")
-        if self.budget_multiplier < 1:
-            raise ValidationError("budget_multiplier must be a positive integer")
+        # A float budget_multiplier gives a float budget, m = 0 an f that is 0
+        # everywhere, and a None seed an unrepeatable draw from OS entropy.
+        for name, least in (("n", 1), ("m", 1), ("budget_multiplier", 1),
+                            ("instance_seed", 0), ("run_seed", 0)):
+            value = getattr(self, name)
+            if name == "m" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                kind = "positive" if least else "nonnegative"
+                raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer as a JSON one
         if not 0.0 <= self.noise_level < math.inf:
             raise ValidationError("noise level must be finite and nonnegative")
-        for name in ("instance_seed", "run_seed"):
-            # None would draw from OS entropy: a run that cannot be repeated
-            seed = getattr(self, name)
-            if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-                raise ValidationError(f"{name} must be a nonnegative integer, got {seed!r}")
         if not self.solvers:
             raise ValidationError("at least one solver id is required")
         seen = set()

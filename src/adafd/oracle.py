@@ -41,26 +41,26 @@ class Objective:
     ``lipschitz_grad_fn``, when given, is a zero-argument callable returning the
     gradient-Lipschitz constant. It is called on each read of
     ``lipschitz_grad_constant`` and never otherwise, so a costly one should
-    cache its value (the benchmark families do); copies made with
+    cache its value (the benchmark families do; least squares' 2 sigma_max(A)^2
+    is exact to rounding, from one LAPACK eigenvalue call); copies made with
     ``dataclasses.replace`` share the callable and so its cache.
 
-    ``stencil_evaluator``, when given, evaluates a block of a finite-difference
-    stencil around one base point: ``stencil_evaluator(x, lo, hi, steps)``
-    returns a ``(hi - lo, len(steps))`` array whose entry ``[r, j]`` is f at x
-    with coordinate ``lo + r`` set to the float ``x[lo + r] + steps[j]`` (the
-    other coordinates unchanged). It must equal ``evaluator`` at those points
-    up to rounding, and it must not write to ``x``; ``x`` and ``steps`` are
-    1-D float arrays. This lets a kernel reuse the base point's work: of the
-    benchmark families, Rosenbrock's patches the two chained terms that touch
-    the moved coordinate into the base point's terms, bitwise equal to
-    ``evaluator``; least squares moves coordinate i by its real displacement
-    s = (x_i + step) - x_i in closed form, f0 + s (2 a_i^T r0 + s ||a_i||^2)
-    with r0 = A x - b, O(1) per point; and image restoration adds the moved
-    coordinate's column, times s, to the base residual. Both matrix kernels are
-    equal to ``evaluator`` up to rounding. Each finite-difference stencil
-    reaches it in one call over all coordinates (``lo = 0``, ``hi = dim``), so
-    it bounds its own temporaries: the built-in kernels do the base point's
-    work once per call, and the Rosenbrock and image-restoration ones walk the
+    ``stencil_evaluator``, when given, evaluates a whole finite-difference
+    stencil around one base point: ``stencil_evaluator(x, steps)`` returns a
+    ``(dim, len(steps))`` array whose entry ``[i, j]`` is f at x with
+    coordinate i set to the float ``x[i] + steps[j]`` (the other coordinates
+    unchanged). It must equal ``evaluator`` at those points up to rounding,
+    and it must not write to ``x``; ``x`` and ``steps`` are 1-D float arrays.
+    This lets a kernel reuse the base point's work: of the benchmark families,
+    Rosenbrock's patches the two chained terms that touch the moved coordinate
+    into the base point's terms, bitwise equal to ``evaluator``; least squares
+    moves coordinate i by its real displacement s = (x_i + step) - x_i in
+    closed form, f0 + s (2 a_i^T r0 + s ||a_i||^2) with r0 = A x - b, O(1) per
+    point; and image restoration adds the moved coordinate's column, times s,
+    to the base residual. Both matrix kernels are equal to ``evaluator`` up to
+    rounding. Each finite-difference stencil reaches it in one call, so it
+    bounds its own temporaries: the built-in kernels do the base point's work
+    once per call, and the Rosenbrock and image-restoration ones walk the
     coordinates in blocks of at most ``problems.STENCIL_BLOCK_BYTES`` of
     scratch. Without it, a stencil loops over ``evaluator``.
     """
@@ -69,7 +69,7 @@ class Objective:
     evaluator: Callable[[Array], float]
     analytic_gradient: Optional[Callable[[Array], Array]] = None
     lipschitz_grad_fn: Optional[Callable[[], float]] = None
-    stencil_evaluator: Optional[Callable[[Array, int, int, Array], Array]] = None
+    stencil_evaluator: Optional[Callable[[Array, Array], Array]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -81,8 +81,8 @@ class Objective:
         if self.lipschitz_grad_fn is None:
             return None
         L = self.lipschitz_grad_fn()
-        if L < 0:
-            raise ValueError("lipschitz_grad_constant must be nonnegative")
+        if not L >= 0:  # NaN too, as a matrix with a non-finite entry gives
+            raise ValueError(f"lipschitz_grad_constant must be nonnegative, got {L}")
         return L
 
 
@@ -144,12 +144,12 @@ class Oracle:
             value += float(self._noise(1)[0])
         return value
 
-    def evaluate_stencil(self, x: Array, lo: int, hi: int, steps: Array) -> Array:
-        """Return phi at the points x + steps[j] e_i, i = lo, ..., hi - 1, as a
-        ``(hi - lo, len(steps))`` array, and advance the counter by its size.
+    def evaluate_stencil(self, x: Array, steps: Array) -> Array:
+        """Return phi at the points x + steps[j] e_i, i = 0, ..., dim - 1, as a
+        ``(dim, len(steps))`` array, and advance the counter by its size.
 
-        Point ``[r, j]`` is x with coordinate ``lo + r`` set to the float
-        ``x[lo + r] + steps[j]``. Counter and noise stream end exactly as after
+        Point ``[i, j]`` is x with coordinate i set to the float
+        ``x[i] + steps[j]``. Counter and noise stream end exactly as after
         one ``evaluate`` call per point in row order, ``[0, 0], [0, 1], ...``;
         the values are equal up to the stencil evaluator's rounding, and
         bitwise equal when the objective has no ``stencil_evaluator``.
@@ -161,19 +161,17 @@ class Oracle:
             raise ValueError(f"point has shape {x.shape}, objective expects ({n},)")
         if steps.ndim != 1:
             raise ValueError(f"steps must be 1-D, got shape {steps.shape}")
-        if not 0 <= lo <= hi <= n:
-            raise ValueError(f"coordinates [{lo}, {hi}) do not lie in [0, {n})")
-        shape = (hi - lo, steps.shape[0])
+        shape = (n, steps.shape[0])
         self.eval_count += shape[0] * shape[1]
         hook = self.objective.stencil_evaluator
         if hook is None:
             values = np.empty(shape)
-            for r, j in np.ndindex(shape):
+            for i, j in np.ndindex(shape):
                 y = x.copy()
-                y[lo + r] += steps[j]
-                values[r, j] = self.objective.evaluator(y)
+                y[i] += steps[j]
+                values[i, j] = self.objective.evaluator(y)
         else:
-            values = np.asarray(hook(x, lo, hi, steps), dtype=float)
+            values = np.asarray(hook(x, steps), dtype=float)
             if values.shape != shape:
                 raise ValueError(
                     f"stencil evaluator returned shape {values.shape}, expected {shape}"

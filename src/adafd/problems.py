@@ -2,10 +2,11 @@
 
 Three families: quadratic least-squares residuals, a log-damped nonconvex
 variant of them, and the chained Rosenbrock function. The first two carry
-exact gradient-Lipschitz constants (spectral norm, respectively max absolute
-row sum of 2 A^T A), computed on first read and cached, since only the rg
-baseline reads them; Rosenbrock's gradient is only locally Lipschitz so no
-constant is stored.
+gradient-Lipschitz constants, computed on first read and cached, since only
+the rg baseline reads them: least squares' 2 sigma_max(A)^2, exact to rounding
+(the largest eigenvalue of A^T A from one LAPACK call), and for the log-damped
+family the max absolute row sum of 2 A^T A, an upper bound. Rosenbrock's
+gradient is only locally Lipschitz so no constant is stored.
 """
 
 from __future__ import annotations
@@ -26,41 +27,6 @@ ROSENBROCK = "rosenbrock"
 FAMILIES = (LEAST_SQUARES, IMAGE_RESTORATION, ROSENBROCK)
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to settle; ``last_estimate`` holds the final value."""
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-
-
-def spectral_norm(M: Array, tol: float = 1e-8, max_iter: int = 10_000) -> float:
-    """Largest singular value of M by power iteration on M^T M."""
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    S = M.T @ M
-    n = S.shape[0]
-    v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    w = S @ v
-    for _ in range(max_iter):
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        w = S @ v  # the Rayleigh quotient's product is the next iteration's
-        lam_new = float(v @ w)
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    raise PowerIterationError(
-        f"power iteration did not converge within {max_iter} iterations",
-        last_estimate=float(np.sqrt(max(lam, 0.0))),
-    )
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """Immutable benchmark instance; safe to share across concurrent runs."""
@@ -78,30 +44,29 @@ class ProblemInstance:
 #: kernels (the least-squares one is in closed form and needs no blocks). Their
 #: temporaries hold one value per term of each point: n - 1 chained terms for
 #: Rosenbrock, n residuals for image restoration. A kernel splits the
-#: coordinates it is asked for into blocks of STENCIL_BLOCK_BYTES //
-#: (8 * terms * len(steps)) coordinates (at least one) and reuses one buffer
-#: of that size for every block, so its scratch stays under glibc's heap-trim
-#: threshold and its pages are not returned to the OS and faulted in again.
+#: coordinates into blocks of STENCIL_BLOCK_BYTES // (8 * terms * len(steps))
+#: coordinates (at least one) and reuses one buffer of that size for every
+#: block, so its scratch stays under glibc's heap-trim threshold and its pages
+#: are not returned to the OS and faulted in again.
 #: At 512 KiB a block holds 164 forward or 82 central coordinates of a
 #: Rosenbrock n = 400 stencil and 163 or 81 of an image-restoration one.
 STENCIL_BLOCK_BYTES = 2**19
 
 
-def _stencil_blocks(lo: int, hi: int, steps: Array, terms: int, block) -> Array:
-    """The (hi - lo, len(steps)) stencil values, block by block.
+def _stencil_blocks(n: int, steps: Array, terms: int, block) -> Array:
+    """The (n, len(steps)) stencil values, block by block.
 
     ``block(a, b, T, out)`` fills ``out``, the rows of coordinates a, ..., b - 1,
     using the scratch ``T`` of shape (b - a, len(steps), terms). Every block
     shares one buffer of at most ``STENCIL_BLOCK_BYTES`` (but at least one
     coordinate's worth)."""
     p = steps.shape[0]
-    values = np.empty((hi - lo, p))
+    values = np.empty((n, p))
     coords = max(1, STENCIL_BLOCK_BYTES // max(1, 8 * terms * p))
-    buf = np.empty(min(coords, hi - lo) * p * terms)
-    for a in range(lo, hi, coords):
-        b = min(a + coords, hi)
-        block(a, b, buf[:(b - a) * p * terms].reshape(b - a, p, terms),
-              values[a - lo:b - lo])
+    buf = np.empty(min(coords, n) * p * terms)
+    for a in range(0, n, coords):
+        b = min(a + coords, n)
+        block(a, b, buf[:(b - a) * p * terms].reshape(b - a, p, terms), values[a:b])
     return values
 
 
@@ -122,17 +87,16 @@ def make_least_squares(A: Array, b: Array) -> ProblemInstance:
     def column_norms() -> Array:
         return np.einsum("ij,ij->j", A, A)
 
-    def f_stencil(x: Array, lo: int, hi: int, steps: Array) -> Array:
+    def f_stencil(x: Array, steps: Array) -> Array:
         # Moving coordinate i by s = (x_i + step) - x_i, the displacement it
         # really has, gives ||r0 + s a_i||^2 = f0 + s (2 a_i^T r0 + s ||a_i||^2)
         # with r0 = A x - b and f0 = r0^T r0: O(1) per point once the call has
         # r0 and the slopes 2 a_i^T r0.
         r0 = A @ x
         r0 -= b
-        base = x[lo:hi, None]
-        s = (base + steps) - base
-        values = s * column_norms()[lo:hi, None]
-        values += 2.0 * (r0 @ A[:, lo:hi])[:, None]
+        s = (x[:, None] + steps) - x[:, None]
+        values = s * column_norms()[:, None]
+        values += 2.0 * (r0 @ A)[:, None]
         values *= s
         values += r0 @ r0
         return values
@@ -142,7 +106,7 @@ def make_least_squares(A: Array, b: Array) -> ProblemInstance:
 
     @functools.cache
     def lipschitz() -> float:
-        return 2.0 * spectral_norm(A.T @ A)
+        return 2.0 * float(np.linalg.eigvalsh(A.T @ A)[-1])
 
     objective = Objective(dim=n, evaluator=f, analytic_gradient=grad,
                           lipschitz_grad_fn=lipschitz, stencil_evaluator=f_stencil)
@@ -167,7 +131,7 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
         np.multiply(r, r, out=r)
         return float(np.add.reduce(np.log1p(r, out=r)))
 
-    def f_stencil(x: Array, lo: int, hi: int, steps: Array) -> Array:
+    def f_stencil(x: Array, steps: Array) -> Array:
         # log1p has no closed form in the displacement, so each point's
         # residual is built: the base residual r0 = A x - b, computed once per
         # call, plus the moved coordinate's column of A times the displacement
@@ -176,17 +140,16 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
         # rounding.
         r0 = A @ x
         r0 -= b
-        base = x[lo:hi, None]
-        moved = (base + steps) - base
+        moved = (x[:, None] + steps) - x[:, None]
         AT = A.T
 
         def block(i: int, j: int, R: Array, out: Array) -> None:
-            np.multiply(AT[i:j, None, :], moved[i - lo:j - lo, :, None], out=R)
+            np.multiply(AT[i:j, None, :], moved[i:j, :, None], out=R)
             R += r0
             np.multiply(R, R, out=R)
             np.add.reduce(np.log1p(R, out=R), axis=2, out=out)
 
-        return _stencil_blocks(lo, hi, steps, n, block)
+        return _stencil_blocks(n, steps, n, block)
 
     def grad(x: Array) -> Array:
         r = A @ x - b
@@ -222,17 +185,15 @@ def make_rosenbrock(n: int) -> ProblemInstance:
     def f(x: Array) -> float:
         return float(np.add.reduce(_rosenbrock_terms(x[:-1], x[1:])))
 
-    def f_stencil(x: Array, lo: int, hi: int, steps: Array) -> Array:
+    def f_stencil(x: Array, steps: Array) -> Array:
         # Each point's n - 1 terms are the base point's, except the two that
         # hold the moved coordinate i: term i - 1 as its tail, term i as its
         # head. Each row is then summed as f sums its terms.
         p = steps.shape[0]
         terms = _rosenbrock_terms(x[:-1], x[1:])
-        moved = x[lo:hi, None] + steps
-        first, last = min(max(lo, 1), hi), min(hi, n - 1)
-        left = _rosenbrock_terms(np.repeat(x[first - 1:hi - 1, None], p, axis=1),
-                                 moved[first - lo:])
-        right = _rosenbrock_terms(moved[:last - lo], x[lo + 1:last + 1, None])
+        moved = x[:, None] + steps
+        left = _rosenbrock_terms(np.repeat(x[:-1, None], p, axis=1), moved[1:])
+        right = _rosenbrock_terms(moved[:-1], x[1:, None])
         # In a block starting at coordinate a, term i - 1 (left) or i (right)
         # of coordinate i's point j lies (i - a) * row + j * (n - 1) + a - 1
         # (left) or + a (right) values into the block: a strided view of it.
@@ -244,13 +205,13 @@ def make_rosenbrock(n: int) -> ProblemInstance:
             strides = (size * row, size * (n - 1))
             i = max(a, 1)
             np.ndarray((b - i, p), buffer=T, offset=size * ((i - a) * row + a - 1),
-                       strides=strides)[:] = left[i - first:b - first]
+                       strides=strides)[:] = left[i - 1:b - 1]
             i = min(b, n - 1)
             np.ndarray((i - a, p), buffer=T, offset=size * a,
-                       strides=strides)[:] = right[a - lo:i - lo]
+                       strides=strides)[:] = right[a:i]
             np.add.reduce(T, axis=2, out=out)
 
-        return _stencil_blocks(lo, hi, steps, n - 1, block)
+        return _stencil_blocks(n, steps, n - 1, block)
 
     def grad(x: Array) -> Array:
         g = np.zeros_like(x)

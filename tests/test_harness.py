@@ -5,6 +5,7 @@ import re
 import warnings
 from xml.dom import minidom
 
+import numpy as np
 import pytest
 
 from adafd import (
@@ -19,7 +20,6 @@ from adafd import (
     read_csv,
     run_experiment,
 )
-from adafd import problems
 from adafd.cli import main, parse_config_file
 from adafd.harness import SOLVER_IDS
 from adafd.trace import records_equal
@@ -273,6 +273,27 @@ class TestRunExperiment:
             ExperimentConfig(family="least_squares", n=4, solvers=["dfc-fordif"],
                              budget_multiplier=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n", 2.5), ("n", True), ("m", 2.5), ("m", True), ("m", 0),
+        ("budget_multiplier", 2.5), ("budget_multiplier", True), ("budget_multiplier", "3"),
+    ])
+    def test_non_integer_count_rejected(self, name, value):
+        # budget_multiplier=2.5 used to run with a float budget, m=0 with f = 0
+        # everywhere, and n=2.5 to fail inside the instance builder
+        fields = {"n": 4, name: value}
+        with pytest.raises(ValidationError, match=f"{name} must be a positive integer"):
+            ExperimentConfig(family="least_squares", solvers=["dfc-fordif"], **fields)
+
+    def test_numpy_integers_are_recorded_as_json_integers(self, tmp_path):
+        run_experiment(ExperimentConfig(
+            family="least_squares", n=np.int64(3), m=np.int32(4), solvers=["dfc-fordif"],
+            budget_multiplier=np.int64(5), instance_seed=np.uint8(2),
+            run_seed=np.int64(1), output_dir=tmp_path))
+        manifest = json.loads((tmp_path / "report.json").read_text())["manifest"]
+        assert manifest["problem"] == {"family": "least_squares", "n": 3, "m": 4,
+                                       "instance_seed": 2}
+        assert (manifest["budget"], manifest["run_seed"]) == (15, 1)
+
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(family="least_squares", n=4, solvers=["bfgs"])
@@ -306,9 +327,9 @@ class TestRunExperiment:
 
     def test_only_rg_computes_the_lipschitz_constant(self, tmp_path, monkeypatch):
         calls = []
-        norm = problems.spectral_norm
-        monkeypatch.setattr(problems, "spectral_norm",
-                            lambda M: calls.append(M.shape) or norm(M))
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda M: calls.append(M.shape) or eigvalsh(M))
         solvers = [sid for sid in SOLVER_IDS if sid != "rg"]
         run_experiment(ExperimentConfig(family="least_squares", n=4, solvers=solvers,
                                         budget_multiplier=10, output_dir=tmp_path))

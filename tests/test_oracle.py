@@ -85,7 +85,7 @@ def test_noiseless_oracle_never_touches_the_rng():
     oracle = Oracle(obj, noise_level=0.0, rng_seed=7)
     before = oracle._rng.bit_generator.state
     oracle.evaluate(np.array([2.0]))
-    oracle.evaluate_stencil(np.array([2.0]), 0, 1, np.array([0.1, -0.1]))
+    oracle.evaluate_stencil(np.array([2.0]), np.array([0.1, -0.1]))
     assert oracle._rng.bit_generator.state == before
 
 
@@ -106,10 +106,10 @@ def _base(dim, seed=3):
     return np.random.default_rng(seed).standard_normal(dim)
 
 
-def _per_point(oracle, x, lo, hi, steps):
+def _per_point(oracle, x, steps):
     """One ``evaluate`` call per stencil point, in row order."""
     values = []
-    for i in range(lo, hi):
+    for i in range(x.shape[0]):
         for step in steps:
             y = x.copy()
             y[i] += step
@@ -119,11 +119,11 @@ def _per_point(oracle, x, lo, hi, steps):
 
 def test_evaluate_stencil_counts_every_point():
     oracle = Oracle(sphere_objective(3))
-    values = oracle.evaluate_stencil(_base(3), 0, 3, np.array([0.1, -0.1]))
+    values = oracle.evaluate_stencil(_base(3), np.array([0.1, -0.1]))
     assert values.shape == (3, 2)
     assert oracle.eval_count == 6
-    assert oracle.evaluate_stencil(_base(3), 1, 2, np.array([0.1])).shape == (1, 1)
-    assert oracle.eval_count == 7
+    assert oracle.evaluate_stencil(_base(3), np.array([0.1])).shape == (3, 1)
+    assert oracle.eval_count == 9
 
 
 def test_evaluate_stencil_rejects_bad_arguments():
@@ -131,12 +131,9 @@ def test_evaluate_stencil_rejects_bad_arguments():
     steps = np.array([0.1])
     for x in (np.zeros(2), np.zeros((1, 3)), np.zeros(4)):
         with pytest.raises(ValueError):
-            oracle.evaluate_stencil(x, 0, 1, steps)
-    for lo, hi in ((-1, 2), (0, 4), (2, 1), (4, 4)):
-        with pytest.raises(ValueError):
-            oracle.evaluate_stencil(np.zeros(3), lo, hi, steps)
+            oracle.evaluate_stencil(x, steps)
     with pytest.raises(ValueError):
-        oracle.evaluate_stencil(np.zeros(3), 0, 3, np.ones((1, 1)))
+        oracle.evaluate_stencil(np.zeros(3), np.ones((1, 1)))
     assert oracle.eval_count == 0
 
 
@@ -148,9 +145,9 @@ def test_noisy_stencil_equals_scalar_calls_bitwise():
     x, steps = _base(6), np.array([1e-3, -1e-3])
     stencil = Oracle(obj, noise_level=1e-4, rng_seed=21)
     scalar = Oracle(obj, noise_level=1e-4, rng_seed=21)
-    values = stencil.evaluate_stencil(x, 1, 5, steps)
-    assert values.ravel().tolist() == _per_point(scalar, x, 1, 5, steps)
-    assert stencil.eval_count == scalar.eval_count == 8
+    values = stencil.evaluate_stencil(x, steps)
+    assert values.ravel().tolist() == _per_point(scalar, x, steps)
+    assert stencil.eval_count == scalar.eval_count == 12
     # both generators stand at the same place afterwards
     assert stencil.evaluate(x) == scalar.evaluate(x)
 
@@ -160,7 +157,7 @@ def test_noiseless_stencil_never_touches_the_rng():
 
     oracle = Oracle(make_rosenbrock(4).objective, noise_level=0.0, rng_seed=7)
     before = oracle._rng.bit_generator.state
-    oracle.evaluate_stencil(_base(4), 0, 4, np.array([1e-3]))
+    oracle.evaluate_stencil(_base(4), np.array([1e-3]))
     assert oracle._rng.bit_generator.state == before
 
 
@@ -170,57 +167,58 @@ def test_stencil_without_stencil_evaluator_loops_over_the_scalar_one():
     x, steps = _base(4), np.array([0.5, -0.25])
     stencil = Oracle(obj, noise_level=1e-3, rng_seed=5)
     scalar = Oracle(obj, noise_level=1e-3, rng_seed=5)
-    values = stencil.evaluate_stencil(x, 0, 4, steps)
-    assert values.ravel().tolist() == _per_point(scalar, x, 0, 4, steps)
+    values = stencil.evaluate_stencil(x, steps)
+    assert values.ravel().tolist() == _per_point(scalar, x, steps)
     assert stencil.evaluate(x) == scalar.evaluate(x)
 
 
 def test_stencil_evaluator_must_return_one_value_per_point():
-    def flat(x, lo, hi, steps):
-        return np.zeros((hi - lo) * steps.shape[0])
+    def flat(x, steps):
+        return np.zeros(x.shape[0] * steps.shape[0])
 
     obj = Objective(dim=2, evaluator=lambda x: float(x @ x), stencil_evaluator=flat)
     with pytest.raises(ValueError):
-        Oracle(obj).evaluate_stencil(np.ones(2), 0, 2, np.array([0.1, -0.1]))
+        Oracle(obj).evaluate_stencil(np.ones(2), np.array([0.1, -0.1]))
 
 
 def _zero_objective(dim):
     """f = 0 everywhere, with a stencil evaluator, so every value is its noise."""
     return Objective(dim=dim, evaluator=lambda x: 0.0,
-                     stencil_evaluator=lambda x, lo, hi, steps: np.zeros((hi - lo, len(steps))))
+                     stencil_evaluator=lambda x, steps: np.zeros((len(x), len(steps))))
 
 
-def _draw_noise(oracle, calls, n):
-    """Noise values of a sequence of calls: an int k is a stencil over
-    coordinates [0, k) with steps (h, -h), None one ``evaluate`` call."""
-    x, steps = np.zeros(n), np.array([0.1, -0.1])
+def _draw_noise(oracle, calls):
+    """Noise values of a sequence of calls on a 2-D objective: an int k is a
+    stencil with k steps, 2 k points, None one ``evaluate`` call."""
+    x = np.zeros(2)
     values = []
     for k in calls:
         if k is None:
             values.append(oracle.evaluate(x))
         else:
-            values.extend(oracle.evaluate_stencil(x, 0, k, steps).ravel().tolist())
+            steps = np.full(k, 0.1)
+            values.extend(oracle.evaluate_stencil(x, steps).ravel().tolist())
     return values
 
 
-#: Mixed calls crossing chunk boundaries: scalar runs, small stencils, and a
-#: 2n = 800-point stencil larger than one chunk, started in mid-chunk.
+#: Mixed calls crossing chunk boundaries: scalar runs, small stencils, and an
+#: 800-point stencil larger than one chunk, started in mid-chunk.
 MIXED_CALLS = [None] * 3 + [5, None, 400, None, 100] + [None] * 300 + [400, 1, None]
 
 
 @pytest.mark.parametrize("seed", [0, 17])
 def test_noise_read_ahead_is_the_per_point_stream(seed):
-    eps, n = 1e-4, 400
-    oracle = Oracle(_zero_objective(n), noise_level=eps, rng_seed=seed)
-    got = _draw_noise(oracle, MIXED_CALLS, n)
+    eps = 1e-4
+    oracle = Oracle(_zero_objective(2), noise_level=eps, rng_seed=seed)
+    got = _draw_noise(oracle, MIXED_CALLS)
     assert oracle.eval_count == len(got)
     expected = np.random.default_rng(seed).uniform(-eps, eps, size=len(got))
     assert got == expected.tolist()
 
 
 def test_reset_counter_in_mid_chunk_rewinds():
-    oracle = Oracle(_zero_objective(400), noise_level=1e-3, rng_seed=3)
-    first = _draw_noise(oracle, MIXED_CALLS[:8], 400)
+    oracle = Oracle(_zero_objective(2), noise_level=1e-3, rng_seed=3)
+    first = _draw_noise(oracle, MIXED_CALLS[:8])
     oracle.reset_counter()
     assert oracle.eval_count == 0
-    assert _draw_noise(oracle, MIXED_CALLS[:8], 400) == first
+    assert _draw_noise(oracle, MIXED_CALLS[:8]) == first

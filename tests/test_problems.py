@@ -7,7 +7,6 @@ import pytest
 
 from adafd import (
     Oracle,
-    PowerIterationError,
     build_instance,
     central_diff,
     load_instance_spec,
@@ -15,9 +14,8 @@ from adafd import (
     make_least_squares,
     make_rosenbrock,
     random_instance,
-    spectral_norm,
 )
-from adafd import ExperimentConfig, problems, run_experiment
+from adafd import ExperimentConfig, run_experiment
 
 
 class TestLeastSquares:
@@ -113,7 +111,7 @@ def test_rosenbrock_stencil_is_bitwise_the_one_expression_form(per, n):
     X[np.arange(n * per), np.repeat(np.arange(n), per)] += np.tile(steps, n)
     head, tail = X[:, :-1], X[:, 1:]
     expected = np.sum(100.0 * (tail - head ** 2) ** 2 + (head - 1.0) ** 2, axis=1)
-    got = make_rosenbrock(n).objective.stencil_evaluator(x, 0, n, steps)
+    got = make_rosenbrock(n).objective.stencil_evaluator(x, steps)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -160,84 +158,41 @@ class TestRandomInstances:
             random_instance("rosenbrock", 4, seed=0)
 
 
-class TestSpectralNorm:
-    def test_diagonal(self):
-        assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-7)
-
-    def test_identity(self):
-        assert spectral_norm(np.eye(5)) == pytest.approx(1.0, rel=1e-7)
-
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((3, 3))) == 0.0
-
-    def test_matches_dense_svd(self):
-        M = np.random.default_rng(5).standard_normal((10, 10))
-        reference = float(np.linalg.svd(M, compute_uv=False)[0])
-        assert spectral_norm(M) == pytest.approx(reference, rel=1e-6)
-
-    def test_nonconvergence_carries_last_estimate(self):
-        M = np.random.default_rng(0).standard_normal((6, 6))
-        with pytest.raises(PowerIterationError) as info:
-            spectral_norm(M, tol=0.0, max_iter=3)
-        assert info.value.last_estimate > 0.0
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-    @pytest.mark.parametrize("n", [2, 3, 7, 40, 150])
-    def test_one_product_per_iteration_is_bitwise_the_two_product_loop(self, n):
-        M = np.random.default_rng(n).standard_normal((n + 1, n))
-        for A in (M, M.T @ M):  # the second is what least squares passes
-            assert spectral_norm(A) == _spectral_norm_two_products(A)
-            for max_iter in (1, 3):
-                with pytest.raises(PowerIterationError) as new:
-                    spectral_norm(A, tol=0.0, max_iter=max_iter)
-                with pytest.raises(PowerIterationError) as old:
-                    _spectral_norm_two_products(A, tol=0.0, max_iter=max_iter)
-                assert new.value.last_estimate == old.value.last_estimate
+def test_least_squares_lipschitz_constant_is_twice_the_squared_largest_singular_value():
+    # The reference is an SVD of A, not the eigenvalue call on A^T A that
+    # computes L; tall, wide and square A.
+    for m in (120, 20, 40):
+        inst = build_instance("least_squares", 40, m=m, seed=m)
+        sigma_max = float(np.linalg.svd(inst.A, compute_uv=False)[0])
+        assert inst.objective.lipschitz_grad_constant == \
+            pytest.approx(2.0 * sigma_max ** 2, rel=1e-12, abs=0.0), m
 
 
-def _spectral_norm_two_products(M, tol=1e-8, max_iter=10_000):
-    """spectral_norm as it was written before it reused the Rayleigh quotient's
-    product S @ v as the next iteration's w."""
-    M = np.asarray(M, dtype=float)
-    S = M.T @ M
-    v = np.random.default_rng(0).standard_normal(S.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = S @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-        lam_new = float(v @ (S @ v))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    raise PowerIterationError("no convergence", last_estimate=float(np.sqrt(max(lam, 0.0))))
+def test_a_nan_matrix_entry_gives_no_lipschitz_constant():
+    inst = make_least_squares(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="nonnegative, got nan"):
+        inst.objective.lipschitz_grad_constant
 
 
 class TestLazyLipschitzConstant:
     @pytest.fixture
-    def norm_calls(self, monkeypatch):
+    def eig_calls(self, monkeypatch):
         calls = []
+        eigvalsh = np.linalg.eigvalsh
 
-        def counting(M, *args, **kwargs):
+        def counting(M):
             calls.append(M.shape)
-            return spectral_norm(M, *args, **kwargs)
+            return eigvalsh(M)
 
-        monkeypatch.setattr(problems, "spectral_norm", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         return calls
 
-    def test_least_squares_computes_it_once_on_first_read(self, norm_calls):
+    def test_least_squares_computes_it_once_on_first_read(self, eig_calls):
         inst = build_instance("least_squares", 30, m=40, seed=3)
-        assert norm_calls == []
+        assert eig_calls == []
         L = inst.objective.lipschitz_grad_constant
-        assert L == 2.0 * spectral_norm(inst.A.T @ inst.A)
         assert inst.objective.lipschitz_grad_constant == L
-        assert norm_calls == [(30, 30)]
+        assert eig_calls == [(30, 30)]
 
     def test_image_restoration_value_is_the_row_sum_bound(self):
         inst = build_instance("image_restoration", 30, seed=3)
@@ -245,14 +200,13 @@ class TestLazyLipschitzConstant:
         assert inst.objective.lipschitz_grad_constant == \
             2.0 * float(np.max(np.sum(np.abs(AtA), axis=1)))
 
-    def test_a_replaced_copy_shares_the_value_without_forcing_it(self, norm_calls):
+    def test_a_replaced_copy_shares_the_value_without_forcing_it(self, eig_calls):
         inst = build_instance("least_squares", 12, seed=1)
         copy = dataclasses.replace(inst.objective, evaluator=lambda x: 0.0)
-        assert norm_calls == []
+        assert eig_calls == []
         L = copy.lipschitz_grad_constant
-        assert L == 2.0 * spectral_norm(inst.A.T @ inst.A)
         assert inst.objective.lipschitz_grad_constant == L
-        assert len(norm_calls) == 1
+        assert len(eig_calls) == 1
 
 
 def test_all_families_are_nonnegative(rng):

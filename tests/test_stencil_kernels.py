@@ -1,9 +1,8 @@
 """The built-in stencil evaluators against the scalar evaluators at the points
 they stand for.
 
-Entry ``[r, j]`` of ``stencil_evaluator(x, lo, hi, steps)`` is f at x with
-coordinate ``lo + r`` set to ``x[lo + r] + steps[j]``; the references here build
-each of those points and call ``evaluator`` on it. Rosenbrock's kernel patches
+Entry ``[i, j]`` of ``stencil_evaluator(x, steps)`` is f at x with coordinate
+i set to ``x[i] + steps[j]``; the references here build each of those points and call ``evaluator`` on it. Rosenbrock's kernel patches
 two terms into the base point's and must be bitwise the scalar value. The
 least-squares kernel is the closed form f0 + s (2 a_i^T r0 + s ||a_i||^2), O(1)
 per point and without blocks; the image-restoration kernel adds one column to
@@ -24,16 +23,6 @@ from adafd import make_rosenbrock, random_instance
 NS = (2, 3, 100, 400)
 STEPS = (1e-8, 1e-3, 1.0, 1e3)
 MATRIX_RTOL = 1e-14
-BLOCKS = ("start", "interior", "end", "whole")
-
-
-def _block(n, where):
-    """(lo, hi) of a block at lo = 0, in the interior, ending at hi = n, or of
-    the whole stencil."""
-    k = max(1, n // 8)
-    mid = n // 3
-    return {"start": (0, k), "interior": (mid, min(mid + k, n)), "end": (n - k, n),
-            "whole": (0, n)}[where]
 
 
 def _base(n, seed=0):
@@ -42,43 +31,39 @@ def _base(n, seed=0):
     return rng.uniform(-2.0, 2.0, n) * scales
 
 
-def _scalar_stencil(objective, x, lo, hi, steps):
+def _scalar_stencil(objective, x, steps):
     """The scalar evaluator at each point the stencil entries stand for."""
-    values = np.empty((hi - lo, len(steps)))
-    for r in range(hi - lo):
+    values = np.empty((x.shape[0], len(steps)))
+    for i in range(x.shape[0]):
         for j, step in enumerate(steps):
             y = x.copy()
-            y[lo + r] = x[lo + r] + step
-            values[r, j] = objective.evaluator(y)
+            y[i] = x[i] + step
+            values[i, j] = objective.evaluator(y)
     return values
 
 
-@pytest.mark.parametrize("where", BLOCKS)
 @pytest.mark.parametrize("step", STEPS)
 @pytest.mark.parametrize("n", NS)
-def test_rosenbrock_stencil_is_bitwise_the_scalar_evaluator(n, step, where):
+def test_rosenbrock_stencil_is_bitwise_the_scalar_evaluator(n, step):
     objective = make_rosenbrock(n).objective
     x = _base(n)
-    lo, hi = _block(n, where)
     for steps in (np.array([step]), np.array([step, -step])):
-        got = objective.stencil_evaluator(x, lo, hi, steps)
-        assert got.shape == (hi - lo, len(steps))
-        expected = _scalar_stencil(objective, x, lo, hi, steps)
+        got = objective.stencil_evaluator(x, steps)
+        assert got.shape == (n, len(steps))
+        expected = _scalar_stencil(objective, x, steps)
         assert got.tobytes() == expected.tobytes(), steps
 
 
-@pytest.mark.parametrize("where", BLOCKS)
 @pytest.mark.parametrize("step", STEPS)
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("family", ["least_squares", "image_restoration"])
-def test_matrix_family_stencils_match_the_scalar_evaluator(family, n, step, where):
+def test_matrix_family_stencils_match_the_scalar_evaluator(family, n, step):
     objective = random_instance(family, n, seed=n).objective
     x = _base(n)
-    lo, hi = _block(n, where)
     for steps in (np.array([step]), np.array([step, -step])):
-        got = objective.stencil_evaluator(x, lo, hi, steps)
-        assert got.shape == (hi - lo, len(steps))
-        expected = _scalar_stencil(objective, x, lo, hi, steps)
+        got = objective.stencil_evaluator(x, steps)
+        assert got.shape == (n, len(steps))
+        expected = _scalar_stencil(objective, x, steps)
         np.testing.assert_allclose(got, expected, rtol=MATRIX_RTOL, atol=0.0)
 
 
@@ -86,8 +71,8 @@ def test_least_squares_stencil_of_a_tall_matrix():
     instance = random_instance("least_squares", 7, m=19, seed=4)
     x = _base(7)
     steps = np.array([1e-3, -1e-3])
-    got = instance.objective.stencil_evaluator(x, 2, 6, steps)
-    expected = _scalar_stencil(instance.objective, x, 2, 6, steps)
+    got = instance.objective.stencil_evaluator(x, steps)
+    expected = _scalar_stencil(instance.objective, x, steps)
     np.testing.assert_allclose(got, expected, rtol=MATRIX_RTOL, atol=0.0)
 
 
@@ -96,14 +81,11 @@ def test_least_squares_closed_form_matches_the_scalar_evaluator(m, n):
     # a wide A (m < n) has a null space; n = 400 is the benchmark's size
     objective = random_instance("least_squares", n, m=m, seed=m).objective
     x = _base(n, seed=1)
-    cuts = np.random.default_rng(m).integers(0, n + 1, size=(4, 2))
-    ranges = [(0, n), (0, 1), (n - 1, n)] + [(min(c), max(c)) for c in cuts if c[0] != c[1]]
-    for lo, hi in ranges:
-        for steps in (np.array([1e-3]), np.array([1e-3, -1e-3])):
-            got = objective.stencil_evaluator(x, lo, hi, steps)
-            expected = _scalar_stencil(objective, x, lo, hi, steps)
-            np.testing.assert_allclose(got, expected, rtol=MATRIX_RTOL, atol=0.0,
-                                       err_msg=f"{lo}:{hi} {steps}")
+    for steps in (np.array([1e-3]), np.array([1e-3, -1e-3])):
+        got = objective.stencil_evaluator(x, steps)
+        expected = _scalar_stencil(objective, x, steps)
+        np.testing.assert_allclose(got, expected, rtol=MATRIX_RTOL, atol=0.0,
+                                   err_msg=f"{steps}")
 
 
 def _instances(n):
@@ -121,14 +103,13 @@ def test_a_nonfinite_moved_coordinate_stays_in_its_own_entries(n, bad):
     x = _base(n)
     for instance in _instances(n):
         objective = instance.objective
-        for lo, hi in (_block(n, where) for where in BLOCKS):
-            clean = objective.stencil_evaluator(x, lo, hi, np.array([1e-3]))
-            steps = np.array([1e-3, bad])
-            with np.errstate(invalid="ignore", over="ignore"):
-                got = objective.stencil_evaluator(x, lo, hi, steps)
-                expected = _scalar_stencil(objective, x, lo, hi, steps)
-            assert got[:, 0].tobytes() == clean[:, 0].tobytes()
-            np.testing.assert_array_equal(got[:, 1], expected[:, 1])
+        clean = objective.stencil_evaluator(x, np.array([1e-3]))
+        steps = np.array([1e-3, bad])
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = objective.stencil_evaluator(x, steps)
+            expected = _scalar_stencil(objective, x, steps)
+        assert got[:, 0].tobytes() == clean[:, 0].tobytes()
+        np.testing.assert_array_equal(got[:, 1], expected[:, 1])
 
 
 @pytest.mark.parametrize("n", (2, 3, 100))
@@ -136,7 +117,7 @@ def test_the_base_point_is_not_written(n):
     x = _base(n)
     for instance in _instances(n):
         before = x.copy()
-        instance.objective.stencil_evaluator(x, 0, n, np.array([1e-3, -1e-3]))
+        instance.objective.stencil_evaluator(x, np.array([1e-3, -1e-3]))
         assert x.tobytes() == before.tobytes()
 
 
@@ -151,13 +132,12 @@ def test_blocked_kernels_are_bitwise_one_block(n, budget, monkeypatch):
     x = _base(n)
     for instance in _instances(n):
         objective = instance.objective
-        for lo, hi in (_block(n, where) for where in BLOCKS):
-            for steps in (np.array([1e-3]), np.array([1e-3, -1e-3])):
-                monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", 2**62)
-                whole = objective.stencil_evaluator(x, lo, hi, steps)
-                monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", budget)
-                got = objective.stencil_evaluator(x, lo, hi, steps)
-                assert got.tobytes() == whole.tobytes(), (instance.family, lo, hi, steps)
+        for steps in (np.array([1e-3]), np.array([1e-3, -1e-3])):
+            monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", 2**62)
+            whole = objective.stencil_evaluator(x, steps)
+            monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", budget)
+            got = objective.stencil_evaluator(x, steps)
+            assert got.tobytes() == whole.tobytes(), (instance.family, steps)
 
 
 #: What one stencil may allocate beyond the block buffer: its values, the
