@@ -2,14 +2,15 @@
 they stand for.
 
 Entry ``[i, j]`` of ``stencil_evaluator(x, steps)`` is f at x with coordinate
-i set to ``x[i] + steps[j]``; the references here build each of those points and call ``evaluator`` on it. Rosenbrock's kernel patches
-two terms into the base point's and must be bitwise the scalar value. The
-least-squares kernel is the closed form f0 + s (2 a_i^T r0 + s ||a_i||^2), O(1)
-per point and without blocks; the image-restoration kernel adds one column to
-the base residual. Both round differently from a matrix-vector product per
-point. The Rosenbrock and image-restoration kernels walk their coordinates in
-blocks of ``problems.STENCIL_BLOCK_BYTES`` of scratch; the blocking may change
-neither a value nor the scratch bound.
+i set to ``x[i] + steps[j]``; the references here build each of those points
+and call ``evaluator`` on it. Rosenbrock's kernel patches two terms into the
+base point's and must be bitwise the scalar value. The least-squares kernel is
+the closed form f0 + s (2 a_i^T r0 + s ||a_i||^2), O(1) per point and without
+blocks; the image-restoration kernel adds one column to the base residual.
+Both round differently from a matrix-vector product per point. The Rosenbrock
+and image-restoration kernels walk their coordinates in blocks of
+``problems.STENCIL_BLOCK_BYTES`` of scratch; the blocking may change neither a
+value nor the scratch bound.
 """
 
 import tracemalloc
@@ -23,12 +24,24 @@ from adafd import make_rosenbrock, random_instance
 NS = (2, 3, 100, 400)
 STEPS = (1e-8, 1e-3, 1.0, 1e3)
 MATRIX_RTOL = 1e-14
+#: Base points of the whole-stencil comparisons: mixed scales 1e-3 to 1e3,
+#: unit scale, the origin, and all ones (Rosenbrock's minimiser, where every
+#: term of the base point is zero).
+POINTS = ("mixed", "unit", "zero", "ones")
 
 
 def _base(n, seed=0):
     rng = np.random.default_rng(n + seed)
     scales = np.array([1e-3, 1.0, 1e3])[rng.integers(0, 3, size=n)]
     return rng.uniform(-2.0, 2.0, n) * scales
+
+
+def _point(n, kind):
+    if kind == "mixed":
+        return _base(n)
+    if kind == "unit":
+        return np.random.default_rng(n).uniform(-2.0, 2.0, n)
+    return {"zero": np.zeros(n), "ones": np.ones(n)}[kind]
 
 
 def _scalar_stencil(objective, x, steps):
@@ -42,11 +55,12 @@ def _scalar_stencil(objective, x, steps):
     return values
 
 
+@pytest.mark.parametrize("point", POINTS)
 @pytest.mark.parametrize("step", STEPS)
 @pytest.mark.parametrize("n", NS)
-def test_rosenbrock_stencil_is_bitwise_the_scalar_evaluator(n, step):
+def test_rosenbrock_stencil_is_bitwise_the_scalar_evaluator(n, step, point):
     objective = make_rosenbrock(n).objective
-    x = _base(n)
+    x = _point(n, point)
     for steps in (np.array([step]), np.array([step, -step])):
         got = objective.stencil_evaluator(x, steps)
         assert got.shape == (n, len(steps))
@@ -54,12 +68,13 @@ def test_rosenbrock_stencil_is_bitwise_the_scalar_evaluator(n, step):
         assert got.tobytes() == expected.tobytes(), steps
 
 
+@pytest.mark.parametrize("point", POINTS)
 @pytest.mark.parametrize("step", STEPS)
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("family", ["least_squares", "image_restoration"])
-def test_matrix_family_stencils_match_the_scalar_evaluator(family, n, step):
+def test_matrix_family_stencils_match_the_scalar_evaluator(family, n, step, point):
     objective = random_instance(family, n, seed=n).objective
-    x = _base(n)
+    x = _point(n, point)
     for steps in (np.array([step]), np.array([step, -step])):
         got = objective.stencil_evaluator(x, steps)
         assert got.shape == (n, len(steps))
