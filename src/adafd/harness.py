@@ -26,7 +26,7 @@ import numpy as np
 from . import baselines, dfb, dfc
 from .gradapprox import GradScheme
 from .oracle import Array
-from .problems import FAMILIES, ProblemInstance, build_instance
+from .problems import FAMILIES, IMAGE_RESTORATION, ROSENBROCK, ProblemInstance, build_instance
 from .trace import RunReport, emit_csv, read_csv
 
 
@@ -84,6 +84,10 @@ class ExperimentConfig:
                 kind = "positive" if least else "nonnegative"
                 raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # a numpy integer as a JSON one
+        if self.family == ROSENBROCK and self.m is not None:
+            raise ValidationError("rosenbrock has no m; omit it")
+        if self.family == IMAGE_RESTORATION and self.m not in (None, self.n):
+            raise ValidationError("image_restoration is square; m must equal n or be omitted")
         if not 0.0 <= self.noise_level < math.inf:
             raise ValidationError("noise level must be finite and nonnegative")
         if not self.solvers:

@@ -52,17 +52,17 @@ class Objective:
     unchanged). It must equal ``evaluator`` at those points up to rounding,
     and it must not write to ``x``; ``x`` and ``steps`` are 1-D float arrays.
     This lets a kernel reuse the base point's work: of the benchmark families,
-    Rosenbrock's patches the two chained terms that touch the moved coordinate
-    into the base point's terms, bitwise equal to ``evaluator``; least squares
-    moves coordinate i by its real displacement s = (x_i + step) - x_i in
-    closed form, f0 + s (2 a_i^T r0 + s ||a_i||^2) with r0 = A x - b, O(1) per
-    point; and image restoration adds the moved coordinate's column, times s,
-    to the base residual. Both matrix kernels are equal to ``evaluator`` up to
-    rounding. Each finite-difference stencil reaches it in one call, so it
-    bounds its own temporaries: the built-in kernels do the base point's work
-    once per call, and the Rosenbrock and image-restoration ones walk the
-    coordinates in blocks of at most ``problems.STENCIL_BLOCK_BYTES`` of
-    scratch. Without it, a stencil loops over ``evaluator``.
+    Rosenbrock's adds to f(x) the changes of the two chained terms that hold
+    the moved coordinate, O(1) per point; least squares moves coordinate i by
+    its real displacement s = (x_i + step) - x_i in closed form,
+    f0 + s (2 a_i^T r0 + s ||a_i||^2) with r0 = A x - b, also O(1) per point;
+    and image restoration adds the moved coordinate's column, times s, to the
+    base residual. All three are equal to ``evaluator`` up to rounding. Each
+    finite-difference stencil reaches it in one call, so it bounds its own
+    temporaries: the built-in kernels do the base point's work once per call,
+    and the image-restoration one walks the coordinates in blocks of at most
+    ``problems.STENCIL_BLOCK_BYTES`` of scratch. Without it, a stencil loops
+    over ``evaluator``.
     """
 
     dim: int

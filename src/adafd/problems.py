@@ -7,6 +7,13 @@ the rg baseline reads them: least squares' 2 sigma_max(A)^2, exact to rounding
 (the largest eigenvalue of A^T A from one LAPACK call), and for the log-damped
 family the max absolute row sum of 2 A^T A, an upper bound. Rosenbrock's
 gradient is only locally Lipschitz so no constant is stored.
+
+Each family also has a stencil kernel (``Objective.stencil_evaluator``) that
+reuses the base point's work. Least squares and Rosenbrock are in closed form,
+O(1) per point: f(x) plus the change the moved coordinate makes. Image
+restoration adds one column of A to the base residual, O(n) per point, in
+blocks of ``STENCIL_BLOCK_BYTES`` of scratch. All three equal the scalar
+evaluator up to rounding.
 """
 
 from __future__ import annotations
@@ -40,34 +47,15 @@ class ProblemInstance:
     seed: Optional[int] = None  # set by random_instance; report.json records it
 
 
-#: Bytes of scratch per block of the Rosenbrock and image-restoration stencil
-#: kernels (the least-squares one is in closed form and needs no blocks). Their
-#: temporaries hold one value per term of each point: n - 1 chained terms for
-#: Rosenbrock, n residuals for image restoration. A kernel splits the
-#: coordinates into blocks of STENCIL_BLOCK_BYTES // (8 * terms * len(steps))
-#: coordinates (at least one) and reuses one buffer of that size for every
-#: block, so its scratch stays under glibc's heap-trim threshold and its pages
-#: are not returned to the OS and faulted in again.
-#: At 512 KiB a block holds 164 forward or 82 central coordinates of a
-#: Rosenbrock n = 400 stencil and 163 or 81 of an image-restoration one.
+#: Bytes of scratch per block of the image-restoration stencil kernel (the
+#: Rosenbrock and least-squares ones are in closed form and need no blocks).
+#: Its temporaries hold n residuals per point, so it splits the coordinates
+#: into blocks of STENCIL_BLOCK_BYTES // (8 * n * len(steps)) coordinates (at
+#: least one) and reuses one buffer of that size for every block; its scratch
+#: stays under glibc's heap-trim threshold, so its pages are not returned to
+#: the OS and faulted in again. At 512 KiB a block holds 163 forward or 81
+#: central coordinates of an n = 400 stencil.
 STENCIL_BLOCK_BYTES = 2**19
-
-
-def _stencil_blocks(n: int, steps: Array, terms: int, block) -> Array:
-    """The (n, len(steps)) stencil values, block by block.
-
-    ``block(a, b, T, out)`` fills ``out``, the rows of coordinates a, ..., b - 1,
-    using the scratch ``T`` of shape (b - a, len(steps), terms). Every block
-    shares one buffer of at most ``STENCIL_BLOCK_BYTES`` (but at least one
-    coordinate's worth)."""
-    p = steps.shape[0]
-    values = np.empty((n, p))
-    coords = max(1, STENCIL_BLOCK_BYTES // max(1, 8 * terms * p))
-    buf = np.empty(min(coords, n) * p * terms)
-    for a in range(0, n, coords):
-        b = min(a + coords, n)
-        block(a, b, buf[:(b - a) * p * terms].reshape(b - a, p, terms), values[a:b])
-    return values
 
 
 def make_least_squares(A: Array, b: Array) -> ProblemInstance:
@@ -142,14 +130,18 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
         r0 -= b
         moved = (x[:, None] + steps) - x[:, None]
         AT = A.T
-
-        def block(i: int, j: int, R: Array, out: Array) -> None:
+        p = steps.shape[0]
+        values = np.empty((n, p))
+        coords = max(1, STENCIL_BLOCK_BYTES // max(1, 8 * n * p))
+        scratch = np.empty((min(coords, n), p, n))
+        for i in range(0, n, coords):
+            j = min(i + coords, n)
+            R = scratch[:j - i]
             np.multiply(AT[i:j, None, :], moved[i:j, :, None], out=R)
             R += r0
             np.multiply(R, R, out=R)
-            np.add.reduce(np.log1p(R, out=R), axis=2, out=out)
-
-        return _stencil_blocks(n, steps, n, block)
+            np.add.reduce(np.log1p(R, out=R), axis=2, out=values[i:j])
+        return values
 
     def grad(x: Array) -> Array:
         r = A @ x - b
@@ -166,10 +158,10 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
 
 
 def _rosenbrock_terms(head: Array, tail: Array) -> Array:
-    """The chained Rosenbrock terms 100 (tail - head^2)^2 + (head - 1)^2, in two
-    buffers, computed term by term as that expression would compute them."""
-    a = np.square(head, dtype=float)
-    np.subtract(tail, a, out=a)
+    """The chained Rosenbrock terms 100 (tail - head^2)^2 + (head - 1)^2, computed
+    term by term as that expression would compute them; head and tail
+    broadcast."""
+    a = np.subtract(tail, np.square(head, dtype=float))
     np.square(a, out=a)
     np.multiply(100.0, a, out=a)
     b = np.subtract(head, 1.0)
@@ -186,32 +178,19 @@ def make_rosenbrock(n: int) -> ProblemInstance:
         return float(np.add.reduce(_rosenbrock_terms(x[:-1], x[1:])))
 
     def f_stencil(x: Array, steps: Array) -> Array:
-        # Each point's n - 1 terms are the base point's, except the two that
-        # hold the moved coordinate i: term i - 1 as its tail, term i as its
-        # head. Each row is then summed as f sums its terms.
-        p = steps.shape[0]
+        # Moving coordinate i changes only term i - 1 (i is its tail) and term
+        # i (i is its head), so entry [i, j] is f(x) plus those two terms'
+        # changes: O(1) per point, equal to f up to rounding. A term the move
+        # leaves unchanged adds exactly 0, so a base term that overflowed to
+        # +inf keeps the value +inf instead of giving inf - inf = NaN.
         terms = _rosenbrock_terms(x[:-1], x[1:])
         moved = x[:, None] + steps
-        left = _rosenbrock_terms(np.repeat(x[:-1, None], p, axis=1), moved[1:])
-        right = _rosenbrock_terms(moved[:-1], x[1:, None])
-        # In a block starting at coordinate a, term i - 1 (left) or i (right)
-        # of coordinate i's point j lies (i - a) * row + j * (n - 1) + a - 1
-        # (left) or + a (right) values into the block: a strided view of it.
-        row = p * (n - 1) + 1
-
-        def block(a: int, b: int, T: Array, out: Array) -> None:
-            T[:] = terms
-            size = T.itemsize
-            strides = (size * row, size * (n - 1))
-            i = max(a, 1)
-            np.ndarray((b - i, p), buffer=T, offset=size * ((i - a) * row + a - 1),
-                       strides=strides)[:] = left[i - 1:b - 1]
-            i = min(b, n - 1)
-            np.ndarray((i - a, p), buffer=T, offset=size * a,
-                       strides=strides)[:] = right[a:i]
-            np.add.reduce(T, axis=2, out=out)
-
-        return _stencil_blocks(n, steps, n - 1, block)
+        values = np.full((n, steps.shape[0]), np.add.reduce(terms))
+        old = terms[:, None]
+        for new, rows in ((_rosenbrock_terms(x[:-1, None], moved[1:]), values[1:]),
+                          (_rosenbrock_terms(moved[:-1], x[1:, None]), values[:-1])):
+            rows += np.subtract(new, old, out=np.zeros_like(new), where=new != old)
+        return values
 
     def grad(x: Array) -> Array:
         g = np.zeros_like(x)

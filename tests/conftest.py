@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,22 @@ def cusp_objective() -> Objective:
         return (2.0 / 3.0) * np.sqrt(abs(t) ** 3) * (1.0 if t >= 0 else -1.0)
 
     return Objective(dim=1, evaluator=f)
+
+
+def looping_stencil(objective: Objective) -> Objective:
+    """``objective`` with a stencil hook that calls its ``evaluator`` once per
+    point, so the hook's values are bitwise those of the per-point route and a
+    test of the oracle's noise order can compare them exactly."""
+
+    def hook(x, steps):
+        values = np.empty((x.shape[0], steps.shape[0]))
+        for i, j in np.ndindex(values.shape):
+            y = x.copy()
+            y[i] = x[i] + steps[j]
+            values[i, j] = objective.evaluator(y)
+        return values
+
+    return replace(objective, stencil_evaluator=hook)
 
 
 @pytest.fixture

@@ -3,14 +3,15 @@
 In a process that has not yet freed a large array, glibc's heap-trim threshold
 is still low. Stencil temporaries above it are returned to the OS when freed
 and fault their pages in again on the next stencil block, so a cold run pays
-for every block. The Rosenbrock and image-restoration kernels size their
-blocks by their own temporaries (n - 1 terms or n residuals per point) and
-reuse one buffer of at most ``problems.STENCIL_BLOCK_BYTES`` for all of them;
-the least-squares kernel is in closed form and holds O(1) scratch per point.
+for every block. The Rosenbrock and least-squares kernels are in closed form
+and hold O(1) scratch per point; the image-restoration kernel sizes its blocks
+by its n residuals per point and reuses one buffer of at most
+``problems.STENCIL_BLOCK_BYTES`` for all of them.
 On a 2-vCPU x86 host (glibc, numpy 2.4), at 25n and noise 1e-4:
 
-- a cold Rosenbrock n=400 ``dfc-fordif`` run takes about 620 minor faults,
-  where building and evaluating whole blocks of points took about 13.5k;
+- a cold Rosenbrock n=400 ``dfc-fordif`` run takes about 410 minor faults.
+  Patching two terms into blocks of n - 1 base terms per point took about
+  610, and building and evaluating whole blocks of points about 13.5k;
 - a cold least-squares n=100, m=2000 run takes about 25 for ``dfc-fordif``
   and for ``dfb-cendif``. Blocks of m residuals per point took about 250, and
   blocks sized by n instead of m, so 1.6 or 3.2 MB of residuals per stencil,

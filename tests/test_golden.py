@@ -5,9 +5,18 @@ not depend on BLAS), noise 1e-4, budget 200 n, started at the origin. Each
 entry pins the sha256 of the emitted trace CSV, the oracle count and the
 termination. No benchmark workload runs GDF or rg, so this is their
 byte-level gate. Nelder-Mead and rg take no scheme; their entries read "-".
+
+``GOLDEN`` pins the per-point route, the objective without its
+``stencil_evaluator``, so every stencil loops over the scalar evaluator.
+``KERNEL_GOLDEN`` pins the finite-difference solvers on Rosenbrock's
+closed-form stencil kernel, whose values differ from the scalar evaluator's
+by rounding; each of those runs must take the per-point run's iterations,
+evaluation counts and step statuses exactly. Nelder-Mead and rg never call
+the stencil hook, so they have one route.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,8 +66,30 @@ GOLDEN = {
 }
 
 
-def _run(solver, scheme, seed):
+KERNEL_GOLDEN = {
+    ("dfc", "forward", 0): ("3655cd107a65b74f196878f4a1cbe80cf56258fa26555a792f701ee14c475682", 1002, "budget"),
+    ("dfc", "forward", 1): ("053893d3cb83c455721812e6780b6238df9e3375aa7bfb462f80c9e9ef0d10b7", 1002, "budget"),
+    ("dfc", "central", 0): ("5d629a25f69f7b19cdbe2d4dce7dd40857d8afda4e65995bf4d7d31497588f01", 1006, "budget"),
+    ("dfc", "central", 1): ("83a75a03f16ff592ae2510b93a0c22cb5e5abf6068cda46e651f4d4a142e2ba8", 1006, "budget"),
+    ("dfb", "forward", 0): ("43ac965d0bf70133585207f3071e59b6937fde2ff9ea958e52d958d289e87b76", 1000, "budget"),
+    ("dfb", "forward", 1): ("c66ae605c9eb9d4bec8602e7c9e11d8998e762b83ced7db7f19ac5d7ada882fa", 1000, "budget"),
+    ("dfb", "central", 0): ("bf7ddf389fe4400ec59a90e2066c7ae353ae86dd398ffda82e5a499928a288a4", 1000, "budget"),
+    ("dfb", "central", 1): ("a35a9e9b46e346ebd0e069137fd52ef6f20c78b450c6f5ec0f61290462ead2e8", 1000, "budget"),
+    ("gdf", "forward", 0): ("1119f175de02b2502eefd324edf1a4ca663e91cd08ed4ce36ce2675d04777089", 1000, "budget"),
+    ("gdf", "forward", 1): ("70e91c9c1a773825df4cde7eecaaf5b503ae3cc39ed54b6872b72893da641665", 1000, "budget"),
+    ("gdf", "central", 0): ("8740e5173f19361c65373354630a9e3281c2caf2baa0a16703a478ee315a4077", 1001, "budget"),
+    ("gdf", "central", 1): ("46c6a9b326845f3fb4806fb13efeceb6e4b33945cbe3d4fd87602d38f6a31d04", 1001, "budget"),
+    ("imfil", "forward", 0): ("bc585f4ef9b806e93146fbe8bf63f6532672b019f864cb711b1dd2c9937e7439", 1000, "budget"),
+    ("imfil", "forward", 1): ("02eb42fca02ea9a1c7b7bf7443f1fc681c02fa173a53914ba0f173d69c496285", 1000, "budget"),
+    ("imfil", "central", 0): ("68db74c3c5da14b49ab1e58216e47e0781bbe4385a8756601c58af4438b5539d", 1004, "budget"),
+    ("imfil", "central", 1): ("9c5681f89c5d42ad5023a6e3603ffb4e9e7e2e936e494afa3f44bfad8003438f", 1000, "budget"),
+}
+
+
+def _run(solver, scheme, seed, kernel=False):
     obj = make_rosenbrock(N).objective
+    if not kernel:
+        obj = replace(obj, stencil_evaluator=None)
     x1 = np.zeros(N)
     if solver == "dfc":
         return dfc_run(obj, scheme, DfcConfig(x1=x1, budget=BUDGET), 1e-4, seed)
@@ -73,10 +104,22 @@ def _run(solver, scheme, seed):
     return imfil_run(obj, scheme, ImfilConfig(x1=x1, budget=BUDGET), 1e-4, seed)
 
 
+def _digest(report, path):
+    emit_csv(report.trace, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest(), report.evals, report.termination
+
+
 @pytest.mark.parametrize("solver,scheme,seed", sorted(GOLDEN))
 def test_trace_bytes_match_the_pinned_digest(tmp_path, solver, scheme, seed):
     report = _run(solver, None if scheme == "-" else GradScheme(scheme), seed)
-    path = tmp_path / "trace.csv"
-    emit_csv(report.trace, path)
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert (digest, report.evals, report.termination) == GOLDEN[(solver, scheme, seed)]
+    assert _digest(report, tmp_path / "trace.csv") == GOLDEN[(solver, scheme, seed)]
+
+
+@pytest.mark.parametrize("solver,scheme,seed", sorted(KERNEL_GOLDEN))
+def test_kernel_route_matches_its_digest_and_the_per_point_steps(tmp_path, solver, scheme,
+                                                                 seed):
+    kernel = _run(solver, GradScheme(scheme), seed, kernel=True)
+    per_point = _run(solver, GradScheme(scheme), seed)
+    assert _digest(kernel, tmp_path / "trace.csv") == KERNEL_GOLDEN[(solver, scheme, seed)]
+    assert ([(r.iter, r.evals, r.step_status) for r in kernel.trace]
+            == [(r.iter, r.evals, r.step_status) for r in per_point.trace])

@@ -16,7 +16,8 @@ from adafd import (
     make_least_squares,
 )
 
-from conftest import constant_objective, cusp_objective, linear_objective, sphere_objective
+from conftest import (constant_objective, cusp_objective, linear_objective, looping_stencil,
+                      sphere_objective)
 
 
 def test_forward_on_scalar_quadratic():
@@ -294,8 +295,7 @@ def test_block_stencils_match_one_call_per_point_bitwise(n, hook):
     from adafd import make_rosenbrock
 
     obj = make_rosenbrock(n).objective if n > 1 else sphere_objective(1)
-    if not hook:
-        obj = replace(obj, stencil_evaluator=None)
+    obj = looping_stencil(obj) if hook else replace(obj, stencil_evaluator=None)
     x = np.random.default_rng(n).uniform(-1.0, 1.0, obj.dim)
     for stencil, reference in ((forward_diff, _forward_per_point),
                                (central_diff, _central_per_point)):

@@ -242,7 +242,7 @@ class TestRunExperiment:
         text = (tmp_path / "report.json").read_text().replace(str(tmp_path), "TMP")
         assert '"trace": "TMP/trace_nelder-mead.csv"' in text
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "47605f51213d90b42729bca2077ea1d5cb96890daf87e1631b8db7cee6e47197")
+            "173987b53903de0aee698a85f200c150108f7ba6105826f92cd322099f96633e")
 
     def test_report_json_records_start_and_budget_once(self, tmp_path):
         x0 = [0.25, -0.5, 1.0]
@@ -283,6 +283,20 @@ class TestRunExperiment:
         fields = {"n": 4, name: value}
         with pytest.raises(ValidationError, match=f"{name} must be a positive integer"):
             ExperimentConfig(family="least_squares", solvers=["dfc-fordif"], **fields)
+
+    @pytest.mark.parametrize("family, m, message", [
+        ("rosenbrock", 4, "rosenbrock has no m"),
+        ("rosenbrock", 50, "rosenbrock has no m"),
+        ("image_restoration", 5, "m must equal n or be omitted"),
+    ])
+    def test_an_m_the_family_cannot_take_is_rejected(self, family, m, message):
+        # these used to construct and fail only inside run_experiment
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig(family=family, n=4, m=m, solvers=["dfc-fordif"])
+
+    def test_a_square_m_is_accepted_for_image_restoration(self):
+        assert ExperimentConfig(family="image_restoration", n=4, m=4,
+                                solvers=["dfc-fordif"]).m == 4
 
     def test_numpy_integers_are_recorded_as_json_integers(self, tmp_path):
         run_experiment(ExperimentConfig(

@@ -5,7 +5,7 @@ import pytest
 
 from adafd import Objective, Oracle
 
-from conftest import sphere_objective
+from conftest import looping_stencil, sphere_objective
 
 
 def test_exact_value_and_count_without_noise():
@@ -140,8 +140,7 @@ def test_evaluate_stencil_rejects_bad_arguments():
 def test_noisy_stencil_equals_scalar_calls_bitwise():
     from adafd import make_rosenbrock
 
-    obj = make_rosenbrock(6).objective
-    assert obj.stencil_evaluator is not None
+    obj = looping_stencil(make_rosenbrock(6).objective)
     x, steps = _base(6), np.array([1e-3, -1e-3])
     stencil = Oracle(obj, noise_level=1e-4, rng_seed=21)
     scalar = Oracle(obj, noise_level=1e-4, rng_seed=21)

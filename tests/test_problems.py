@@ -104,15 +104,17 @@ class TestRosenbrock:
 
 @pytest.mark.parametrize("per", [1, 2])
 @pytest.mark.parametrize("n", [2, 100, 400])
-def test_rosenbrock_stencil_is_bitwise_the_one_expression_form(per, n):
+def test_rosenbrock_stencil_matches_the_one_expression_form(per, n):
+    # the kernel is f(x) plus two term changes: within 4 epsilons of max(f(x), value)
     x = np.random.default_rng(per * n).uniform(-2.0, 2.0, n)
     steps = np.array([1e-3, -1e-3][:per])
     X = np.repeat(x[None, :], n * per, axis=0)  # the stencil's points, in row order
     X[np.arange(n * per), np.repeat(np.arange(n), per)] += np.tile(steps, n)
     head, tail = X[:, :-1], X[:, 1:]
     expected = np.sum(100.0 * (tail - head ** 2) ** 2 + (head - 1.0) ** 2, axis=1)
-    got = make_rosenbrock(n).objective.stencil_evaluator(x, steps)
-    assert got.tobytes() == expected.tobytes()
+    got = make_rosenbrock(n).objective.stencil_evaluator(x, steps).ravel()
+    fx = np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2)
+    assert np.all(np.abs(got - expected) <= 4 * np.finfo(float).eps * np.maximum(fx, expected))
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 100, 400])

@@ -3,27 +3,32 @@ they stand for.
 
 Entry ``[i, j]`` of ``stencil_evaluator(x, steps)`` is f at x with coordinate
 i set to ``x[i] + steps[j]``; the references here build each of those points
-and call ``evaluator`` on it. Rosenbrock's kernel patches two terms into the
-base point's and must be bitwise the scalar value. The least-squares kernel is
-the closed form f0 + s (2 a_i^T r0 + s ||a_i||^2), O(1) per point and without
-blocks; the image-restoration kernel adds one column to the base residual.
-Both round differently from a matrix-vector product per point. The Rosenbrock
-and image-restoration kernels walk their coordinates in blocks of
-``problems.STENCIL_BLOCK_BYTES`` of scratch; the blocking may change neither a
-value nor the scratch bound.
+and call ``evaluator`` on it. The Rosenbrock and least-squares kernels are in
+closed form, O(1) per point and without blocks: Rosenbrock's is f(x) plus the
+changes of the two terms that hold the moved coordinate, within
+``ROSENBROCK_EPS`` machine epsilons of max(f(x), value); least squares' is
+f0 + s (2 a_i^T r0 + s ||a_i||^2). The image-restoration kernel adds one
+column to the base residual. The matrix kernels round differently from a
+matrix-vector product per point. The image-restoration kernel walks its
+coordinates in blocks of ``problems.STENCIL_BLOCK_BYTES`` of scratch; the
+blocking may change neither a value nor the scratch bound.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from adafd import GradScheme, Oracle, central_diff, forward_diff, problems
-from adafd import make_rosenbrock, random_instance
+from adafd import build_instance, make_rosenbrock, random_instance
 
 NS = (2, 3, 100, 400)
 STEPS = (1e-8, 1e-3, 1.0, 1e3)
 MATRIX_RTOL = 1e-14
+#: Rosenbrock's kernel rounds f(x) once and adds two rounded term changes, so
+#: each value is within a few epsilons of max(f(x), value).
+ROSENBROCK_EPS = 4
 #: Base points of the whole-stencil comparisons: mixed scales 1e-3 to 1e3,
 #: unit scale, the origin, and all ones (Rosenbrock's minimiser, where every
 #: term of the base point is zero).
@@ -58,14 +63,34 @@ def _scalar_stencil(objective, x, steps):
 @pytest.mark.parametrize("point", POINTS)
 @pytest.mark.parametrize("step", STEPS)
 @pytest.mark.parametrize("n", NS)
-def test_rosenbrock_stencil_is_bitwise_the_scalar_evaluator(n, step, point):
+def test_rosenbrock_stencil_matches_the_scalar_evaluator(n, step, point):
     objective = make_rosenbrock(n).objective
     x = _point(n, point)
     for steps in (np.array([step]), np.array([step, -step])):
         got = objective.stencil_evaluator(x, steps)
         assert got.shape == (n, len(steps))
         expected = _scalar_stencil(objective, x, steps)
-        assert got.tobytes() == expected.tobytes(), steps
+        scale = np.maximum(objective.evaluator(x), expected)
+        assert np.all(np.abs(got - expected) <= ROSENBROCK_EPS * np.finfo(float).eps * scale)
+
+
+def test_rosenbrock_stencil_keeps_an_overflowed_base_term_infinite():
+    # term 2 overflows to +inf at x and at every point of the stencil; a
+    # difference of the two infinities would be NaN
+    objective = make_rosenbrock(6).objective
+    x = np.array([0.5, 1.0, 1e80, 0.3, 0.2, 0.1])
+    steps = np.array([1e-3, -1e-3])
+    with warnings.catch_warnings(record=True) as scalar_warnings:
+        warnings.simplefilter("always")
+        expected = _scalar_stencil(objective, x, steps)
+    with warnings.catch_warnings(record=True) as kernel_warnings:
+        warnings.simplefilter("always")
+        got = objective.stencil_evaluator(x, steps)
+    assert np.all(expected == np.inf)
+    assert np.all(got[expected == np.inf] == np.inf)
+    messages = {str(w.message) for w in scalar_warnings}
+    assert messages == {"overflow encountered in square"}
+    assert {str(w.message) for w in kernel_warnings} == messages
 
 
 @pytest.mark.parametrize("point", POINTS)
@@ -176,22 +201,24 @@ def _stencil_peak(objective, scheme):
 
 @pytest.mark.parametrize("scheme", list(GradScheme))
 @pytest.mark.parametrize("family, n, m", [("least_squares", 100, 2000),
-                                          ("rosenbrock", 400, None)])
+                                          ("image_restoration", 400, None)])
 def test_one_stencil_allocates_at_most_one_block(family, n, m, scheme):
-    objective = (make_rosenbrock(n) if m is None
-                 else random_instance(family, n, m=m, seed=0)).objective
+    objective = random_instance(family, n, m=m, seed=0).objective
     peak = _stencil_peak(objective, scheme)
     assert peak <= problems.STENCIL_BLOCK_BYTES + SCRATCH_SLACK_BYTES, peak
 
 
-#: What one least-squares stencil may allocate: its values, the base residual
-#: and the slopes, with no scratch that grows with m per point.
-LEAST_SQUARES_STENCIL_BYTES = 64 * 1024
+#: What one closed-form stencil may allocate: its values and the base point's
+#: work (least squares' base residual and slopes, Rosenbrock's terms and the
+#: two moved terms per point), with no scratch that grows with m or n per point.
+CLOSED_FORM_STENCIL_BYTES = 64 * 1024
 
 
 @pytest.mark.parametrize("scheme", list(GradScheme))
-@pytest.mark.parametrize("n, m", [(100, 2000), (400, 400)])
-def test_least_squares_stencil_allocates_no_block(n, m, scheme):
-    objective = random_instance("least_squares", n, m=m, seed=0).objective
+@pytest.mark.parametrize("family, n, m", [("least_squares", 100, 2000),
+                                          ("least_squares", 400, 400),
+                                          ("rosenbrock", 400, None)])
+def test_closed_form_stencils_allocate_no_block(family, n, m, scheme):
+    objective = build_instance(family, n, m=m, seed=0).objective
     peak = _stencil_peak(objective, scheme)
-    assert peak <= LEAST_SQUARES_STENCIL_BYTES, peak
+    assert peak <= CLOSED_FORM_STENCIL_BYTES, peak
