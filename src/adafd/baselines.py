@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .driver import ScheduleExhausted, check_start, config_dict, drive, lower
+from .driver import ScheduleExhausted, StartConfig, config_dict, drive, lower
 from .gradapprox import GradScheme, approx_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
@@ -27,14 +27,12 @@ def default_imfil_scales(h0: float = 1.0, count: int = 12) -> list:
 
 
 @dataclass(frozen=True)
-class NelderMeadConfig:
-    x1: Array
-    budget: int
+class NelderMeadConfig(StartConfig):
     # reflection, expansion, contraction, shrink
     coefficients: Tuple[float, float, float, float] = (1.0, 2.0, 0.5, 0.5)
 
     def __post_init__(self):
-        check_start(self)
+        super().__post_init__()
         coefficients = tuple(self.coefficients)
         if len(coefficients) != 4 or not all(map(math.isfinite, coefficients)):
             raise ValueError("nelder-mead coefficients must be four finite numbers "
@@ -47,16 +45,14 @@ class NelderMeadConfig:
 
 
 @dataclass(frozen=True)
-class ImfilConfig:
-    x1: Array
-    budget: int
+class ImfilConfig(StartConfig):
     scales: Sequence[float] = tuple(default_imfil_scales())  # strictly decreasing
     armijo: float = 1e-4
     ls_gamma: float = 0.5
     max_backtracks: int = 10
 
     def __post_init__(self):
-        check_start(self)
+        super().__post_init__()
         scales = tuple(float(s) for s in self.scales)
         object.__setattr__(self, "scales", scales)
         if not scales:
@@ -68,14 +64,12 @@ class ImfilConfig:
 
 
 @dataclass(frozen=True)
-class RgConfig:
-    x1: Array
-    budget: int
+class RgConfig(StartConfig):
     lipschitz: Optional[float] = None  # required
     smoothing: Optional[float] = None  # default 1e-6 * (1 + ||x1||)
 
     def __post_init__(self):
-        check_start(self)
+        super().__post_init__()
         if self.lipschitz is None or not (math.isfinite(self.lipschitz) and self.lipschitz > 0):
             raise ValueError("rg requires a positive, finite lipschitz constant")
         smoothing = self.smoothing
@@ -99,7 +93,7 @@ class SimplexState(NamedTuple):
     verts: Optional[Array] = None
     fv: Optional[Array] = None
     last_step: str = "init"
-    last_candidate_f: Optional[float] = None
+    last_candidate_f: float = math.nan
     last_cost: int = 0
 
     delta = C = last_g_norm = last_tau = float("nan")  # no interval, proxy, gradient or step
@@ -186,10 +180,6 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
                         len(seen))
 
 
-def _no_extras(state) -> dict:
-    return {}
-
-
 def nelder_mead_run(
     objective: Objective,
     cfg: NelderMeadConfig,
@@ -208,7 +198,6 @@ def nelder_mead_run(
         start=lambda x, f: SimplexState(k=0, x=x, f_x=f),
         step=nelder_mead_step,
         config=config_dict("nelder_mead", None, cfg),
-        extras=_no_extras,
         collect_iterates=False,
     )
 
@@ -224,7 +213,7 @@ class ImfilState(NamedTuple):
     last_step: str = "init"  # "accepted" | "ls_fail" | "stencil_fail" | "init"
     last_g_norm: float = float("nan")
     last_tau: float = 0.0
-    last_candidate_f: Optional[float] = None
+    last_candidate_f: float = math.nan
     last_cost: int = 0
 
     C = float("nan")  # no curvature proxy
@@ -244,7 +233,7 @@ def imfil_step(state: ImfilState, oracle: Oracle, scheme: GradScheme,
     g_norm = float(np.linalg.norm(g))
     if not h < g_norm < math.inf:  # too small, or a NaN or infinite estimate
         return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "stencil_fail",
-                          g_norm, 0.0, None, cost)
+                          g_norm, 0.0, math.nan, cost)
     t = 1.0
     min_f = math.nan
     for trial in range(cfg.max_backtracks):
@@ -279,7 +268,6 @@ def imfil_run(
         start=lambda x, f: ImfilState(k=0, x=x, f_x=f),
         step=imfil_step,
         config=config_dict("imfil", scheme, cfg),
-        extras=_no_extras,
         collect_iterates=False,
     )
 
@@ -295,7 +283,7 @@ class RgState(NamedTuple):
     delta: float
     last_tau: float
     last_g_norm: float = float("nan")
-    last_candidate_f: Optional[float] = None
+    last_candidate_f: float = math.nan
     last_cost: int = 0
     last_step: str = "init"  # "step" | "init"
 
@@ -342,6 +330,5 @@ def rg_run(
                                    delta=cfg.smoothing, last_tau=step),
         step=rg_step,
         config=config,
-        extras=_no_extras,
         collect_iterates=False,
     )

@@ -85,7 +85,7 @@ def backtrack(
         if budget is not None and oracle.eval_count >= budget:
             # the trials already evaluated still count toward the run's f_best
             raise BudgetExhausted("budget exhausted during linesearch",
-                                  partial=min_f if evals else None, declared_cost=evals)
+                                  partial=min_f, declared_cost=evals)
         f_cand = oracle.evaluate(x - t * g)
         evals += 1
         min_f = lower(min_f, f_cand)
@@ -106,7 +106,7 @@ class DfbState(NamedTuple):
     last_step: str = "init"  # "accepted" | "null" | "stopped" | "init"
     last_g_norm: float = float("nan")
     last_tau: float = 0.0
-    last_candidate_f: Optional[float] = None  # lowest value the last linesearch saw
+    last_candidate_f: float = float("nan")  # lowest value the last linesearch saw
     last_cost: int = 0
 
 
@@ -122,7 +122,7 @@ def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig
     )
     if res.exhausted:
         return DfbState(k, state.x, res.delta_next, state.C, state.t_min, state.f_x, "stopped",
-                        res.g_norm, 0.0, None, res.cost)
+                        res.g_norm, 0.0, float("nan"), res.cost)
 
     try:
         ls = backtrack(

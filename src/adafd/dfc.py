@@ -10,7 +10,7 @@ after which it stays constant. No Lipschitz constant is ever supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .driver import config_dict, drive
 from .gradapprox import GradScheme, SearchConfig, adaptive_gradient
@@ -45,7 +45,7 @@ class DfcState(NamedTuple):
     last_step: str = "init"  # "accepted" | "rejected" | "stopped" | "init"
     last_g_norm: float = float("nan")
     last_tau: float = 0.0
-    last_candidate_f: Optional[float] = None
+    last_candidate_f: float = float("nan")
     last_cost: int = 0  # declared oracle cost of the last step
 
 
@@ -59,7 +59,7 @@ def dfc_step(state: DfcState, oracle: Oracle, scheme: GradScheme, cfg: DfcConfig
     )
     if res.exhausted:
         return DfcState(state.k + 1, state.x, res.delta_next, state.C, state.f_x, "stopped",
-                        res.g_norm, 0.0, None, res.cost)
+                        res.g_norm, 0.0, float("nan"), res.cost)
 
     if oracle.eval_count >= cfg.budget:
         raise BudgetExhausted("budget exhausted before the decrease test", declared_cost=res.cost)

@@ -1,29 +1,29 @@
 """The one run loop that every solver shares.
 
-A solver is a step rule ``step(state, oracle, scheme, cfg) -> state`` plus its
-initial state, a ``NamedTuple``. A step rule returns a new state, built once,
-and never mutates the state it got or its arrays. The driver owns everything
-around it: the initial evaluation, the budget check before every step, the
-declared-cost sum, ``f_best``, the trace and iterates, and why the run
-stopped. A step rule reports its cost in ``last_cost`` and the lowest value it
-evaluated at an iterate or candidate point in ``last_candidate_f``; it raises
-:class:`BudgetExhausted` when cut off mid-step and :class:`ScheduleExhausted`
-when a caller-supplied sequence runs out, both carrying the cost of the work
-done so far. A cut-off step may also pass the lowest value it evaluated as the
-float ``partial`` of its :class:`BudgetExhausted`, which then still counts
-toward ``f_best``.
-``f_best`` ignores NaN: it is NaN only while no other value has been seen.
+A solver is a step rule ``step(state, oracle, scheme, cfg) -> state``, its
+initial state (a ``NamedTuple``) and a config that subclasses
+:class:`StartConfig`. A step rule returns a new state, built once, and never
+mutates the state it got or its arrays. The driver owns everything around it:
+the initial evaluation, the budget check before every step, the declared-cost
+sum, ``f_best``, the trace and iterates, and why the run stopped. Every step
+rule reports alike: its cost in ``last_cost``, its curvature proxy in ``C``,
+and the lowest value it evaluated at an iterate or candidate point in
+``last_candidate_f``, or, when cut off mid-step, in the ``partial`` of the
+:class:`BudgetExhausted` it raises. A step whose caller-supplied sequence ran
+out raises :class:`ScheduleExhausted`. Both exceptions carry the cost of the
+work done so far. NaN is the only "no value", and ``f_best`` ignores it: it is
+NaN only while no other value has been seen.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .oracle import BudgetExhausted, Objective, Oracle
+from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport, TraceRecord
 
 
@@ -46,24 +46,33 @@ def schedule_value(rule, k: int, *args) -> float:
     return float(rule[k - 1])
 
 
-def check_start(cfg) -> None:
-    """Coerce ``cfg.x1`` to a float array and check the budget, the two fields
-    that every solver config carries."""
-    object.__setattr__(cfg, "x1", np.asarray(cfg.x1, dtype=float))
-    if cfg.budget < 0:
-        raise ValueError("budget must be nonnegative")
+@dataclass(frozen=True)
+class StartConfig:
+    """The start point ``x1``, coerced to a float array, and the evaluation
+    ``budget``: the first fields of every solver config, which subclass it."""
+
+    x1: Array
+    budget: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
+        if self.budget < 0:
+            raise ValueError("budget must be nonnegative")
+
+
+def settings(config_class) -> tuple:
+    """The fields of a solver config (or class) after its :class:`StartConfig` ones."""
+    return fields(config_class)[len(fields(StartConfig)):]
 
 
 def config_dict(solver: str, scheme, cfg) -> dict:
-    """A config dataclass as JSON-ready values: sequences of numbers become lists
-    of floats and rules "custom"; ``scheme`` is left out when it is None, and so
-    are ``x1`` and ``budget``, which ``report.json`` records once per experiment."""
+    """A config's settings as JSON-ready values: sequences of numbers become
+    lists of floats and rules "custom"; ``scheme`` is left out when it is None.
+    ``report.json`` records ``x1`` and ``budget`` once per experiment."""
     out = {"solver": solver}
     if scheme is not None:
         out["scheme"] = scheme.value
-    for f in fields(cfg):
-        if f.name in ("x1", "budget"):
-            continue
+    for f in settings(cfg):
         value = getattr(cfg, f.name)
         if callable(value):
             value = "custom"
@@ -84,10 +93,6 @@ def _ran_with_C(before, after) -> float:
     return before.C  # the step may escalate C; the record keeps the value it ran with
 
 
-def _final_C(state) -> dict:
-    return {"final_C": state.C}
-
-
 def drive(
     solver_id: str,
     objective: Objective,
@@ -99,12 +104,11 @@ def drive(
     step: Callable,
     config: dict,
     trace_C: Callable = _ran_with_C,
-    extras: Callable = _final_C,
     collect_iterates: bool = True,
 ) -> RunReport:
     """Run ``step`` from ``start(x1, f(x1))`` to the budget, a stationary stop or
-    the end of a schedule; ``extras(state)`` adds solver-specific report fields.
-    ``iterates`` holds every recorded ``state.x`` only with ``collect_iterates``."""
+    the end of a schedule. ``iterates`` holds every recorded ``state.x`` only
+    with ``collect_iterates``."""
     if cfg.x1.shape != (objective.dim,):
         raise ValueError("x1 dimension does not match the objective")
     oracle = Oracle(objective, noise_level, seed)
@@ -122,8 +126,7 @@ def drive(
             state = step(state, oracle, scheme, cfg)
         except BudgetExhausted as stop:
             declared += stop.declared_cost
-            if isinstance(stop.partial, float):  # values the cut-off step saw
-                f_best = lower(f_best, stop.partial)
+            f_best = lower(f_best, stop.partial)  # values the cut-off step saw
             truncated = True
             break
         except ScheduleExhausted as stop:
@@ -131,8 +134,7 @@ def drive(
             termination = "schedule"
             break
         declared += state.last_cost
-        if state.last_candidate_f is not None:
-            f_best = lower(f_best, state.last_candidate_f)
+        f_best = lower(f_best, state.last_candidate_f)
         # positional, in CSV_COLUMNS order
         trace.append(TraceRecord(state.k, oracle.eval_count, state.f_x, f_best,
                                  state.last_g_norm, state.delta, trace_C(before, state),
@@ -143,17 +145,16 @@ def drive(
             termination = "stationary"
             break
 
-    report = RunReport(
+    return RunReport(
         solver_id=solver_id,
         trace=trace,
         final_x=state.x.copy(),
         best_f=f_best,
         evals=oracle.eval_count,
         declared_evals=declared,
-        budget=cfg.budget,
         termination=termination,
         truncated=truncated,
+        final_C=state.C,
         iterates=iterates,
         config=config,
     )
-    return replace(report, **extras(state))

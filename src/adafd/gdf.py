@@ -36,11 +36,10 @@ class GdfState(NamedTuple):
     delta: float
     f_x: float
     C: float = float("nan")
-    tau_sum: float = 0.0
     last_step: str = "init"  # "step" | "clamped" | "stopped" | "init"
     last_g_norm: float = float("nan")
     last_tau: float = 0.0
-    last_candidate_f: Optional[float] = None
+    last_candidate_f: float = float("nan")
     last_cost: int = 0
 
 
@@ -60,8 +59,8 @@ def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig
         nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget,
     )
     if res.exhausted:
-        return GdfState(k, state.x, res.delta_next, state.f_x, c_k, state.tau_sum, "stopped",
-                        res.g_norm, 0.0, None, res.cost)
+        return GdfState(k, state.x, res.delta_next, state.f_x, c_k, "stopped", res.g_norm, 0.0,
+                        float("nan"), res.cost)
 
     try:
         tau_k = schedule_value(cfg.tau, k, state.x, res.g)
@@ -76,8 +75,7 @@ def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig
         status = "clamped"
     x = state.x - tau_k * res.g
     f_x = oracle.evaluate(x)
-    return GdfState(k, x, res.delta_next, f_x, c_k, state.tau_sum + tau_k, status, res.g_norm,
-                    tau_k, f_x, res.cost + 1)
+    return GdfState(k, x, res.delta_next, f_x, c_k, status, res.g_norm, tau_k, f_x, res.cost + 1)
 
 
 def gdf_run(
@@ -95,5 +93,4 @@ def gdf_run(
         step=gdf_step,
         config=config_dict("gdf", scheme, cfg),
         trace_C=lambda before, after: after.C,
-        extras=lambda state: {"final_C": state.C, "tau_sum": state.tau_sum},
     )

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .driver import check_start
+from .driver import StartConfig
 from .oracle import Array, BudgetExhausted, Oracle
 
 #: Default cap on the number of interval reductions in one adaptive search.
@@ -25,21 +25,19 @@ DEFAULT_I_MAX = 60
 
 
 @dataclass(frozen=True)
-class SearchConfig:
-    """The fields that every interval-search config carries, first in its field
-    order: the start ``x1`` and ``budget`` (checked in :func:`driver.check_start`),
-    then the search parameters delta1, theta, mu and i_max. ``DfcConfig``,
-    ``DfbConfig`` and ``GdfConfig`` add their own fields after these."""
+class SearchConfig(StartConfig):
+    """The fields that every interval-search config carries after ``x1`` and
+    ``budget``: the search parameters delta1, theta, mu and i_max.
+    ``DfcConfig``, ``DfbConfig`` and ``GdfConfig`` add their own fields after
+    these."""
 
-    x1: Array
-    budget: int
     delta1: float = 0.1
     theta: float = 0.5
     mu: float = 4.0
     i_max: int = DEFAULT_I_MAX
 
     def __post_init__(self):
-        check_start(self)
+        super().__post_init__()
         if self.delta1 <= 0:
             raise ValueError("delta1 must be positive")
         if not 0.0 < self.theta < 1.0:
@@ -145,8 +143,9 @@ def adaptive_gradient(
     stencil ran: the cost is 0 and ``g`` and ``g_norm`` are NaN.
 
     Raises :class:`BudgetExhausted` if ``budget`` would be crossed before
-    starting a stencil call; the partial result (last computed estimate, if
-    any) rides on the exception.
+    starting a stencil call, with the cost of the stencils already run; its
+    ``partial`` is NaN, as stencil values are neither iterate nor candidate
+    values.
     """
     if delta_k <= 0:
         raise ValueError("delta_k must be positive")
@@ -171,15 +170,8 @@ def adaptive_gradient(
         if interval <= 0.0 or np.all(x + interval == x):
             break  # below the float spacing of x (or underflowed): nothing to evaluate
         if budget is not None and oracle.eval_count >= budget:
-            partial = None
-            if ran:
-                partial = AdaptiveGradResult(g, theta ** (i - 1) * delta_k, i - 1, True,
-                                             norm, ran * per_call)
-            raise BudgetExhausted(
-                "budget exhausted during interval search",
-                partial=partial,
-                declared_cost=ran * per_call,
-            )
+            raise BudgetExhausted("budget exhausted during interval search",
+                                  declared_cost=ran * per_call)
         g = approx_gradient(oracle, scheme, x, interval)
         ran += 1
         norm = float(np.linalg.norm(g))

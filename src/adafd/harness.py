@@ -17,13 +17,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import baselines, dfb, dfc
+from .driver import settings
 from .gradapprox import GradScheme
 from .oracle import Array
 from .problems import FAMILIES, IMAGE_RESTORATION, ROSENBROCK, ProblemInstance, build_instance
@@ -102,7 +103,7 @@ class ExperimentConfig:
             if sid in seen:
                 raise ValidationError(f"solver id {sid!r} is listed twice")
             seen.add(sid)
-            valid = [f.name for f in fields(SOLVERS[sid][2]) if f.name not in ("x1", "budget")]
+            valid = [f.name for f in settings(SOLVERS[sid][2])]
             unknown = sorted(set(overrides) - set(valid))
             if unknown:
                 raise ValidationError(f"{sid}: unknown override keys {', '.join(unknown)}; "

@@ -7,6 +7,7 @@ by any optimization loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -18,13 +19,14 @@ Array = np.ndarray
 class BudgetExhausted(RuntimeError):
     """Raised when a solver would start an oracle call past its evaluation budget.
 
-    Carries whatever partial state the interrupted operation had produced, plus
-    the operation's completed oracle cost so the caller's declared-cost
+    ``partial`` is the lowest value the interrupted step evaluated at an
+    iterate or candidate point, NaN when it evaluated none; ``declared_cost``
+    is the step's completed oracle cost, so the caller's declared-cost
     bookkeeping stays exact.
     """
 
-    def __init__(self, message: str = "evaluation budget exhausted", partial=None,
-                 declared_cost: int = 0):
+    def __init__(self, message: str = "evaluation budget exhausted",
+                 partial: float = math.nan, declared_cost: int = 0):
         super().__init__(message)
         self.partial = partial
         self.declared_cost = declared_cost

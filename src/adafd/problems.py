@@ -185,11 +185,21 @@ def make_rosenbrock(n: int) -> ProblemInstance:
         # +inf keeps the value +inf instead of giving inf - inf = NaN.
         terms = _rosenbrock_terms(x[:-1], x[1:])
         moved = x[:, None] + steps
-        values = np.full((n, steps.shape[0]), np.add.reduce(terms))
+        f0 = np.add.reduce(terms)
+        values = np.full((n, steps.shape[0]), f0)
         old = terms[:, None]
-        for new, rows in ((_rosenbrock_terms(x[:-1, None], moved[1:]), values[1:]),
-                          (_rosenbrock_terms(moved[:-1], x[1:, None]), values[:-1])):
-            rows += np.subtract(new, old, out=np.zeros_like(new), where=new != old)
+        tail = _rosenbrock_terms(x[:-1, None], moved[1:])  # term i with x[i + 1] moved
+        head = _rosenbrock_terms(moved[:-1], x[1:, None])  # term i with x[i] moved
+        with np.errstate(invalid="ignore"):  # inf - inf, only where f(x) = inf: redone below
+            for new, rows in ((tail, values[1:]), (head, values[:-1])):
+                rows += np.subtract(new, old, out=np.zeros_like(new), where=new != old)
+        if not np.isfinite(f0):
+            # A move that makes an overflowed term finite again gave NaN above;
+            # with f(x) finite, only a NaN step gives NaN, as on the scalar route.
+            for i, j in zip(*np.nonzero(np.isnan(values))):
+                y = x.copy()
+                y[i] = moved[i, j]
+                values[i, j] = f(y)
         return values
 
     def grad(x: Array) -> Array:

@@ -45,11 +45,9 @@ class RunReport:
     best_f: float
     evals: int
     declared_evals: int
-    budget: int
     termination: str  # "budget" | "stationary" | "schedule"
     truncated: bool = False  # final step cut off mid-operation at the budget edge
-    final_C: Optional[float] = None
-    tau_sum: Optional[float] = None
+    final_C: float = math.nan  # the last state's curvature proxy; NaN for the baselines
     iterates: List[Array] = field(default_factory=list)
     config: dict = field(default_factory=dict)
     trace_path: Optional[str] = None  # the CSV that run_experiment wrote

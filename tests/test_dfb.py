@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adafd import (
+    BudgetExhausted,
     DfbConfig,
     DfbState,
     GradScheme,
@@ -64,6 +65,22 @@ def test_backtrack_rejects_zero_direction_and_bad_floor():
         backtrack(oracle, np.ones(1), np.zeros(1), 1.0, 0.25, 0.5, 1.0, 1e-10)
     with pytest.raises(ValueError):
         backtrack(oracle, np.ones(1), np.ones(1), 1.0, 0.25, 0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 3])
+def test_backtrack_cut_off_by_the_budget_reports_its_lowest_trial(budget):
+    # f(x) = x^2 from x = 1 along the ascent direction: trials at 1 + 2t for
+    # t = 1, 1/2, 1/4 are 9, 4 and 2.25, and none passes
+    oracle = Oracle(sphere_objective(1))
+    with pytest.raises(BudgetExhausted) as stop:
+        backtrack(oracle, np.array([1.0]), np.array([-2.0]), f_x=1.0, beta=0.25,
+                  gamma=0.5, tau_bar=1.0, t_min=1e-10, budget=budget)
+    assert stop.value.declared_cost == oracle.eval_count == budget
+    assert isinstance(stop.value.partial, float)
+    if budget:
+        assert stop.value.partial == (1.0 + 2.0 * 0.5 ** (budget - 1)) ** 2
+    else:
+        assert math.isnan(stop.value.partial)
 
 
 def test_step_accept_composes_search_and_linesearch():

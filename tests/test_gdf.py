@@ -29,7 +29,7 @@ def test_zero_stepsizes_freeze_the_iterate():
     assert all(r.tau == 0.0 for r in report.trace)
     fs = {r.f_current for r in report.trace}
     assert len(fs) == 1  # identical points, identical noiseless values
-    assert report.tau_sum == 0.0
+    assert sum(r.tau for r in report.trace) == 0.0
 
 
 def test_update_identity_is_exact():
@@ -88,7 +88,7 @@ def test_summable_stepsizes_converge_to_a_nonstationary_point():
     assert abs(xs[-1] - 0.5) <= 1e-3
     taus = np.array([r.tau for r in report.trace])
     assert np.all(np.cumsum(taus) <= 0.5 + 1e-6)
-    assert report.tau_sum == pytest.approx(np.sum(taus))
+    assert 0.0 < sum(r.tau for r in report.trace) <= 0.5 + 1e-6  # summable
 
 
 def test_constant_stepsize_near_minimizer_converges_locally():

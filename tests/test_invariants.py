@@ -1,5 +1,6 @@
 """Run-level invariants that every registered solver must keep."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from adafd import (
     BudgetExhausted,
+    GdfConfig,
     GradScheme,
     ImfilConfig,
     NelderMeadConfig,
@@ -18,8 +20,9 @@ from adafd import (
     random_instance,
     run_solver,
 )
+from adafd import driver, gdf
 from adafd.baselines import ImfilState, RgState, SimplexState, imfil_step, nelder_mead_step, rg_step
-from adafd.harness import SOLVER_IDS
+from adafd.harness import SOLVER_IDS, SOLVERS
 
 
 @pytest.mark.parametrize("solver_id", SOLVER_IDS)
@@ -109,3 +112,74 @@ def test_a_step_called_directly_starts_no_evaluation_at_the_budget(rule, budget)
         _direct_step(rule, oracle, np.zeros(5), budget)
     assert oracle.eval_count == budget
     assert stop.value.declared_cost == budget - 1
+
+
+def _record_cut_off_steps(monkeypatch, module) -> list:
+    """Record each step of ``module``'s runs that the budget cuts off: its
+    ``BudgetExhausted``, the evaluations the step made, and the values it
+    evaluated outside its stencils (at points other than its iterate)."""
+    cuts, evaluated = [], []
+    evaluate = Oracle.evaluate
+
+    def recording_evaluate(self, x):
+        value = evaluate(self, x)
+        evaluated.append((np.array(x, dtype=float), value))
+        return value
+
+    def recording_drive(*args, step, **kwargs):
+        def recording_step(state, oracle, scheme, cfg):
+            first, evals = len(evaluated), oracle.eval_count
+            try:
+                return step(state, oracle, scheme, cfg)
+            except BudgetExhausted as stop:
+                seen = [v for x, v in evaluated[first:] if not np.array_equal(x, state.x)]
+                cuts.append((stop, oracle.eval_count - evals, seen))
+                raise
+        return driver.drive(*args, step=recording_step, **kwargs)
+
+    monkeypatch.setattr(Oracle, "evaluate", recording_evaluate)
+    monkeypatch.setattr(module, "drive", recording_drive)
+    return cuts
+
+
+@pytest.mark.parametrize("solver_id", SOLVER_IDS + ("gdf-fordif", "gdf-cendif"))
+def test_a_cut_off_step_reports_its_cost_and_lowest_value(solver_id, monkeypatch):
+    # every budget from 4 to 80 on least squares n=3 cuts the runs off at
+    # every kind of operation: interval searches, decrease tests,
+    # linesearches, simplex moves and probes
+    module = gdf if solver_id.startswith("gdf") else SOLVERS[solver_id][0]
+    cuts = _record_cut_off_steps(monkeypatch, module)
+    inst = random_instance("least_squares", n=3, seed=3)
+    for noise in (0.0, 1e-4):
+        for budget in range(4, 81):
+            if module is gdf:
+                scheme = GradScheme.FORWARD if solver_id.endswith("fordif") else GradScheme.CENTRAL
+                cfg = GdfConfig(x1=np.zeros(3), budget=budget, tau=0.01)
+                gdf.gdf_run(inst.objective, scheme, cfg, noise, budget)
+            else:
+                run_solver(solver_id, inst, budget, noise, seed=budget, x0=np.zeros(3))
+    assert cuts
+    candidates = []
+    for stop, spent, seen in cuts:
+        assert stop.declared_cost == spent
+        assert isinstance(stop.partial, float)
+        if solver_id == "rg":
+            seen = []  # the probe at x + sigma u is not an iterate value
+        candidates += seen
+        finite = [v for v in seen if not math.isnan(v)]
+        expected = min(finite) if finite else math.nan
+        assert stop.partial == expected or math.isnan(stop.partial) and math.isnan(expected)
+    # DFB's and implicit filtering's linesearches and the simplex moves are
+    # cut off after some candidate; the other steps end with their only one
+    assert bool(candidates) == solver_id.startswith(("dfb", "nelder", "imfil"))
+
+
+@pytest.mark.parametrize("solver_id", SOLVER_IDS)
+def test_final_C_is_nan_for_a_solver_without_a_proxy(solver_id):
+    inst = random_instance("least_squares", n=3, seed=3)
+    report = run_solver(solver_id, inst, 200, 0.0, seed=0, x0=np.zeros(3))
+    assert isinstance(report.final_C, float)
+    if solver_id.startswith(("dfc", "dfb")):
+        assert report.final_C >= 1.0
+    else:
+        assert math.isnan(report.final_C)

@@ -72,7 +72,7 @@ def reference_step(state, oracle, scheme, cfg):
 def reference_run(objective, cfg, noise_level=0.0, seed=0):
     return drive("nelder-mead", objective, None, cfg, noise_level, seed,
                  start=lambda x, f: SimplexState(k=0, x=x, f_x=f),
-                 step=reference_step, config={}, extras=lambda state: {},
+                 step=reference_step, config={},
                  collect_iterates=False)
 
 

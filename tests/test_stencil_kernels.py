@@ -93,6 +93,25 @@ def test_rosenbrock_stencil_keeps_an_overflowed_base_term_infinite():
     assert {str(w.message) for w in kernel_warnings} == messages
 
 
+def test_rosenbrock_stencil_brings_an_overflowed_base_term_back():
+    # f(x) = +inf through terms 1 and 2; moving coordinate 2 from 1e80 to 0
+    # makes both finite again, where inf - inf would be NaN
+    objective = make_rosenbrock(6).objective
+    x = np.array([0.5, 1.0, 1e80, 0.3, 0.2, 0.1])
+    steps = np.array([-1e80, 1e-3])
+    with warnings.catch_warnings(record=True) as scalar_warnings:
+        warnings.simplefilter("always")
+        expected = _scalar_stencil(objective, x, steps)
+    with warnings.catch_warnings(record=True) as kernel_warnings:
+        warnings.simplefilter("always")
+        got = objective.stencil_evaluator(x, steps)
+    assert expected[2, 0] == pytest.approx(169.2)
+    np.testing.assert_array_equal(got, expected)
+    messages = {str(w.message) for w in scalar_warnings}
+    assert messages == {"overflow encountered in square"}
+    assert {str(w.message) for w in kernel_warnings} == messages
+
+
 @pytest.mark.parametrize("point", POINTS)
 @pytest.mark.parametrize("step", STEPS)
 @pytest.mark.parametrize("n", NS)
@@ -169,15 +188,15 @@ BLOCK_BYTES = (1, 2**14, problems.STENCIL_BLOCK_BYTES)
 @pytest.mark.parametrize("budget", BLOCK_BYTES)
 @pytest.mark.parametrize("n", (2, 3, 70, 400))
 def test_blocked_kernels_are_bitwise_one_block(n, budget, monkeypatch):
+    # image restoration's is the only kernel that reads STENCIL_BLOCK_BYTES
+    objective = random_instance("image_restoration", n, seed=n).objective
     x = _base(n)
-    for instance in _instances(n):
-        objective = instance.objective
-        for steps in (np.array([1e-3]), np.array([1e-3, -1e-3])):
-            monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", 2**62)
-            whole = objective.stencil_evaluator(x, steps)
-            monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", budget)
-            got = objective.stencil_evaluator(x, steps)
-            assert got.tobytes() == whole.tobytes(), (instance.family, steps)
+    for steps in (np.array([1e-3]), np.array([1e-3, -1e-3])):
+        monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", 2**62)
+        whole = objective.stencil_evaluator(x, steps)
+        monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", budget)
+        got = objective.stencil_evaluator(x, steps)
+        assert got.tobytes() == whole.tobytes(), steps
 
 
 #: What one stencil may allocate beyond the block buffer: its values, the
@@ -200,8 +219,7 @@ def _stencil_peak(objective, scheme):
 
 
 @pytest.mark.parametrize("scheme", list(GradScheme))
-@pytest.mark.parametrize("family, n, m", [("least_squares", 100, 2000),
-                                          ("image_restoration", 400, None)])
+@pytest.mark.parametrize("family, n, m", [("image_restoration", 400, None)])
 def test_one_stencil_allocates_at_most_one_block(family, n, m, scheme):
     objective = random_instance(family, n, m=m, seed=0).objective
     peak = _stencil_peak(objective, scheme)
