@@ -6,6 +6,7 @@ floor t_min. A floor hit is a null step: the iterate freezes while C grows by
 eta and the floor shrinks by gamma, exactly one coupled pair per null step.
 Designed for objectives whose gradient is only locally Lipschitz, so a
 per-iteration error cap nu_k (decreasing to zero) caps the sampling interval.
+An exhausted search ends the run in a "stopped" state (gradapprox.search_step).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .driver import config_dict, drive, lower, schedule_value
-from .gradapprox import GradScheme, SearchConfig, adaptive_gradient
+from .driver import check_schedule, config_dict, drive, lower, schedule_value
+from .gradapprox import GradScheme, SearchConfig, search_step
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
 
@@ -45,6 +46,7 @@ class DfbConfig(SearchConfig):
             raise ValueError("tau_bar must be positive")
         if not 0.0 < self.t_min1 < self.tau_bar:
             raise ValueError("t_min1 must lie in (0, tau_bar)")
+        check_schedule("nu", self.nu)
 
 
 class BacktrackResult(NamedTuple):
@@ -112,33 +114,21 @@ class DfbState(NamedTuple):
 
 def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig) -> DfbState:
     """Advance one iteration; raises :class:`BudgetExhausted` if cut off mid-step."""
-    if state.last_step == "stopped":
-        raise RuntimeError("cannot step a stopped solver state")
     k = state.k + 1
     nu_k = cfg.delta1 / k if cfg.nu is None else schedule_value(cfg.nu, k)
-    res = adaptive_gradient(
-        oracle, scheme, state.x, state.delta, state.C, cfg.mu, cfg.theta,
-        nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget,
-    )
-    if res.exhausted:
-        return DfbState(k, state.x, res.delta_next, state.C, state.t_min, state.f_x, "stopped",
-                        res.g_norm, 0.0, float("nan"), res.cost)
 
-    try:
-        ls = backtrack(
-            oracle, state.x, res.g, state.f_x, cfg.beta, cfg.gamma, cfg.tau_bar,
-            state.t_min, budget=cfg.budget,
-        )
-    except BudgetExhausted as stop:
-        stop.declared_cost += res.cost
-        raise
-    cost = res.cost + ls.evals_used
-    if ls.t >= state.t_min:
-        # the floor was never crossed, so the exit must have been a passed test
-        return DfbState(k, state.x - ls.t * res.g, res.delta_next, state.C, state.t_min,
-                        ls.f_candidate, "accepted", res.g_norm, ls.t, ls.min_f_seen, cost)
-    return DfbState(k, state.x, res.delta_next, state.C * cfg.eta, state.t_min * cfg.gamma,
-                    state.f_x, "null", res.g_norm, 0.0, ls.min_f_seen, cost)
+    def linesearch(res):
+        ls = backtrack(oracle, state.x, res.g, state.f_x, cfg.beta, cfg.gamma, cfg.tau_bar,
+                       state.t_min, budget=cfg.budget)
+        cost = res.cost + ls.evals_used
+        if ls.t >= state.t_min:
+            # the floor was never crossed, so the exit must have been a passed test
+            return DfbState(k, state.x - ls.t * res.g, res.delta_next, state.C, state.t_min,
+                            ls.f_candidate, "accepted", res.g_norm, ls.t, ls.min_f_seen, cost)
+        return DfbState(k, state.x, res.delta_next, state.C * cfg.eta, state.t_min * cfg.gamma,
+                        state.f_x, "null", res.g_norm, 0.0, ls.min_f_seen, cost)
+
+    return search_step(state, oracle, scheme, cfg, k, state.C, nu_k, linesearch)
 
 
 def dfb_run(

@@ -5,6 +5,7 @@ interval search, then tests the candidate ``x - (kappa / C) g`` for sufficient
 decrease. Failure keeps the iterate and multiplies C by r, so C climbs until
 the implied stepsize ``kappa / C`` is small enough for the local curvature,
 after which it stays constant. No Lipschitz constant is ever supplied.
+An exhausted search ends the run in a "stopped" state (gradapprox.search_step).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .driver import config_dict, drive
-from .gradapprox import GradScheme, SearchConfig, adaptive_gradient
+from .gradapprox import GradScheme, SearchConfig, search_step
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
 
@@ -51,27 +52,22 @@ class DfcState(NamedTuple):
 
 def dfc_step(state: DfcState, oracle: Oracle, scheme: GradScheme, cfg: DfcConfig) -> DfcState:
     """Advance one iteration; raises :class:`BudgetExhausted` if cut off mid-step."""
-    if state.last_step == "stopped":
-        raise RuntimeError("cannot step a stopped solver state")
-    res = adaptive_gradient(
-        oracle, scheme, state.x, state.delta, state.C, cfg.mu, cfg.theta,
-        nu_k=None, i_max=cfg.i_max, budget=cfg.budget,
-    )
-    if res.exhausted:
-        return DfcState(state.k + 1, state.x, res.delta_next, state.C, state.f_x, "stopped",
-                        res.g_norm, 0.0, float("nan"), res.cost)
 
-    if oracle.eval_count >= cfg.budget:
-        raise BudgetExhausted("budget exhausted before the decrease test", declared_cost=res.cost)
-    tau = cfg.kappa / state.C
-    candidate = state.x - tau * res.g
-    f_cand = oracle.evaluate(candidate)
-    threshold = state.f_x - cfg.kappa * (cfg.mu - 2.0) / (2.0 * state.C * cfg.mu) * res.g_norm**2
-    if f_cand <= threshold:
-        return DfcState(state.k + 1, candidate, res.delta_next, state.C, f_cand, "accepted",
-                        res.g_norm, tau, f_cand, res.cost + 1)
-    return DfcState(state.k + 1, state.x, res.delta_next, state.C * cfg.r, state.f_x,
-                    "rejected", res.g_norm, 0.0, f_cand, res.cost + 1)
+    def decrease_test(res):
+        if oracle.eval_count >= cfg.budget:
+            raise BudgetExhausted("budget exhausted before the decrease test")
+        tau = cfg.kappa / state.C
+        candidate = state.x - tau * res.g
+        f_cand = oracle.evaluate(candidate)
+        threshold = (state.f_x - cfg.kappa * (cfg.mu - 2.0) / (2.0 * state.C * cfg.mu)
+                     * res.g_norm**2)
+        if f_cand <= threshold:
+            return DfcState(state.k + 1, candidate, res.delta_next, state.C, f_cand, "accepted",
+                            res.g_norm, tau, f_cand, res.cost + 1)
+        return DfcState(state.k + 1, state.x, res.delta_next, state.C * cfg.r, state.f_x,
+                        "rejected", res.g_norm, 0.0, f_cand, res.cost + 1)
+
+    return search_step(state, oracle, scheme, cfg, state.k + 1, state.C, None, decrease_test)
 
 
 def dfc_run(

@@ -12,11 +12,14 @@ and the lowest value it evaluated at an iterate or candidate point in
 :class:`BudgetExhausted` it raises. A step whose caller-supplied sequence ran
 out raises :class:`ScheduleExhausted`. Both exceptions carry the cost of the
 work done so far. NaN is the only "no value", and ``f_best`` ignores it: it is
-NaN only while no other value has been seen.
+NaN only while no other value has been seen. A state whose ``last_step`` is
+"stopped" ends the run ``stationary``; for DFC, DFB and GDF it comes from
+``gradapprox.search_step`` when the interval search is exhausted.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -44,6 +47,18 @@ def schedule_value(rule, k: int, *args) -> float:
     if k - 1 >= len(rule):
         raise ScheduleExhausted()
     return float(rule[k - 1])
+
+
+def check_schedule(name: str, rule, positive: bool = True) -> None:
+    """Reject a constant or sequence ``rule`` with an entry that is not finite,
+    or, when ``positive``, not positive. A callable is checked where it is used."""
+    if rule is None or callable(rule):
+        return
+    values = [rule] if isinstance(rule, numbers.Real) else rule
+    for value in values:
+        if not math.isfinite(value) or positive and value <= 0:
+            kind = "positive and finite" if positive else "finite"
+            raise ValueError(f"every entry of {name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)

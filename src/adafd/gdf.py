@@ -1,10 +1,10 @@
 """General derivative-free scheme with caller-supplied stepsizes and C sequence.
 
-This is the skeleton the two main solvers specialize: only the adaptive
-gradient search is fixed, while the stepsize tau_k, the proxy constants C_k,
-and the error caps nu_k are all injected. Stepsizes may be a constant, an
-explicit sequence, or a state-dependent rule tau_k = pi(k, x_k, g_k), which is
-what local-convergence studies around nonisolated minimizers need.
+The scheme fixes only the adaptive interval search, which it shares with DFC
+and DFB through :func:`gradapprox.search_step`; the stepsize tau_k, the proxy
+constants C_k and the error caps nu_k are all injected. Stepsizes may be a
+constant, an explicit sequence, or a state-dependent rule tau_k = pi(k, x_k, g_k),
+which is what local-convergence studies around nonisolated minimizers need.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .driver import ScheduleExhausted, config_dict, drive, schedule_value
-from .gradapprox import GradScheme, SearchConfig, adaptive_gradient
+from .driver import check_schedule, config_dict, drive, schedule_value
+from .gradapprox import GradScheme, SearchConfig, search_step
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
 
@@ -26,6 +26,12 @@ class GdfConfig(SearchConfig):
     c_seq: SeqRule = 1.0
     tau: TauPolicy = 0.0
     nu_seq: Optional[SeqRule] = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_schedule("c_seq", self.c_seq)
+        check_schedule("nu_seq", self.nu_seq)
+        check_schedule("tau", self.tau, positive=False)  # a negative step is clamped
 
 
 class GdfState(NamedTuple):
@@ -54,28 +60,21 @@ def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig
     k = state.k + 1
     c_k = schedule_value(cfg.c_seq, k)
     nu_k = None if cfg.nu_seq is None else schedule_value(cfg.nu_seq, k)
-    res = adaptive_gradient(
-        oracle, scheme, state.x, state.delta, c_k, cfg.mu, cfg.theta,
-        nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget,
-    )
-    if res.exhausted:
-        return GdfState(k, state.x, res.delta_next, state.f_x, c_k, "stopped", res.g_norm, 0.0,
-                        float("nan"), res.cost)
 
-    try:
+    def move(res):
         tau_k = schedule_value(cfg.tau, k, state.x, res.g)
-    except ScheduleExhausted as stop:
-        stop.declared_cost += res.cost
-        raise
-    if oracle.eval_count >= cfg.budget:
-        raise BudgetExhausted("budget exhausted before the trace probe", declared_cost=res.cost)
-    status = "step"
-    if tau_k < 0.0:
-        tau_k = 0.0
-        status = "clamped"
-    x = state.x - tau_k * res.g
-    f_x = oracle.evaluate(x)
-    return GdfState(k, x, res.delta_next, f_x, c_k, status, res.g_norm, tau_k, f_x, res.cost + 1)
+        if oracle.eval_count >= cfg.budget:
+            raise BudgetExhausted("budget exhausted before the trace probe")
+        status = "step"
+        if tau_k < 0.0:
+            tau_k = 0.0
+            status = "clamped"
+        x = state.x - tau_k * res.g
+        f_x = oracle.evaluate(x)
+        return GdfState(k, x, res.delta_next, f_x, c_k, status, res.g_norm, tau_k, f_x,
+                        res.cost + 1)
+
+    return search_step(state, oracle, scheme, cfg, k, c_k, nu_k, move)
 
 
 def gdf_run(

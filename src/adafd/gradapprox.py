@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .driver import StartConfig
+from .driver import ScheduleExhausted, StartConfig
 from .oracle import Array, BudgetExhausted, Oracle
 
 #: Default cap on the number of interval reductions in one adaptive search.
@@ -178,3 +178,23 @@ def adaptive_gradient(
         if np.isfinite(norm) and norm > mu * c_k * radius:
             return AdaptiveGradResult(g, radius, i, False, norm, ran * per_call)
     return AdaptiveGradResult(g, radius, max(ran - 1, 0), True, norm, ran * per_call)
+
+
+def search_step(state, oracle: Oracle, scheme: GradScheme, cfg: SearchConfig, k: int,
+                c_k: float, nu_k: Optional[float], then: Callable):
+    """Step ``k`` of DFC, DFB or GDF: the search at ``(c_k, nu_k)`` from ``state``,
+    then ``then(res)``. An exhausted search stops the run; a budget or schedule
+    cut-off that ``then`` raises also declares the search's cost."""
+    if state.last_step == "stopped":
+        raise RuntimeError("cannot step a stopped solver state")
+    res = adaptive_gradient(oracle, scheme, state.x, state.delta, c_k, cfg.mu, cfg.theta,
+                            nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget)
+    if res.exhausted:
+        return state._replace(k=k, C=c_k, delta=res.delta_next, last_step="stopped",
+                              last_g_norm=res.g_norm, last_tau=0.0,
+                              last_candidate_f=float("nan"), last_cost=res.cost)
+    try:
+        return then(res)
+    except (BudgetExhausted, ScheduleExhausted) as stop:
+        stop.declared_cost += res.cost
+        raise

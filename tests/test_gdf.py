@@ -139,6 +139,30 @@ def test_constant_schedules_accept_numpy_scalars():
     assert default.config["nu"] == "harmonic(delta1/k)"
 
 
+@pytest.mark.parametrize("config, settings, rejected", [
+    (GdfConfig, {"c_seq": 0.0}, "c_seq"),
+    (GdfConfig, {"c_seq": [1.0, -1.0]}, "c_seq"),
+    (GdfConfig, {"c_seq": np.inf}, "c_seq"),
+    (GdfConfig, {"nu_seq": -0.1}, "nu_seq"),
+    (GdfConfig, {"nu_seq": [0.1, np.nan]}, "nu_seq"),
+    (GdfConfig, {"tau": np.nan}, "tau"),
+    (GdfConfig, {"tau": np.array([0.1, np.inf])}, "tau"),
+    (DfbConfig, {"nu": 0.0}, "nu"),
+    (DfbConfig, {"nu": [0.1, -1.0]}, "nu"),
+    (DfbConfig, {"nu": np.inf}, "nu"),
+    # GDF clamps a negative stepsize, and a rule is checked where it is used
+    (GdfConfig, {"tau": [0.1, -1.0], "c_seq": np.int64(2)}, None),
+    (GdfConfig, {"tau": lambda k, x, g: -1.0, "c_seq": lambda k: 0.0}, None),
+    (DfbConfig, {"nu": lambda k: 0.0}, None),
+])
+def test_a_bad_schedule_entry_is_rejected_when_the_config_is_built(config, settings, rejected):
+    if rejected is None:
+        config(x1=[1.0, 1.0], budget=100, **settings)
+        return
+    with pytest.raises(ValueError, match=f"every entry of {rejected} must be"):
+        config(x1=[1.0, 1.0], budget=100, **settings)
+
+
 def test_config_records_number_sequences_as_lists_and_rules_as_custom():
     cfg = GdfConfig(x1=[0.3, -0.2], budget=10, tau=np.array([0.1, 0.05]), c_seq=(1, 2),
                     nu_seq=lambda k: 0.1 / k)

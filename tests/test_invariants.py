@@ -8,6 +8,7 @@ import pytest
 
 from adafd import (
     BudgetExhausted,
+    DfbConfig,
     GdfConfig,
     GradScheme,
     ImfilConfig,
@@ -16,6 +17,7 @@ from adafd import (
     Oracle,
     RgConfig,
     build_instance,
+    dfb_run,
     imfil_run,
     random_instance,
     run_solver,
@@ -172,6 +174,27 @@ def test_a_cut_off_step_reports_its_cost_and_lowest_value(solver_id, monkeypatch
     # DFB's and implicit filtering's linesearches and the simplex moves are
     # cut off after some candidate; the other steps end with their only one
     assert bool(candidates) == solver_id.startswith(("dfb", "nelder", "imfil"))
+
+
+@pytest.mark.parametrize("rule, scheme, settings, evals, last_record", [
+    # the fourth step's search (one central stencil, 6 evaluations) runs before
+    # its stepsize lookup finds the tau list spent
+    ("gdf", GradScheme.CENTRAL, {"tau": [0.1] * 3}, 28, 22),
+    # C_k and nu_k are looked up before the search, so the third step costs nothing
+    ("gdf", GradScheme.FORWARD, {"tau": 0.1, "c_seq": [1.0] * 2}, 11, 11),
+    ("gdf", GradScheme.FORWARD, {"tau": 0.1, "nu_seq": [0.1] * 2}, 11, 11),
+    ("dfb", GradScheme.FORWARD, {"nu": [0.1] * 2}, 20, 20),
+])
+def test_a_step_cut_off_by_its_schedule_declares_its_search_cost(rule, scheme, settings, evals,
+                                                                 last_record):
+    objective = Objective(dim=3, evaluator=lambda x: float(x @ x))
+    if rule == "gdf":
+        report = gdf.gdf_run(objective, scheme, GdfConfig(x1=np.ones(3), budget=300, **settings))
+    else:
+        report = dfb_run(objective, scheme, DfbConfig(x1=np.ones(3), budget=300, **settings))
+    assert report.termination == "schedule" and not report.truncated
+    assert report.evals == report.declared_evals == evals
+    assert report.trace[-1].evals == last_record
 
 
 @pytest.mark.parametrize("solver_id", SOLVER_IDS)

@@ -146,3 +146,35 @@ def test_implicit_filtering_never_steps_along_a_non_finite_estimate(wall):
     assert len(points) == report.evals
     assert all(np.isfinite(p).all() for p in points)
     assert report.trace[0].step_status == "stencil_fail"
+
+
+@pytest.mark.parametrize("scheme", list(GradScheme), ids=lambda s: s.value)
+@pytest.mark.parametrize("rule", ["dfc", "dfb", "gdf"])
+def test_an_exhausted_search_stops_the_step_and_a_stopped_state_cannot_step(rule, scheme):
+    # a constant objective gives a zero estimate at every interval, so the
+    # search runs all i_max + 1 stencils and the step keeps its iterate
+    x1, i_max = np.ones(3), 4
+    oracle = Oracle(Objective(dim=3, evaluator=lambda x: 2.0))
+    f1 = oracle.evaluate(x1)
+    if rule == "dfc":
+        cfg = DfcConfig(x1=x1, budget=2000, i_max=i_max, c1=3.0)
+        state, step = DfcState(0, x1, cfg.delta1, cfg.c1, f1), dfc_step
+    elif rule == "dfb":
+        cfg = DfbConfig(x1=x1, budget=2000, i_max=i_max, c1=3.0)
+        state, step = DfbState(0, x1, cfg.delta1, cfg.c1, cfg.t_min1, f1), dfb_step
+    else:
+        cfg = GdfConfig(x1=x1, budget=2000, i_max=i_max, c_seq=3.0, tau=0.1)
+        state, step = GdfState(0, x1, cfg.delta1, f1), gdf_step
+    stopped = step(state, oracle, scheme, cfg)
+    assert stopped.last_step == "stopped" and stopped.k == 1
+    assert stopped.x.tobytes() == x1.tobytes()
+    assert stopped.f_x == f1 and stopped.C == 3.0
+    if rule == "dfb":
+        assert stopped.t_min == cfg.t_min1
+    assert stopped.last_tau == 0.0
+    assert np.isnan(stopped.last_candidate_f)
+    assert stopped.last_cost == (i_max + 1) * scheme.evals_per_call(3)
+    assert oracle.eval_count == 1 + stopped.last_cost
+    with pytest.raises(RuntimeError, match="cannot step a stopped solver state"):
+        step(stopped, oracle, scheme, cfg)
+    assert oracle.eval_count == 1 + stopped.last_cost
