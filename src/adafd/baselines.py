@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .driver import ScheduleExhausted, StartConfig, config_dict, drive, lower
+from .driver import ScheduleExhausted, StartConfig, check_between, config_dict, drive, lower
 from .gradapprox import GradScheme, approx_gradient
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
@@ -57,10 +57,13 @@ class ImfilConfig(StartConfig):
         object.__setattr__(self, "scales", scales)
         if not scales:
             raise ValueError("imfil needs a nonempty scale sequence")
-        if any(s <= 0 for s in scales):
-            raise ValueError("imfil scales must be positive")
+        for s in scales:
+            check_between("imfil scale", s, 0.0)
         if not all(a > b for a, b in zip(scales, scales[1:])):
             raise ValueError("imfil scales must be strictly decreasing")
+        check_between("armijo", self.armijo, 0.0, 1.0)
+        check_between("ls_gamma", self.ls_gamma, 0.0, 1.0)
+        check_between("max_backtracks", self.max_backtracks, 0)  # an integer, so at least 1
 
 
 @dataclass(frozen=True)
@@ -70,13 +73,13 @@ class RgConfig(StartConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.lipschitz is None or not (math.isfinite(self.lipschitz) and self.lipschitz > 0):
-            raise ValueError("rg requires a positive, finite lipschitz constant")
+        if self.lipschitz is None:
+            raise ValueError("rg requires a lipschitz constant")
+        check_between("lipschitz", self.lipschitz, 0.0)
         smoothing = self.smoothing
         if smoothing is None:
             smoothing = 1e-6 * (1.0 + float(np.linalg.norm(self.x1)))
-        if not (math.isfinite(smoothing) and smoothing > 0):
-            raise ValueError("rg smoothing must be positive and finite")
+        check_between("smoothing", smoothing, 0.0)
         object.__setattr__(self, "smoothing", float(smoothing))
 
 

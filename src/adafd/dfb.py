@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .driver import check_schedule, config_dict, drive, lower, schedule_value
+from .driver import check_between, check_schedule, config_dict, drive, lower, schedule_value
 from .gradapprox import GradScheme, SearchConfig, search_step
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
@@ -34,18 +34,12 @@ class DfbConfig(SearchConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.c1 <= 0:
-            raise ValueError("c1 must be positive")
-        if self.eta <= 1.0:
-            raise ValueError("eta must exceed 1")
-        if not 0.0 < self.beta < 0.5:
-            raise ValueError("beta must lie strictly inside (0, 1/2)")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.tau_bar <= 0:
-            raise ValueError("tau_bar must be positive")
-        if not 0.0 < self.t_min1 < self.tau_bar:
-            raise ValueError("t_min1 must lie in (0, tau_bar)")
+        check_between("c1", self.c1, 0.0)
+        check_between("eta", self.eta, 1.0)
+        check_between("beta", self.beta, 0.0, 0.5)
+        check_between("gamma", self.gamma, 0.0, 1.0)
+        check_between("tau_bar", self.tau_bar, 0.0)
+        check_between("t_min1", self.t_min1, 0.0, self.tau_bar)
         check_schedule("nu", self.nu)
 
 
@@ -75,8 +69,7 @@ def backtrack(
     below the floor with the decrease test satisfied (the caller still treats
     that as a floor hit), and ``sufficient`` reports the last evaluated test.
     """
-    if not 0.0 < t_min < tau_bar:
-        raise ValueError("need 0 < t_min < tau_bar")
+    check_between("t_min", t_min, 0.0, tau_bar)
     g_norm_sq = float(g @ g)
     if g_norm_sq <= 0.0:
         raise ValueError("backtracking requires a nonzero direction")

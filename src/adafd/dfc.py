@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .driver import config_dict, drive
+from .driver import check_between, config_dict, drive
 from .gradapprox import GradScheme, SearchConfig, search_step
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
@@ -27,12 +27,9 @@ class DfcConfig(SearchConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.c1 <= 0:
-            raise ValueError("c1 must be positive")
-        if self.r <= 1.0:
-            raise ValueError("r must exceed 1")
-        if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
+        check_between("c1", self.c1, 0.0)
+        check_between("r", self.r, 1.0)
+        check_between("kappa", self.kappa, 0.0)
 
 
 class DfcState(NamedTuple):

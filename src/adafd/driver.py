@@ -49,16 +49,22 @@ def schedule_value(rule, k: int, *args) -> float:
     return float(rule[k - 1])
 
 
+def check_between(name: str, value, low: float, high: float = math.inf) -> None:
+    """Reject a ``value`` outside the open interval ``(low, high)``; NaN and
+    +-inf always lie outside it."""
+    if not low < value < high:
+        raise ValueError(f"{name} must be in ({low:g}, {high:g}), got {value!r}")
+
+
 def check_schedule(name: str, rule, positive: bool = True) -> None:
-    """Reject a constant or sequence ``rule`` with an entry that is not finite,
-    or, when ``positive``, not positive. A callable is checked where it is used."""
+    """Reject a constant or sequence ``rule`` with an entry outside ``(0, inf)``,
+    or, unless ``positive``, outside ``(-inf, inf)``. A callable is checked
+    where it is used."""
     if rule is None or callable(rule):
         return
-    values = [rule] if isinstance(rule, numbers.Real) else rule
-    for value in values:
-        if not math.isfinite(value) or positive and value <= 0:
-            kind = "positive and finite" if positive else "finite"
-            raise ValueError(f"every entry of {name} must be {kind}, got {value!r}")
+    low = 0.0 if positive else -math.inf
+    for value in [rule] if isinstance(rule, numbers.Real) else rule:
+        check_between(f"every entry of {name}", value, low)
 
 
 @dataclass(frozen=True)

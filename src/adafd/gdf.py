@@ -9,10 +9,11 @@ which is what local-convergence studies around nonisolated minimizers need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .driver import check_schedule, config_dict, drive, schedule_value
+from .driver import check_between, check_schedule, config_dict, drive, schedule_value
 from .gradapprox import GradScheme, SearchConfig, search_step
 from .oracle import Array, BudgetExhausted, Objective, Oracle
 from .trace import RunReport
@@ -63,6 +64,7 @@ def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig
 
     def move(res):
         tau_k = schedule_value(cfg.tau, k, state.x, res.g)
+        check_between("tau_k", tau_k, -math.inf)
         if oracle.eval_count >= cfg.budget:
             raise BudgetExhausted("budget exhausted before the trace probe")
         status = "step"

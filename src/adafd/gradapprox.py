@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .driver import ScheduleExhausted, StartConfig
+from .driver import ScheduleExhausted, StartConfig, check_between
 from .oracle import Array, BudgetExhausted, Oracle
 
 #: Default cap on the number of interval reductions in one adaptive search.
@@ -38,12 +38,9 @@ class SearchConfig(StartConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.delta1 <= 0:
-            raise ValueError("delta1 must be positive")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if self.mu <= 2.0:
-            raise ValueError("mu must exceed 2")
+        check_between("delta1", self.delta1, 0.0)
+        check_between("theta", self.theta, 0.0, 1.0)
+        check_between("mu", self.mu, 2.0)
         if self.i_max < 1:
             raise ValueError("i_max must be positive")
 
@@ -64,8 +61,7 @@ def forward_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     The base value phi(x) is evaluated once and shared across all coordinates,
     then the points x + delta e_i, in order of i.
     """
-    if delta <= 0:
-        raise ValueError(f"sampling interval must be positive, got {delta}")
+    check_between("sampling interval", delta, 0.0)
     f0 = oracle.evaluate(x)
     values = oracle.evaluate_stencil(x, np.array([delta]))
     return (values[:, 0] - f0) / delta
@@ -74,8 +70,7 @@ def forward_diff(oracle: Oracle, x: Array, delta: float) -> Array:
 def central_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     """Central-difference gradient estimate; costs exactly 2 * dim evaluations,
     at x + delta e_i and x - delta e_i for i = 0, 1, ..."""
-    if delta <= 0:
-        raise ValueError(f"sampling interval must be positive, got {delta}")
+    check_between("sampling interval", delta, 0.0)
     values = oracle.evaluate_stencil(x, np.array([delta, -delta]))
     return (values[:, 0] - values[:, 1]) / (2.0 * delta)
 
@@ -92,10 +87,8 @@ def fd_error_bound(lipschitz_const: float, dim: int, delta: float) -> float:
     Valid for both stencils whenever the gradient is Lipschitz with constant
     ``lipschitz_const`` on the probed ball.
     """
-    if lipschitz_const <= 0:
-        raise ValueError("lipschitz_const must be positive")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    check_between("lipschitz_const", lipschitz_const, 0.0)
+    check_between("delta", delta, 0.0)
     return lipschitz_const * np.sqrt(dim) * delta / 2.0
 
 
@@ -147,16 +140,13 @@ def adaptive_gradient(
     ``partial`` is NaN, as stencil values are neither iterate nor candidate
     values.
     """
-    if delta_k <= 0:
-        raise ValueError("delta_k must be positive")
-    if c_k <= 0:
-        raise ValueError("c_k must be positive")
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    if mu <= 2.0:
-        raise ValueError("mu must exceed 2")
-    if nu_k is not None and nu_k <= 0:
-        raise ValueError("nu_k must be positive when given")
+    check_between("delta_k", delta_k, 0.0)
+    if not c_k > 0:  # not check_between: DFC's escalation C *= r may reach +inf
+        raise ValueError(f"c_k must be positive, got {c_k!r}")
+    check_between("theta", theta, 0.0, 1.0)
+    check_between("mu", mu, 2.0)
+    if nu_k is not None:
+        check_between("nu_k", nu_k, 0.0)
 
     x = np.asarray(x, dtype=float)
     per_call = scheme.evals_per_call(x.shape[0])

@@ -203,9 +203,10 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
             raise ValidationError(
                 f"{solver_id}: budget {cfg.budget} too small to record any iteration"
             )
+        reports[solver_id] = report
+    for solver_id, report in reports.items():  # so a run that fails writes no file
         report.trace_path = str(out_dir / f"trace_{solver_id}.csv")
         emit_csv(report.trace, report.trace_path)
-        reports[solver_id] = report
 
     ranking = sorted(((sid, float(rep.final_f_best)) for sid, rep in reports.items()),
                      key=_nan_last)
