@@ -16,9 +16,10 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .driver import ScheduleExhausted, StartConfig, check_between, config_dict, drive, lower
+from .driver import (ScheduleExhausted, StartConfig, StepEvals, check_between, check_count,
+                     config_dict, drive)
 from .gradapprox import GradScheme, approx_gradient
-from .oracle import Array, BudgetExhausted, Objective, Oracle
+from .oracle import Array, Objective, Oracle
 from .trace import RunReport
 
 
@@ -63,7 +64,7 @@ class ImfilConfig(StartConfig):
             raise ValueError("imfil scales must be strictly decreasing")
         check_between("armijo", self.armijo, 0.0, 1.0)
         check_between("ls_gamma", self.ls_gamma, 0.0, 1.0)
-        check_between("max_backtracks", self.max_backtracks, 0)  # an integer, so at least 1
+        check_count("max_backtracks", self.max_backtracks, 0)
 
 
 @dataclass(frozen=True)
@@ -102,29 +103,12 @@ class SimplexState(NamedTuple):
     delta = C = last_g_norm = last_tau = float("nan")  # no interval, proxy, gradient or step
 
 
-def _lowest(seen: list) -> float:
-    """The lowest non-NaN value in ``seen``; NaN when there is none."""
-    if len(seen) < 2:
-        return seen[0] if seen else math.nan
-    low = min(np.inf, *seen)  # folded from inf, so a NaN hides no later value
-    return low if low != np.inf or np.inf in seen else math.nan
-
-
-def _simplex(k: int, verts: Array, fv: Array, status: str, seen: list) -> SimplexState:
-    """The simplex after an init or shrink step that evaluated the values
-    ``seen``, its rows stably sorted by value with NaN last."""
+def _simplex(k: int, verts: Array, fv: Array, status: str, evals: StepEvals) -> SimplexState:
+    """The simplex after an init or shrink step that made ``evals``, its rows
+    stably sorted by value with NaN last."""
     order = np.argsort(fv, kind="stable")
     verts, fv = verts[order], fv[order]
-    return SimplexState(k, verts[0], fv.item(0), verts, fv, status, _lowest(seen), len(seen))
-
-
-def _probe(oracle: Oracle, x: Array, budget: int, seen: list) -> float:
-    """Evaluate x within the budget; ``seen`` collects the step's values."""
-    if oracle.eval_count >= budget:
-        raise BudgetExhausted(partial=_lowest(seen), declared_cost=len(seen))
-    f = oracle.evaluate(x)
-    seen.append(f)
-    return f
+    return SimplexState(k, verts[0], fv.item(0), verts, fv, status, evals.low, evals.cost)
 
 
 def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
@@ -135,15 +119,14 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
     at ``x1 + 0.05 * max(|x1_i|, 1) * e_i`` per coordinate, reported as
     iteration 0. A step cut off by the budget leaves the simplex as it was.
     """
+    evals = StepEvals(oracle, cfg.budget)
     if state.verts is None:
         n = state.x.shape[0]
         verts = np.tile(state.x, (n + 1, 1))
         for i in range(n):
             verts[i + 1, i] += 0.05 * max(abs(verts[i + 1, i]), 1.0)
-        seen: list = []
-        for v in verts[1:]:
-            _probe(oracle, v, cfg.budget, seen)
-        return _simplex(0, verts, np.array([state.f_x] + seen), "init", seen)
+        values = [state.f_x] + [evals.point(v) for v in verts[1:]]
+        return _simplex(0, verts, np.array(values), "init", evals)
 
     rho, chi, psi, sigma = cfg.coefficients
     verts, fv = state.verts, state.fv
@@ -151,36 +134,35 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
     centroid = np.add.reduce(verts[:-1], axis=0)  # np.mean's sum, bit for bit
     centroid /= len(fv) - 1
     d = centroid - verts[-1]
-    seen: list = []
     status = "reflect"
     x_new = xr = centroid + rho * d
-    f_new = fr = _probe(oracle, xr, cfg.budget, seen)
+    f_new = fr = evals.point(xr)
     # the reflection stays when f_low <= fr < f_second, or when fr < f_low and
     # the expansion is no lower
     if fr < f_low:
         xe = centroid + chi * rho * d
-        fe = _probe(oracle, xe, cfg.budget, seen)
+        fe = evals.point(xe)
         if fe < fr:
             x_new, f_new, status = xe, fe, "expand"
     elif not fr < f_second:  # contract outside when fr beats the worst vertex, else inside
         outside = fr < f_worst
         xc = centroid + psi * (xr - centroid) if outside else centroid - psi * d
-        fc = _probe(oracle, xc, cfg.budget, seen)
+        fc = evals.point(xc)
         if (fc <= fr) if outside else (fc < f_worst):
             x_new, f_new = xc, fc
             status = "contract_out" if outside else "contract_in"
         else:
             shrunk = verts[0] + sigma * (verts[1:] - verts[0])
-            values = [f_low] + [_probe(oracle, v, cfg.budget, seen) for v in shrunk]
+            values = [f_low] + [evals.point(v) for v in shrunk]
             return _simplex(state.k + 1, np.concatenate((verts[:1], shrunk)), np.array(values),
-                            "shrink", seen)
+                            "shrink", evals)
     # the new vertex replaces the worst one where a stable argsort would put
     # it, after every value not above it
     p = int(fv[:-1].searchsorted(f_new, side="right"))
     verts = np.concatenate((verts[:p], x_new[None], verts[p:-1]))
     fv = np.concatenate((fv[:p], (f_new,), fv[p:-1]))
-    return SimplexState(state.k + 1, verts[0], fv.item(0), verts, fv, status, _lowest(seen),
-                        len(seen))
+    return SimplexState(state.k + 1, verts[0], fv.item(0), verts, fv, status, evals.low,
+                        evals.cost)
 
 
 def nelder_mead_run(
@@ -228,30 +210,25 @@ def imfil_step(state: ImfilState, oracle: Oracle, scheme: GradScheme,
     most h) or a failed backtracking search advances the schedule instead."""
     if state.scale >= len(cfg.scales):
         raise ScheduleExhausted()
-    if oracle.eval_count >= cfg.budget:
-        raise BudgetExhausted()
+    evals = StepEvals(oracle, cfg.budget)
+    evals.check()
     h = cfg.scales[state.scale]
     g = approx_gradient(oracle, scheme, state.x, h)
-    cost = scheme.evals_per_call(state.x.shape[0])
+    evals.cost += scheme.evals_per_call(state.x.shape[0])
     g_norm = float(np.linalg.norm(g))
     if not h < g_norm < math.inf:  # too small, or a NaN or infinite estimate
         return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "stencil_fail",
-                          g_norm, 0.0, math.nan, cost)
+                          g_norm, 0.0, math.nan, evals.cost)
     t = 1.0
-    min_f = math.nan
-    for trial in range(cfg.max_backtracks):
-        if oracle.eval_count >= cfg.budget:
-            raise BudgetExhausted("budget exhausted during linesearch", partial=min_f,
-                                  declared_cost=cost + trial)
+    for _ in range(cfg.max_backtracks):
         candidate = state.x - t * g
-        f_cand = oracle.evaluate(candidate)
-        min_f = lower(min_f, f_cand)
+        f_cand = evals.point(candidate)
         if f_cand <= state.f_x - cfg.armijo * t * g_norm**2:
             return ImfilState(state.k + 1, candidate, f_cand, state.scale, h, "accepted",
-                              g_norm, t, min_f, cost + trial + 1)
+                              g_norm, t, evals.low, evals.cost)
         t *= cfg.ls_gamma
     return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "ls_fail", g_norm,
-                      0.0, min_f, cost + cfg.max_backtracks)
+                      0.0, evals.low, evals.cost)
 
 
 def imfil_run(
@@ -297,18 +274,16 @@ def rg_step(state: RgState, oracle: Oracle, scheme, cfg: RgConfig) -> RgState:
     """One probe at ``x + sigma u`` with u ~ N(0, I), then a step along
     ``-((phi(x + sigma u) - phi(x)) / sigma) u``; the probe value is not an
     iterate value, so it stays out of ``f_best``."""
-    if oracle.eval_count >= cfg.budget:
-        raise BudgetExhausted()
+    evals = StepEvals(oracle, cfg.budget)
+    evals.check()  # before the draw, so a step that cannot start draws no direction
     sigma = state.delta
     u = state.directions.standard_normal(state.x.shape[0])
-    f_probe = oracle.evaluate(state.x + sigma * u)
-    if oracle.eval_count >= cfg.budget:
-        raise BudgetExhausted(declared_cost=1)
+    f_probe = evals.point(state.x + sigma * u, candidate=False)
     g = ((f_probe - state.f_x) / sigma) * u
     x = state.x - state.last_tau * g
-    f_x = oracle.evaluate(x)
+    f_x = evals.point(x)
     return RgState(state.k + 1, x, f_x, state.directions, sigma, state.last_tau,
-                   math.sqrt(g.dot(g)), f_x, 2, "step")  # np.linalg.norm's own formula
+                   math.sqrt(g.dot(g)), f_x, evals.cost, "step")  # np.linalg.norm's own formula
 
 
 def rg_run(

@@ -11,12 +11,13 @@ An exhausted search ends the run in a "stopped" state (gradapprox.search_step).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
-from .driver import check_between, check_schedule, config_dict, drive, lower, schedule_value
+from .driver import StepEvals, check_between, check_schedule, config_dict, drive, schedule_value
 from .gradapprox import GradScheme, SearchConfig, search_step
-from .oracle import Array, BudgetExhausted, Objective, Oracle
+from .oracle import Array, Objective, Oracle
 from .trace import RunReport
 
 NuRule = Union[float, Callable[[int], float], Sequence[float], None]
@@ -60,7 +61,7 @@ def backtrack(
     gamma: float,
     tau_bar: float,
     t_min: float,
-    budget: Optional[int] = None,
+    budget: float = math.inf,
 ) -> BacktrackResult:
     """Shrink t from tau_bar by gamma until sufficient decrease or the floor.
 
@@ -74,20 +75,13 @@ def backtrack(
     if g_norm_sq <= 0.0:
         raise ValueError("backtracking requires a nonzero direction")
     t = tau_bar
-    evals = 0
-    min_f = float("nan")
+    evals = StepEvals(oracle, budget)  # a cut-off search reports its trials' lowest value
     while True:
-        if budget is not None and oracle.eval_count >= budget:
-            # the trials already evaluated still count toward the run's f_best
-            raise BudgetExhausted("budget exhausted during linesearch",
-                                  partial=min_f, declared_cost=evals)
-        f_cand = oracle.evaluate(x - t * g)
-        evals += 1
-        min_f = lower(min_f, f_cand)
+        f_cand = evals.point(x - t * g)
         if f_cand <= f_x - beta * t * g_norm_sq:
-            return BacktrackResult(t, True, evals, f_cand, min_f)
+            return BacktrackResult(t, True, evals.cost, f_cand, evals.low)
         if t < t_min:
-            return BacktrackResult(t, False, evals, f_cand, min_f)
+            return BacktrackResult(t, False, evals.cost, f_cand, evals.low)
         t *= gamma
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .driver import check_between, config_dict, drive
+from .driver import StepEvals, check_between, config_dict, drive
 from .gradapprox import GradScheme, SearchConfig, search_step
-from .oracle import Array, BudgetExhausted, Objective, Oracle
+from .oracle import Array, Objective, Oracle
 from .trace import RunReport
 
 
@@ -51,11 +51,9 @@ def dfc_step(state: DfcState, oracle: Oracle, scheme: GradScheme, cfg: DfcConfig
     """Advance one iteration; raises :class:`BudgetExhausted` if cut off mid-step."""
 
     def decrease_test(res):
-        if oracle.eval_count >= cfg.budget:
-            raise BudgetExhausted("budget exhausted before the decrease test")
         tau = cfg.kappa / state.C
         candidate = state.x - tau * res.g
-        f_cand = oracle.evaluate(candidate)
+        f_cand = StepEvals(oracle, cfg.budget).point(candidate)
         threshold = (state.f_x - cfg.kappa * (cfg.mu - 2.0) / (2.0 * state.C * cfg.mu)
                      * res.g_norm**2)
         if f_cand <= threshold:

@@ -8,8 +8,9 @@ the initial evaluation, the budget check before every step, the declared-cost
 sum, ``f_best``, the trace and iterates, and why the run stopped. Every step
 rule reports alike: its cost in ``last_cost``, its curvature proxy in ``C``,
 and the lowest value it evaluated at an iterate or candidate point in
-``last_candidate_f``, or, when cut off mid-step, in the ``partial`` of the
-:class:`BudgetExhausted` it raises. A step whose caller-supplied sequence ran
+``last_candidate_f``. Every budget check inside a step goes through a
+:class:`StepEvals`, the one raiser of :class:`BudgetExhausted`, which carries
+that cost and lowest value so far. A step whose caller-supplied sequence ran
 out raises :class:`ScheduleExhausted`. Both exceptions carry the cost of the
 work done so far. NaN is the only "no value", and ``f_best`` ignores it: it is
 NaN only while no other value has been seen. A state whose ``last_step`` is
@@ -56,6 +57,14 @@ def check_between(name: str, value, low: float, high: float = math.inf) -> None:
         raise ValueError(f"{name} must be in ({low:g}, {high:g}), got {value!r}")
 
 
+def check_count(name: str, value, low: float) -> None:
+    """Reject a ``value`` that is not an integer (a bool is not one), then one
+    that :func:`check_between` rejects for ``(low, inf)``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_between(name, value, low)
+
+
 def check_schedule(name: str, rule, positive: bool = True) -> None:
     """Reject a constant or sequence ``rule`` with an entry outside ``(0, inf)``,
     or, unless ``positive``, outside ``(-inf, inf)``. A callable is checked
@@ -77,8 +86,7 @@ class StartConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x1", np.asarray(self.x1, dtype=float))
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+        check_count("budget", self.budget, -1)
 
 
 def settings(config_class) -> tuple:
@@ -108,6 +116,38 @@ def config_dict(solver: str, scheme, cfg) -> dict:
 def lower(a: float, b: float) -> float:
     """The lower of two values, ignoring NaN: NaN only when both are NaN."""
     return b if b < a or a != a else a
+
+
+class StepEvals:
+    """The evaluations of one step, each started only below the ``budget``.
+
+    ``cost`` is the evaluations the step has declared and ``low`` the lowest
+    value it evaluated at an iterate or candidate point (NaN while none). This
+    is the one place that raises :class:`BudgetExhausted`, with those two.
+    """
+
+    __slots__ = ("oracle", "budget", "cost", "low")
+
+    def __init__(self, oracle: Oracle, budget: float):
+        self.oracle = oracle
+        self.budget = budget
+        self.cost = 0
+        self.low = math.nan
+
+    def check(self) -> None:
+        """Raise :class:`BudgetExhausted` if the budget is spent."""
+        if self.oracle.eval_count >= self.budget:
+            raise BudgetExhausted(partial=self.low, declared_cost=self.cost)
+
+    def point(self, x: Array, candidate: bool = True) -> float:
+        """f(x) within the budget, counted in ``cost`` and, for an iterate or
+        candidate point, folded into ``low``."""
+        self.check()
+        f = self.oracle.evaluate(x)
+        self.cost += 1
+        if candidate:
+            self.low = lower(self.low, f)
+        return f
 
 
 def _ran_with_C(before, after) -> float:

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from .driver import check_between, check_schedule, config_dict, drive, schedule_value
+from .driver import StepEvals, check_between, check_schedule, config_dict, drive, schedule_value
 from .gradapprox import GradScheme, SearchConfig, search_step
-from .oracle import Array, BudgetExhausted, Objective, Oracle
+from .oracle import Array, Objective, Oracle
 from .trace import RunReport
 
 TauPolicy = Union[float, Sequence[float], Callable[[int, Array, Array], float]]
@@ -65,14 +65,12 @@ def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig
     def move(res):
         tau_k = schedule_value(cfg.tau, k, state.x, res.g)
         check_between("tau_k", tau_k, -math.inf)
-        if oracle.eval_count >= cfg.budget:
-            raise BudgetExhausted("budget exhausted before the trace probe")
         status = "step"
         if tau_k < 0.0:
             tau_k = 0.0
             status = "clamped"
         x = state.x - tau_k * res.g
-        f_x = oracle.evaluate(x)
+        f_x = StepEvals(oracle, cfg.budget).point(x)
         return GdfState(k, x, res.delta_next, f_x, c_k, status, res.g_norm, tau_k, f_x,
                         res.cost + 1)
 

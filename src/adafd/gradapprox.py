@@ -9,12 +9,13 @@ noise level or Lipschitz constant is required.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .driver import ScheduleExhausted, StartConfig, check_between
+from .driver import ScheduleExhausted, StartConfig, StepEvals, check_between, check_count
 from .oracle import Array, BudgetExhausted, Oracle
 
 #: Default cap on the number of interval reductions in one adaptive search.
@@ -41,8 +42,7 @@ class SearchConfig(StartConfig):
         check_between("delta1", self.delta1, 0.0)
         check_between("theta", self.theta, 0.0, 1.0)
         check_between("mu", self.mu, 2.0)
-        if self.i_max < 1:
-            raise ValueError("i_max must be positive")
+        check_count("i_max", self.i_max, 0)
 
 
 class GradScheme(enum.Enum):
@@ -120,7 +120,7 @@ def adaptive_gradient(
     theta: float,
     nu_k: Optional[float] = None,
     i_max: int = DEFAULT_I_MAX,
-    budget: Optional[int] = None,
+    budget: float = math.inf,
 ) -> AdaptiveGradResult:
     """Find the largest interval theta**i * delta_k whose estimate passes the norm test.
 
@@ -135,10 +135,10 @@ def adaptive_gradient(
     every difference would be zero or pure noise. If that happens at i = 0, no
     stencil ran: the cost is 0 and ``g`` and ``g_norm`` are NaN.
 
-    Raises :class:`BudgetExhausted` if ``budget`` would be crossed before
-    starting a stencil call, with the cost of the stencils already run; its
-    ``partial`` is NaN, as stencil values are neither iterate nor candidate
-    values.
+    Raises :class:`BudgetExhausted` if the oracle has made ``budget``
+    evaluations before a stencil call starts, with the cost of the stencils
+    already run; its ``partial`` is NaN, as stencil values are neither iterate
+    nor candidate values.
     """
     check_between("delta_k", delta_k, 0.0)
     if not c_k > 0:  # not check_between: DFC's escalation C *= r may reach +inf
@@ -154,20 +154,20 @@ def adaptive_gradient(
     norm = float("nan")
     radius = delta_k
     ran = 0  # stencils evaluated; equals i at the top of each pass
+    evals = StepEvals(oracle, budget)
     for i in range(i_max + 1):
         radius = theta**i * delta_k
         interval = radius if nu_k is None else min(radius, nu_k)
         if interval <= 0.0 or np.all(x + interval == x):
             break  # below the float spacing of x (or underflowed): nothing to evaluate
-        if budget is not None and oracle.eval_count >= budget:
-            raise BudgetExhausted("budget exhausted during interval search",
-                                  declared_cost=ran * per_call)
+        evals.check()
         g = approx_gradient(oracle, scheme, x, interval)
         ran += 1
+        evals.cost += per_call
         norm = float(np.linalg.norm(g))
         if np.isfinite(norm) and norm > mu * c_k * radius:
-            return AdaptiveGradResult(g, radius, i, False, norm, ran * per_call)
-    return AdaptiveGradResult(g, radius, max(ran - 1, 0), True, norm, ran * per_call)
+            return AdaptiveGradResult(g, radius, i, False, norm, evals.cost)
+    return AdaptiveGradResult(g, radius, max(ran - 1, 0), True, norm, evals.cost)
 
 
 def search_step(state, oracle: Oracle, scheme: GradScheme, cfg: SearchConfig, k: int,

@@ -17,7 +17,8 @@ Array = np.ndarray
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised when a solver would start an oracle call past its evaluation budget.
+    """Raised (by ``driver.StepEvals``) when a step would start an oracle call
+    at or past its evaluation budget.
 
     ``partial`` is the lowest value the interrupted step evaluated at an
     iterate or candidate point, NaN when it evaluated none; ``declared_cost``
@@ -25,9 +26,8 @@ class BudgetExhausted(RuntimeError):
     bookkeeping stays exact.
     """
 
-    def __init__(self, message: str = "evaluation budget exhausted",
-                 partial: float = math.nan, declared_cost: int = 0):
-        super().__init__(message)
+    def __init__(self, partial: float = math.nan, declared_cost: int = 0):
+        super().__init__("evaluation budget exhausted")
         self.partial = partial
         self.declared_cost = declared_cost
 

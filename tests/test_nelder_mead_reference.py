@@ -14,35 +14,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adafd import NelderMeadConfig, Objective, Oracle, build_instance, emit_csv, nelder_mead_run
-from adafd.baselines import SimplexState, _lowest, _probe, _simplex, nelder_mead_step
-from adafd.driver import drive
+from adafd.baselines import SimplexState, _simplex, nelder_mead_step
+from adafd.driver import StepEvals, drive
 
 from conftest import constant_objective
 
 
 def reference_step(state, oracle, scheme, cfg):
+    evals = StepEvals(oracle, cfg.budget)
     if state.verts is None:
         n = state.x.shape[0]
         verts = np.tile(state.x, (n + 1, 1))
         for i in range(n):
             verts[i + 1, i] += 0.05 * max(abs(verts[i + 1, i]), 1.0)
-        seen = [oracle.evaluate(v) for v in verts[1:]]
-        return _simplex(0, verts, np.array([state.f_x] + seen), "init", seen)
+        seen = [evals.point(v) for v in verts[1:]]
+        return _simplex(0, verts, np.array([state.f_x] + seen), "init", evals)
 
     rho, chi, psi, sigma = cfg.coefficients
     order = np.argsort(state.fv, kind="stable")
     verts = state.verts[order]
     fv = state.fv[order]
     centroid = np.mean(verts[:-1], axis=0)
-    seen = []
     status = "reflect"
     xr = centroid + rho * (centroid - verts[-1])
-    fr = _probe(oracle, xr, cfg.budget, seen)
+    fr = evals.point(xr)
     if fv[0] <= fr < fv[-2]:
         verts[-1], fv[-1] = xr, fr
     elif fr < fv[0]:
         xe = centroid + chi * rho * (centroid - verts[-1])
-        fe = _probe(oracle, xe, cfg.budget, seen)
+        fe = evals.point(xe)
         if fe < fr:
             verts[-1], fv[-1] = xe, fe
             status = "expand"
@@ -54,7 +54,7 @@ def reference_step(state, oracle, scheme, cfg):
             xc = centroid + psi * (xr - centroid)
         else:
             xc = centroid - psi * (centroid - verts[-1])
-        fc = _probe(oracle, xc, cfg.budget, seen)
+        fc = evals.point(xc)
         if (fc <= fr) if outside else (fc < fv[-1]):
             verts[-1], fv[-1] = xc, fc
             status = "contract_out" if outside else "contract_in"
@@ -62,11 +62,11 @@ def reference_step(state, oracle, scheme, cfg):
             status = "shrink"
             verts[1:] = verts[0] + sigma * (verts[1:] - verts[0])
             for i in range(1, len(fv)):
-                fv[i] = _probe(oracle, verts[i], cfg.budget, seen)
+                fv[i] = evals.point(verts[i])
     values = fv.tolist()
     f_x = min(values)
     return SimplexState(state.k + 1, verts[values.index(f_x)], f_x, verts, fv, status,
-                        _lowest(seen), len(seen))
+                        evals.low, evals.cost)
 
 
 def reference_run(objective, cfg, noise_level=0.0, seed=0):

@@ -175,3 +175,27 @@ def test_a_request_that_fails_partway_writes_no_output(tmp_path, family, solvers
         run_experiment(ExperimentConfig(family=family, n=4, solvers=solvers,
                                         output_dir=out))
     assert out.is_dir() and list(out.iterdir()) == []
+
+
+#: Every integer count of a config and the classes that hold it.
+COUNTS = [(cls, "budget") for cls in (DfcConfig, DfbConfig, GdfConfig, ImfilConfig, RgConfig)]
+COUNTS += [(cls, "i_max") for cls in (DfcConfig, DfbConfig, GdfConfig)]
+COUNTS += [(ImfilConfig, "max_backtracks")]
+
+
+def build_count(cls, name, value):
+    return cls(**{"x1": np.zeros(2), "budget": 10, **REQUIRED.get(cls, {}), name: value})
+
+
+@pytest.mark.parametrize("cls, name", COUNTS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in COUNTS])
+def test_every_count_is_an_integer_when_the_config_is_built(cls, name):
+    for value in (2.5, True, math.nan, math.inf, -math.inf, 3.0):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            build_count(cls, name, value)
+    cfg = build_count(cls, name, np.int64(7))
+    assert getattr(cfg, name) == 7
+    least = 0 if name == "budget" else 1  # a budget of 0 runs x1 alone
+    build_count(cls, name, least)
+    with pytest.raises(ValueError, match=f"^{name} must be in \\({least - 1}, inf\\), got "):
+        build_count(cls, name, least - 1)
