@@ -19,6 +19,7 @@ from .baselines import (
 )
 from .dfb import BacktrackResult, DfbConfig, DfbState, backtrack, dfb_run, dfb_step
 from .dfc import DfcConfig, DfcState, dfc_run, dfc_step
+from .driver import BudgetExhausted
 from .gdf import GdfConfig, gdf_run
 from .gradapprox import (
     AdaptiveGradResult,
@@ -37,7 +38,7 @@ from .harness import (
     run_experiment,
     run_solver,
 )
-from .oracle import BudgetExhausted, Objective, Oracle
+from .oracle import Objective, Oracle
 from .plotting import emit_plot
 from .problems import (
     FAMILIES,

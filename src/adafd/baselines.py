@@ -18,8 +18,8 @@ import numpy as np
 
 from .driver import (ScheduleExhausted, StartConfig, StepEvals, check_between, check_count,
                      config_dict, drive)
-from .gradapprox import GradScheme, approx_gradient
-from .oracle import Array, Objective, Oracle
+from .gradapprox import GradScheme, stencil_gradient
+from .oracle import Array, Objective
 from .trace import RunReport
 
 
@@ -97,21 +97,19 @@ class SimplexState(NamedTuple):
     verts: Optional[Array] = None
     fv: Optional[Array] = None
     last_step: str = "init"
-    last_candidate_f: float = math.nan
-    last_cost: int = 0
 
     delta = C = last_g_norm = last_tau = float("nan")  # no interval, proxy, gradient or step
 
 
-def _simplex(k: int, verts: Array, fv: Array, status: str, evals: StepEvals) -> SimplexState:
-    """The simplex after an init or shrink step that made ``evals``, its rows
-    stably sorted by value with NaN last."""
+def _simplex(k: int, verts: Array, fv: Array, status: str) -> SimplexState:
+    """The simplex after an init or shrink step, its rows stably sorted by
+    value with NaN last."""
     order = np.argsort(fv, kind="stable")
     verts, fv = verts[order], fv[order]
-    return SimplexState(k, verts[0], fv.item(0), verts, fv, status, evals.low, evals.cost)
+    return SimplexState(k, verts[0], fv.item(0), verts, fv, status)
 
 
-def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
+def nelder_mead_step(state: SimplexState, evals: StepEvals, scheme,
                      cfg: NelderMeadConfig) -> SimplexState:
     """One reflect/expand/contract/shrink iteration on the simplex sorted by value.
 
@@ -119,14 +117,13 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
     at ``x1 + 0.05 * max(|x1_i|, 1) * e_i`` per coordinate, reported as
     iteration 0. A step cut off by the budget leaves the simplex as it was.
     """
-    evals = StepEvals(oracle, cfg.budget)
     if state.verts is None:
         n = state.x.shape[0]
         verts = np.tile(state.x, (n + 1, 1))
         for i in range(n):
             verts[i + 1, i] += 0.05 * max(abs(verts[i + 1, i]), 1.0)
         values = [state.f_x] + [evals.point(v) for v in verts[1:]]
-        return _simplex(0, verts, np.array(values), "init", evals)
+        return _simplex(0, verts, np.array(values), "init")
 
     rho, chi, psi, sigma = cfg.coefficients
     verts, fv = state.verts, state.fv
@@ -155,14 +152,13 @@ def nelder_mead_step(state: SimplexState, oracle: Oracle, scheme,
             shrunk = verts[0] + sigma * (verts[1:] - verts[0])
             values = [f_low] + [evals.point(v) for v in shrunk]
             return _simplex(state.k + 1, np.concatenate((verts[:1], shrunk)), np.array(values),
-                            "shrink", evals)
+                            "shrink")
     # the new vertex replaces the worst one where a stable argsort would put
     # it, after every value not above it
     p = int(fv[:-1].searchsorted(f_new, side="right"))
     verts = np.concatenate((verts[:p], x_new[None], verts[p:-1]))
     fv = np.concatenate((fv[:p], (f_new,), fv[p:-1]))
-    return SimplexState(state.k + 1, verts[0], fv.item(0), verts, fv, status, evals.low,
-                        evals.cost)
+    return SimplexState(state.k + 1, verts[0], fv.item(0), verts, fv, status)
 
 
 def nelder_mead_run(
@@ -198,37 +194,31 @@ class ImfilState(NamedTuple):
     last_step: str = "init"  # "accepted" | "ls_fail" | "stencil_fail" | "init"
     last_g_norm: float = float("nan")
     last_tau: float = 0.0
-    last_candidate_f: float = math.nan
-    last_cost: int = 0
 
     C = float("nan")  # no curvature proxy
 
 
-def imfil_step(state: ImfilState, oracle: Oracle, scheme: GradScheme,
+def imfil_step(state: ImfilState, evals: StepEvals, scheme: GradScheme,
                cfg: ImfilConfig) -> ImfilState:
     """One gradient step at the current scale; a too-small estimate (norm at
     most h) or a failed backtracking search advances the schedule instead."""
     if state.scale >= len(cfg.scales):
         raise ScheduleExhausted()
-    evals = StepEvals(oracle, cfg.budget)
-    evals.check()
     h = cfg.scales[state.scale]
-    g = approx_gradient(oracle, scheme, state.x, h)
-    evals.cost += scheme.evals_per_call(state.x.shape[0])
+    g = stencil_gradient(evals, scheme, state.x, h)
     g_norm = float(np.linalg.norm(g))
     if not h < g_norm < math.inf:  # too small, or a NaN or infinite estimate
         return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "stencil_fail",
-                          g_norm, 0.0, math.nan, evals.cost)
+                          g_norm)
     t = 1.0
     for _ in range(cfg.max_backtracks):
         candidate = state.x - t * g
         f_cand = evals.point(candidate)
         if f_cand <= state.f_x - cfg.armijo * t * g_norm**2:
             return ImfilState(state.k + 1, candidate, f_cand, state.scale, h, "accepted",
-                              g_norm, t, evals.low, evals.cost)
+                              g_norm, t)
         t *= cfg.ls_gamma
-    return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "ls_fail", g_norm,
-                      0.0, evals.low, evals.cost)
+    return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "ls_fail", g_norm)
 
 
 def imfil_run(
@@ -263,18 +253,15 @@ class RgState(NamedTuple):
     delta: float
     last_tau: float
     last_g_norm: float = float("nan")
-    last_candidate_f: float = math.nan
-    last_cost: int = 0
     last_step: str = "init"  # "step" | "init"
 
     C = float("nan")  # no curvature proxy
 
 
-def rg_step(state: RgState, oracle: Oracle, scheme, cfg: RgConfig) -> RgState:
+def rg_step(state: RgState, evals: StepEvals, scheme, cfg: RgConfig) -> RgState:
     """One probe at ``x + sigma u`` with u ~ N(0, I), then a step along
     ``-((phi(x + sigma u) - phi(x)) / sigma) u``; the probe value is not an
     iterate value, so it stays out of ``f_best``."""
-    evals = StepEvals(oracle, cfg.budget)
     evals.check()  # before the draw, so a step that cannot start draws no direction
     sigma = state.delta
     u = state.directions.standard_normal(state.x.shape[0])
@@ -283,7 +270,7 @@ def rg_step(state: RgState, oracle: Oracle, scheme, cfg: RgConfig) -> RgState:
     x = state.x - state.last_tau * g
     f_x = evals.point(x)
     return RgState(state.k + 1, x, f_x, state.directions, sigma, state.last_tau,
-                   math.sqrt(g.dot(g)), f_x, evals.cost, "step")  # np.linalg.norm's own formula
+                   math.sqrt(g.dot(g)), "step")  # np.linalg.norm's own formula
 
 
 def rg_run(

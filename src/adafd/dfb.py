@@ -11,13 +11,12 @@ An exhausted search ends the run in a "stopped" state (gradapprox.search_step).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .driver import StepEvals, check_between, check_schedule, config_dict, drive, schedule_value
 from .gradapprox import GradScheme, SearchConfig, search_step
-from .oracle import Array, Objective, Oracle
+from .oracle import Array, Objective
 from .trace import RunReport
 
 NuRule = Union[float, Callable[[int], float], Sequence[float], None]
@@ -47,13 +46,11 @@ class DfbConfig(SearchConfig):
 class BacktrackResult(NamedTuple):
     t: float
     sufficient: bool
-    evals_used: int
     f_candidate: float  # value tested at the returned t
-    min_f_seen: float   # lowest non-NaN candidate value seen; NaN if none
 
 
 def backtrack(
-    oracle: Oracle,
+    evals: StepEvals,
     x: Array,
     g: Array,
     f_x: float,
@@ -61,7 +58,6 @@ def backtrack(
     gamma: float,
     tau_bar: float,
     t_min: float,
-    budget: float = math.inf,
 ) -> BacktrackResult:
     """Shrink t from tau_bar by gamma until sufficient decrease or the floor.
 
@@ -69,19 +65,20 @@ def backtrack(
     every loop pass costs one oracle evaluation, the search can therefore end
     below the floor with the decrease test satisfied (the caller still treats
     that as a floor hit), and ``sufficient`` reports the last evaluated test.
+    Each trial is an ``evals.point``, so ``evals`` declares the trials and
+    holds their lowest value, also when the budget cuts the search off.
     """
     check_between("t_min", t_min, 0.0, tau_bar)
     g_norm_sq = float(g @ g)
     if g_norm_sq <= 0.0:
         raise ValueError("backtracking requires a nonzero direction")
     t = tau_bar
-    evals = StepEvals(oracle, budget)  # a cut-off search reports its trials' lowest value
     while True:
         f_cand = evals.point(x - t * g)
         if f_cand <= f_x - beta * t * g_norm_sq:
-            return BacktrackResult(t, True, evals.cost, f_cand, evals.low)
+            return BacktrackResult(t, True, f_cand)
         if t < t_min:
-            return BacktrackResult(t, False, evals.cost, f_cand, evals.low)
+            return BacktrackResult(t, False, f_cand)
         t *= gamma
 
 
@@ -95,27 +92,24 @@ class DfbState(NamedTuple):
     last_step: str = "init"  # "accepted" | "null" | "stopped" | "init"
     last_g_norm: float = float("nan")
     last_tau: float = 0.0
-    last_candidate_f: float = float("nan")  # lowest value the last linesearch saw
-    last_cost: int = 0
 
 
-def dfb_step(state: DfbState, oracle: Oracle, scheme: GradScheme, cfg: DfbConfig) -> DfbState:
+def dfb_step(state: DfbState, evals: StepEvals, scheme: GradScheme, cfg: DfbConfig) -> DfbState:
     """Advance one iteration; raises :class:`BudgetExhausted` if cut off mid-step."""
     k = state.k + 1
     nu_k = cfg.delta1 / k if cfg.nu is None else schedule_value(cfg.nu, k)
 
     def linesearch(res):
-        ls = backtrack(oracle, state.x, res.g, state.f_x, cfg.beta, cfg.gamma, cfg.tau_bar,
-                       state.t_min, budget=cfg.budget)
-        cost = res.cost + ls.evals_used
+        ls = backtrack(evals, state.x, res.g, state.f_x, cfg.beta, cfg.gamma, cfg.tau_bar,
+                       state.t_min)
         if ls.t >= state.t_min:
             # the floor was never crossed, so the exit must have been a passed test
             return DfbState(k, state.x - ls.t * res.g, res.delta_next, state.C, state.t_min,
-                            ls.f_candidate, "accepted", res.g_norm, ls.t, ls.min_f_seen, cost)
+                            ls.f_candidate, "accepted", res.g_norm, ls.t)
         return DfbState(k, state.x, res.delta_next, state.C * cfg.eta, state.t_min * cfg.gamma,
-                        state.f_x, "null", res.g_norm, 0.0, ls.min_f_seen, cost)
+                        state.f_x, "null", res.g_norm, 0.0)
 
-    return search_step(state, oracle, scheme, cfg, k, state.C, nu_k, linesearch)
+    return search_step(state, evals, scheme, cfg, k, state.C, nu_k, linesearch)
 
 
 def dfb_run(

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .driver import StepEvals, check_between, config_dict, drive
 from .gradapprox import GradScheme, SearchConfig, search_step
-from .oracle import Array, Objective, Oracle
+from .oracle import Array, Objective
 from .trace import RunReport
 
 
@@ -43,26 +43,24 @@ class DfcState(NamedTuple):
     last_step: str = "init"  # "accepted" | "rejected" | "stopped" | "init"
     last_g_norm: float = float("nan")
     last_tau: float = 0.0
-    last_candidate_f: float = float("nan")
-    last_cost: int = 0  # declared oracle cost of the last step
 
 
-def dfc_step(state: DfcState, oracle: Oracle, scheme: GradScheme, cfg: DfcConfig) -> DfcState:
+def dfc_step(state: DfcState, evals: StepEvals, scheme: GradScheme, cfg: DfcConfig) -> DfcState:
     """Advance one iteration; raises :class:`BudgetExhausted` if cut off mid-step."""
 
     def decrease_test(res):
         tau = cfg.kappa / state.C
         candidate = state.x - tau * res.g
-        f_cand = StepEvals(oracle, cfg.budget).point(candidate)
+        f_cand = evals.point(candidate)
         threshold = (state.f_x - cfg.kappa * (cfg.mu - 2.0) / (2.0 * state.C * cfg.mu)
                      * res.g_norm**2)
         if f_cand <= threshold:
             return DfcState(state.k + 1, candidate, res.delta_next, state.C, f_cand, "accepted",
-                            res.g_norm, tau, f_cand, res.cost + 1)
+                            res.g_norm, tau)
         return DfcState(state.k + 1, state.x, res.delta_next, state.C * cfg.r, state.f_x,
-                        "rejected", res.g_norm, 0.0, f_cand, res.cost + 1)
+                        "rejected", res.g_norm, 0.0)
 
-    return search_step(state, oracle, scheme, cfg, state.k + 1, state.C, None, decrease_test)
+    return search_step(state, evals, scheme, cfg, state.k + 1, state.C, None, decrease_test)
 
 
 def dfc_run(

@@ -1,21 +1,23 @@
 """The one run loop that every solver shares.
 
-A solver is a step rule ``step(state, oracle, scheme, cfg) -> state``, its
+A solver is a step rule ``step(state, evals, scheme, cfg) -> state``, its
 initial state (a ``NamedTuple``) and a config that subclasses
 :class:`StartConfig`. A step rule returns a new state, built once, and never
 mutates the state it got or its arrays. The driver owns everything around it:
 the initial evaluation, the budget check before every step, the declared-cost
-sum, ``f_best``, the trace and iterates, and why the run stopped. Every step
-rule reports alike: its cost in ``last_cost``, its curvature proxy in ``C``,
-and the lowest value it evaluated at an iterate or candidate point in
-``last_candidate_f``. Every budget check inside a step goes through a
-:class:`StepEvals`, the one raiser of :class:`BudgetExhausted`, which carries
-that cost and lowest value so far. A step whose caller-supplied sequence ran
-out raises :class:`ScheduleExhausted`. Both exceptions carry the cost of the
-work done so far. NaN is the only "no value", and ``f_best`` ignores it: it is
-NaN only while no other value has been seen. A state whose ``last_step`` is
-"stopped" ends the run ``stationary``; for DFC, DFB and GDF it comes from
-``gradapprox.search_step`` when the interval search is exhausted.
+sum, ``f_best``, the trace and iterates, and why the run stopped. It hands
+each step one :class:`StepEvals`, the step's ledger: every evaluation and
+every budget check inside the step goes through it, and it is the one raiser
+of :class:`BudgetExhausted`. After the step, however it ended, the driver adds
+the ledger's ``cost`` to the declared cost and folds its ``low`` (the lowest
+value evaluated at an iterate or candidate point) into ``f_best``, so a step
+that is cut off by the budget, or raises :class:`ScheduleExhausted` when a
+caller-supplied sequence runs out, still declares its work. Every step rule
+reports its curvature proxy in ``C``. NaN is the only "no value", and
+``f_best`` ignores it: it is NaN only while no other value has been seen. A
+state whose ``last_step`` is "stopped" ends the run ``stationary``; for DFC,
+DFB and GDF it comes from ``gradapprox.search_step`` when the interval search
+is exhausted.
 """
 
 from __future__ import annotations
@@ -27,16 +29,18 @@ from typing import Callable
 
 import numpy as np
 
-from .oracle import Array, BudgetExhausted, Objective, Oracle
+from .oracle import Array, Objective, Oracle
 from .trace import RunReport, TraceRecord
+
+
+class BudgetExhausted(RuntimeError):
+    """Raised by :meth:`StepEvals.check` when a step would start an oracle call
+    at or past its evaluation budget. The step's cost and lowest value so far
+    stay in its :class:`StepEvals`, where :func:`drive` reads them."""
 
 
 class ScheduleExhausted(Exception):
     """A caller-supplied sequence ran out of entries before the budget did."""
-
-    def __init__(self, declared_cost: int = 0):
-        super().__init__("schedule exhausted")
-        self.declared_cost = declared_cost
 
 
 def schedule_value(rule, k: int, *args) -> float:
@@ -119,11 +123,13 @@ def lower(a: float, b: float) -> float:
 
 
 class StepEvals:
-    """The evaluations of one step, each started only below the ``budget``.
+    """The ledger of one step: its evaluations, each started only below the
+    ``budget``.
 
     ``cost`` is the evaluations the step has declared and ``low`` the lowest
-    value it evaluated at an iterate or candidate point (NaN while none). This
-    is the one place that raises :class:`BudgetExhausted`, with those two.
+    value it evaluated at an iterate or candidate point (NaN while none).
+    :func:`drive` builds one per step and reads both after the step, however
+    it ended. This is the one place that raises :class:`BudgetExhausted`.
     """
 
     __slots__ = ("oracle", "budget", "cost", "low")
@@ -137,7 +143,7 @@ class StepEvals:
     def check(self) -> None:
         """Raise :class:`BudgetExhausted` if the budget is spent."""
         if self.oracle.eval_count >= self.budget:
-            raise BudgetExhausted(partial=self.low, declared_cost=self.cost)
+            raise BudgetExhausted("evaluation budget exhausted")
 
     def point(self, x: Array, candidate: bool = True) -> float:
         """f(x) within the budget, counted in ``cost`` and, for an iterate or
@@ -183,19 +189,18 @@ def drive(
 
     while oracle.eval_count < cfg.budget:
         before = state
+        evals = StepEvals(oracle, cfg.budget)
         try:
-            state = step(state, oracle, scheme, cfg)
-        except BudgetExhausted as stop:
-            declared += stop.declared_cost
-            f_best = lower(f_best, stop.partial)  # values the cut-off step saw
+            state = step(state, evals, scheme, cfg)
+        except BudgetExhausted:
             truncated = True
             break
-        except ScheduleExhausted as stop:
-            declared += stop.declared_cost
+        except ScheduleExhausted:
             termination = "schedule"
             break
-        declared += state.last_cost
-        f_best = lower(f_best, state.last_candidate_f)
+        finally:  # a cut-off step declares its work and the values it saw too
+            declared += evals.cost
+            f_best = lower(f_best, evals.low)
         # positional, in CSV_COLUMNS order
         trace.append(TraceRecord(state.k, oracle.eval_count, state.f_x, f_best,
                                  state.last_g_norm, state.delta, trace_C(before, state),

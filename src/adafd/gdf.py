@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .driver import StepEvals, check_between, check_schedule, config_dict, drive, schedule_value
 from .gradapprox import GradScheme, SearchConfig, search_step
-from .oracle import Array, Objective, Oracle
+from .oracle import Array, Objective
 from .trace import RunReport
 
 TauPolicy = Union[float, Sequence[float], Callable[[int, Array, Array], float]]
@@ -46,11 +46,9 @@ class GdfState(NamedTuple):
     last_step: str = "init"  # "step" | "clamped" | "stopped" | "init"
     last_g_norm: float = float("nan")
     last_tau: float = 0.0
-    last_candidate_f: float = float("nan")
-    last_cost: int = 0
 
 
-def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig) -> GdfState:
+def gdf_step(state: GdfState, evals: StepEvals, scheme: GradScheme, cfg: GdfConfig) -> GdfState:
     """Advance one iteration x <- x - tau_k g_k under the injected policies.
 
     Negative stepsizes from a rule are clamped to 0 and flagged as status
@@ -70,11 +68,10 @@ def gdf_step(state: GdfState, oracle: Oracle, scheme: GradScheme, cfg: GdfConfig
             tau_k = 0.0
             status = "clamped"
         x = state.x - tau_k * res.g
-        f_x = StepEvals(oracle, cfg.budget).point(x)
-        return GdfState(k, x, res.delta_next, f_x, c_k, status, res.g_norm, tau_k, f_x,
-                        res.cost + 1)
+        f_x = evals.point(x)
+        return GdfState(k, x, res.delta_next, f_x, c_k, status, res.g_norm, tau_k)
 
-    return search_step(state, oracle, scheme, cfg, k, c_k, nu_k, move)
+    return search_step(state, evals, scheme, cfg, k, c_k, nu_k, move)
 
 
 def gdf_run(

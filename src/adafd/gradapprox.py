@@ -9,14 +9,13 @@ noise level or Lipschitz constant is required.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .driver import ScheduleExhausted, StartConfig, StepEvals, check_between, check_count
-from .oracle import Array, BudgetExhausted, Oracle
+from .driver import StartConfig, StepEvals, check_between, check_count
+from .oracle import Array, Oracle
 
 #: Default cap on the number of interval reductions in one adaptive search.
 #: With theta = 1/2 the smallest interval tried is 2**-60 times the incoming
@@ -81,6 +80,15 @@ def approx_gradient(oracle: Oracle, scheme: GradScheme, x: Array, delta: float) 
     return central_diff(oracle, x, delta)
 
 
+def stencil_gradient(evals: StepEvals, scheme: GradScheme, x: Array, delta: float) -> Array:
+    """:func:`approx_gradient` as one unit of a step: started only below the
+    budget of ``evals`` and declared in its ``cost``."""
+    evals.check()
+    g = approx_gradient(evals.oracle, scheme, x, delta)
+    evals.cost += scheme.evals_per_call(x.shape[0])
+    return g
+
+
 def fd_error_bound(lipschitz_const: float, dim: int, delta: float) -> float:
     """Guaranteed noiseless error bound L * sqrt(dim) * delta / 2.
 
@@ -97,9 +105,9 @@ class AdaptiveGradResult(NamedTuple):
 
     Unless ``exhausted``, the accepted estimate satisfies
     ``g_norm > mu * c_k * delta_next`` and ``delta_next = theta**inner_steps * delta_k``.
-    ``g_norm`` is ``norm(g)``, the value the test compared, and ``cost`` is the
-    evaluations the search spent: ``inner_steps + 1`` stencil calls, or none
-    when an exhausted search stopped before its first stencil.
+    ``g_norm`` is ``norm(g)``, the value the test compared. The search spent
+    ``inner_steps + 1`` stencil calls, or none when an exhausted search stopped
+    before its first stencil; its step's :class:`StepEvals` declares them.
     """
 
     g: Array
@@ -107,11 +115,10 @@ class AdaptiveGradResult(NamedTuple):
     inner_steps: int
     exhausted: bool
     g_norm: float
-    cost: int
 
 
 def adaptive_gradient(
-    oracle: Oracle,
+    evals: StepEvals,
     scheme: GradScheme,
     x: Array,
     delta_k: float,
@@ -120,7 +127,6 @@ def adaptive_gradient(
     theta: float,
     nu_k: Optional[float] = None,
     i_max: int = DEFAULT_I_MAX,
-    budget: float = math.inf,
 ) -> AdaptiveGradResult:
     """Find the largest interval theta**i * delta_k whose estimate passes the norm test.
 
@@ -133,12 +139,12 @@ def adaptive_gradient(
     if no i qualifies. The search also stops, exhausted, before a stencil whose
     interval no longer moves any coordinate of x (``x + interval == x``), where
     every difference would be zero or pure noise. If that happens at i = 0, no
-    stencil ran: the cost is 0 and ``g`` and ``g_norm`` are NaN.
+    stencil ran: ``g`` and ``g_norm`` are NaN.
 
-    Raises :class:`BudgetExhausted` if the oracle has made ``budget``
-    evaluations before a stencil call starts, with the cost of the stencils
-    already run; its ``partial`` is NaN, as stencil values are neither iterate
-    nor candidate values.
+    Each stencil goes through :func:`stencil_gradient`: ``evals`` declares it,
+    and raises :class:`BudgetExhausted` if its budget is spent before the
+    stencil starts. Stencil values are neither iterate nor candidate values,
+    so ``evals.low`` is left as it was.
     """
     check_between("delta_k", delta_k, 0.0)
     if not c_k > 0:  # not check_between: DFC's escalation C *= r may reach +inf
@@ -147,44 +153,36 @@ def adaptive_gradient(
     check_between("mu", mu, 2.0)
     if nu_k is not None:
         check_between("nu_k", nu_k, 0.0)
+    check_count("i_max", i_max, 0)
 
     x = np.asarray(x, dtype=float)
-    per_call = scheme.evals_per_call(x.shape[0])
     g = np.full(x.shape[0], np.nan)  # no estimate until a stencil runs
     norm = float("nan")
     radius = delta_k
     ran = 0  # stencils evaluated; equals i at the top of each pass
-    evals = StepEvals(oracle, budget)
     for i in range(i_max + 1):
         radius = theta**i * delta_k
         interval = radius if nu_k is None else min(radius, nu_k)
         if interval <= 0.0 or np.all(x + interval == x):
             break  # below the float spacing of x (or underflowed): nothing to evaluate
-        evals.check()
-        g = approx_gradient(oracle, scheme, x, interval)
+        g = stencil_gradient(evals, scheme, x, interval)
         ran += 1
-        evals.cost += per_call
         norm = float(np.linalg.norm(g))
         if np.isfinite(norm) and norm > mu * c_k * radius:
-            return AdaptiveGradResult(g, radius, i, False, norm, evals.cost)
-    return AdaptiveGradResult(g, radius, max(ran - 1, 0), True, norm, evals.cost)
+            return AdaptiveGradResult(g, radius, i, False, norm)
+    return AdaptiveGradResult(g, radius, max(ran - 1, 0), True, norm)
 
 
-def search_step(state, oracle: Oracle, scheme: GradScheme, cfg: SearchConfig, k: int,
+def search_step(state, evals: StepEvals, scheme: GradScheme, cfg: SearchConfig, k: int,
                 c_k: float, nu_k: Optional[float], then: Callable):
     """Step ``k`` of DFC, DFB or GDF: the search at ``(c_k, nu_k)`` from ``state``,
-    then ``then(res)``. An exhausted search stops the run; a budget or schedule
-    cut-off that ``then`` raises also declares the search's cost."""
+    then ``then(res)``, all declared in ``evals``. An exhausted search stops the
+    run."""
     if state.last_step == "stopped":
         raise RuntimeError("cannot step a stopped solver state")
-    res = adaptive_gradient(oracle, scheme, state.x, state.delta, c_k, cfg.mu, cfg.theta,
-                            nu_k=nu_k, i_max=cfg.i_max, budget=cfg.budget)
+    res = adaptive_gradient(evals, scheme, state.x, state.delta, c_k, cfg.mu, cfg.theta,
+                            nu_k=nu_k, i_max=cfg.i_max)
     if res.exhausted:
         return state._replace(k=k, C=c_k, delta=res.delta_next, last_step="stopped",
-                              last_g_norm=res.g_norm, last_tau=0.0,
-                              last_candidate_f=float("nan"), last_cost=res.cost)
-    try:
-        return then(res)
-    except (BudgetExhausted, ScheduleExhausted) as stop:
-        stop.declared_cost += res.cost
-        raise
+                              last_g_norm=res.g_norm, last_tau=0.0)
+    return then(res)

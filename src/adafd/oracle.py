@@ -7,29 +7,12 @@ by any optimization loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 Array = np.ndarray
-
-
-class BudgetExhausted(RuntimeError):
-    """Raised (by ``driver.StepEvals``) when a step would start an oracle call
-    at or past its evaluation budget.
-
-    ``partial`` is the lowest value the interrupted step evaluated at an
-    iterate or candidate point, NaN when it evaluated none; ``declared_cost``
-    is the step's completed oracle cost, so the caller's declared-cost
-    bookkeeping stays exact.
-    """
-
-    def __init__(self, partial: float = math.nan, declared_cost: int = 0):
-        super().__init__("evaluation budget exhausted")
-        self.partial = partial
-        self.declared_cost = declared_cost
 
 
 @dataclass(frozen=True)

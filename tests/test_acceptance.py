@@ -36,6 +36,8 @@ from adafd import (
     run_solver,
 )
 
+from adafd.driver import StepEvals
+
 from conftest import cusp_objective, sphere_objective
 
 
@@ -198,7 +200,7 @@ def _walk_dfb(objective, scheme, cfg):
     states = [state]
     while oracle.eval_count < cfg.budget and state.last_step != "stopped":
         try:
-            state = dfb_step(state, oracle, scheme, cfg)
+            state = dfb_step(state, StepEvals(oracle, cfg.budget), scheme, cfg)
         except BudgetExhausted:
             break
         states.append(state)

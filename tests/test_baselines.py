@@ -22,6 +22,7 @@ from adafd import (
     run_solver,
 )
 from adafd.baselines import SimplexState, nelder_mead_step
+from adafd.driver import StepEvals
 
 from conftest import constant_objective, linear_objective, sphere_objective
 
@@ -62,12 +63,13 @@ class TestNelderMead:
     def test_a_step_at_an_exhausted_budget_raises_budget_exhausted(self):
         cfg = NelderMeadConfig(x1=np.zeros(3), budget=4)
         oracle = Oracle(make_rosenbrock(3).objective, 0.0, 0)
-        state = nelder_mead_step(SimplexState(0, cfg.x1, oracle.evaluate(cfg.x1)), oracle,
-                                 None, cfg)
+        state = nelder_mead_step(SimplexState(0, cfg.x1, oracle.evaluate(cfg.x1)),
+                                 StepEvals(oracle, cfg.budget), None, cfg)
         assert oracle.eval_count == 4
-        with pytest.raises(BudgetExhausted) as stop:
-            nelder_mead_step(state, oracle, None, cfg)
-        assert math.isnan(stop.value.partial) and stop.value.declared_cost == 0
+        evals = StepEvals(oracle, cfg.budget)
+        with pytest.raises(BudgetExhausted):
+            nelder_mead_step(state, evals, None, cfg)
+        assert math.isnan(evals.low) and evals.cost == 0
         assert oracle.eval_count == 4
 
     @pytest.mark.parametrize("status", ["reflect", "expand", "contract_out", "contract_in",
@@ -77,12 +79,12 @@ class TestNelderMead:
         objective = make_rosenbrock(n).objective
         cfg = NelderMeadConfig(x1=np.full(n, 0.5), budget=2000)
         oracle = Oracle(objective, 0.0, 0)
-        state = nelder_mead_step(SimplexState(0, cfg.x1, oracle.evaluate(cfg.x1)), oracle,
-                                 None, cfg)
+        state = nelder_mead_step(SimplexState(0, cfg.x1, oracle.evaluate(cfg.x1)),
+                                 StepEvals(oracle, cfg.budget), None, cfg)
         while state.last_step != status:
             assert oracle.eval_count + n + 1 < cfg.budget, f"no {status} step"
             verts, fv = state.verts.copy(), state.fv.copy()
-            new = nelder_mead_step(state, oracle, None, cfg)
+            new = nelder_mead_step(state, StepEvals(oracle, cfg.budget), None, cfg)
             assert state.verts.tobytes() == verts.tobytes()
             assert state.fv.tobytes() == fv.tobytes()
             assert not np.shares_memory(new.verts, state.verts)

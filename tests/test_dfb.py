@@ -16,6 +16,7 @@ from adafd import (
     make_least_squares,
     make_rosenbrock,
 )
+from adafd.driver import StepEvals
 
 from conftest import sphere_objective
 
@@ -24,11 +25,12 @@ def test_backtrack_hand_simulated_two_steps():
     # f(x) = x^2, x = 1, g = 2: t = 1 gives f(-1) = 1 > 0, t = 0.5 gives
     # f(0) = 0 <= 0.5, accepted after exactly two evaluations.
     oracle = Oracle(sphere_objective(1))
-    res = backtrack(oracle, np.array([1.0]), np.array([2.0]), f_x=1.0,
+    evals = StepEvals(oracle, math.inf)
+    res = backtrack(evals, np.array([1.0]), np.array([2.0]), f_x=1.0,
                     beta=0.25, gamma=0.5, tau_bar=1.0, t_min=1e-10)
     assert res.sufficient
     assert res.t == pytest.approx(0.5)
-    assert res.evals_used == 2
+    assert evals.cost == 2
     assert res.f_candidate == pytest.approx(0.0)
     assert oracle.eval_count == 2
 
@@ -43,7 +45,7 @@ def test_backtrack_terminates_above_a_tiny_floor_for_good_directions(rng):
             continue
         grad = 2.0 * x
         g = grad * float(rng.uniform(0.8, 1.2))
-        res = backtrack(Oracle(obj), x, g, f_x=float(x @ x), beta=0.25,
+        res = backtrack(StepEvals(Oracle(obj), math.inf), x, g, f_x=float(x @ x), beta=0.25,
                         gamma=0.5, tau_bar=1.0, t_min=1e-12)
         assert res.sufficient
         assert res.t > 1e-12
@@ -51,20 +53,21 @@ def test_backtrack_terminates_above_a_tiny_floor_for_good_directions(rng):
 
 def test_backtrack_ascent_direction_runs_to_the_floor():
     oracle = Oracle(sphere_objective(1))
-    res = backtrack(oracle, np.array([1.0]), np.array([-2.0]), f_x=1.0,
+    evals = StepEvals(oracle, math.inf)
+    res = backtrack(evals, np.array([1.0]), np.array([-2.0]), f_x=1.0,
                     beta=0.25, gamma=0.5, tau_bar=1.0, t_min=1e-10)
     assert not res.sufficient
     assert res.t < 1e-10
     # 1, 0.5, ..., first t below 1e-10 is 2^-34: 35 condition evaluations
-    assert res.evals_used == 35
+    assert evals.cost == 35
 
 
 def test_backtrack_rejects_zero_direction_and_bad_floor():
-    oracle = Oracle(sphere_objective(1))
+    evals = StepEvals(Oracle(sphere_objective(1)), math.inf)
     with pytest.raises(ValueError):
-        backtrack(oracle, np.ones(1), np.zeros(1), 1.0, 0.25, 0.5, 1.0, 1e-10)
+        backtrack(evals, np.ones(1), np.zeros(1), 1.0, 0.25, 0.5, 1.0, 1e-10)
     with pytest.raises(ValueError):
-        backtrack(oracle, np.ones(1), np.ones(1), 1.0, 0.25, 0.5, 1.0, 2.0)
+        backtrack(evals, np.ones(1), np.ones(1), 1.0, 0.25, 0.5, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("budget", [0, 1, 3])
@@ -72,15 +75,16 @@ def test_backtrack_cut_off_by_the_budget_reports_its_lowest_trial(budget):
     # f(x) = x^2 from x = 1 along the ascent direction: trials at 1 + 2t for
     # t = 1, 1/2, 1/4 are 9, 4 and 2.25, and none passes
     oracle = Oracle(sphere_objective(1))
-    with pytest.raises(BudgetExhausted) as stop:
-        backtrack(oracle, np.array([1.0]), np.array([-2.0]), f_x=1.0, beta=0.25,
-                  gamma=0.5, tau_bar=1.0, t_min=1e-10, budget=budget)
-    assert stop.value.declared_cost == oracle.eval_count == budget
-    assert isinstance(stop.value.partial, float)
+    evals = StepEvals(oracle, budget)
+    with pytest.raises(BudgetExhausted):
+        backtrack(evals, np.array([1.0]), np.array([-2.0]), f_x=1.0, beta=0.25,
+                  gamma=0.5, tau_bar=1.0, t_min=1e-10)
+    assert evals.cost == oracle.eval_count == budget
+    assert isinstance(evals.low, float)
     if budget:
-        assert stop.value.partial == (1.0 + 2.0 * 0.5 ** (budget - 1)) ** 2
+        assert evals.low == (1.0 + 2.0 * 0.5 ** (budget - 1)) ** 2
     else:
-        assert math.isnan(stop.value.partial)
+        assert math.isnan(evals.low)
 
 
 def test_step_accept_composes_search_and_linesearch():
@@ -89,7 +93,7 @@ def test_step_accept_composes_search_and_linesearch():
     cfg = DfbConfig(x1=[1.0], budget=100)
     state = DfbState(k=0, x=np.array([1.0]), delta=cfg.delta1, C=cfg.c1,
                      t_min=cfg.t_min1, f_x=1.0)
-    state = dfb_step(state, oracle, GradScheme.CENTRAL, cfg)
+    state = dfb_step(state, StepEvals(oracle, cfg.budget), GradScheme.CENTRAL, cfg)
     assert state.last_step == "accepted"
     assert state.x[0] == pytest.approx(0.0, abs=1e-12)
     assert state.C == cfg.c1
@@ -105,14 +109,14 @@ def test_null_step_couples_C_and_floor_updates():
     cfg = DfbConfig(x1=[1.0], budget=200, t_min1=0.9, eta=2.0, gamma=0.5)
     state = DfbState(k=0, x=np.array([1.0]), delta=cfg.delta1, C=cfg.c1,
                      t_min=cfg.t_min1, f_x=1.0)
-    state = dfb_step(state, oracle, GradScheme.CENTRAL, cfg)
+    state = dfb_step(state, StepEvals(oracle, cfg.budget), GradScheme.CENTRAL, cfg)
     assert state.last_step == "null"
     assert state.x[0] == 1.0 and state.f_x == 1.0
     assert state.C == cfg.c1 * cfg.eta
     assert state.t_min == pytest.approx(0.9 * cfg.gamma)
     # progress resumes within a few iterations (no infinite null-step tail)
     for _ in range(5):
-        state = dfb_step(state, oracle, GradScheme.CENTRAL, cfg)
+        state = dfb_step(state, StepEvals(oracle, cfg.budget), GradScheme.CENTRAL, cfg)
         if state.last_tau > 0:
             break
     assert state.last_tau > 0

@@ -10,6 +10,7 @@ from adafd import (
     dfc_step,
     random_instance,
 )
+from adafd.driver import StepEvals
 
 from conftest import constant_objective, sphere_objective
 
@@ -24,7 +25,8 @@ def test_step_accepts_hand_simulated_quadratic():
     obj = sphere_objective(1)
     oracle = Oracle(obj)
     cfg = DfcConfig(x1=[1.0], budget=100, delta1=1.0, c1=1.0, kappa=0.5)
-    state = dfc_step(_fresh_state([1.0], 1.0), oracle, GradScheme.CENTRAL, cfg)
+    state = dfc_step(_fresh_state([1.0], 1.0), StepEvals(oracle, cfg.budget),
+                     GradScheme.CENTRAL, cfg)
     assert state.last_step == "accepted"
     assert state.x[0] == pytest.approx(0.0, abs=1e-12)
     assert state.C == 1.0
@@ -38,19 +40,21 @@ def test_step_rejects_with_oversized_kappa():
     obj = sphere_objective(1)
     oracle = Oracle(obj)
     cfg = DfcConfig(x1=[1.0], budget=100, delta1=1.0, c1=1.0, kappa=10.0, r=2.0)
-    state = dfc_step(_fresh_state([1.0], 1.0), oracle, GradScheme.CENTRAL, cfg)
+    evals = StepEvals(oracle, cfg.budget)
+    state = dfc_step(_fresh_state([1.0], 1.0), evals, GradScheme.CENTRAL, cfg)
     assert state.last_step == "rejected"
     assert state.x[0] == 1.0
     assert state.f_x == 1.0
     assert state.C == 2.0  # escalated by exactly r
-    assert state.last_candidate_f == pytest.approx(361.0)
+    assert evals.low == pytest.approx(361.0)
 
 
 def test_step_stops_on_constant_objective():
     obj = constant_objective(1)
     oracle = Oracle(obj)
     cfg = DfcConfig(x1=[0.0], budget=10_000, i_max=8)
-    state = dfc_step(_fresh_state([0.0], 3.0), oracle, GradScheme.CENTRAL, cfg)
+    state = dfc_step(_fresh_state([0.0], 3.0), StepEvals(oracle, cfg.budget),
+                     GradScheme.CENTRAL, cfg)
     assert state.last_step == "stopped"
     assert state.x[0] == 0.0
 
@@ -59,9 +63,10 @@ def test_stepping_a_stopped_state_is_an_error():
     obj = constant_objective(1)
     oracle = Oracle(obj)
     cfg = DfcConfig(x1=[0.0], budget=10_000, i_max=4)
-    state = dfc_step(_fresh_state([0.0], 3.0), oracle, GradScheme.CENTRAL, cfg)
+    state = dfc_step(_fresh_state([0.0], 3.0), StepEvals(oracle, cfg.budget),
+                     GradScheme.CENTRAL, cfg)
     with pytest.raises(RuntimeError):
-        dfc_step(state, oracle, GradScheme.CENTRAL, cfg)
+        dfc_step(state, StepEvals(oracle, cfg.budget), GradScheme.CENTRAL, cfg)
 
 
 def test_budget_zero_reports_one_initial_evaluation():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from adafd import (
     forward_diff,
     make_least_squares,
 )
+from adafd.driver import StepEvals
 
 from conftest import (constant_objective, cusp_objective, linear_objective, looping_stencil,
                       sphere_objective)
@@ -131,7 +134,7 @@ def test_adaptive_search_hand_simulated_quadratic():
     # i = 0: 2 > 4*1*1 fails; i = 1: 2 > 2 fails (strict); i = 2: 2 > 1 holds.
     oracle = Oracle(sphere_objective(1))
     res = adaptive_gradient(
-        oracle, GradScheme.CENTRAL, np.array([1.0]), delta_k=1.0, c_k=1.0,
+        StepEvals(oracle, math.inf), GradScheme.CENTRAL, np.array([1.0]), delta_k=1.0, c_k=1.0,
         mu=4.0, theta=0.5,
     )
     assert not res.exhausted
@@ -144,7 +147,7 @@ def test_adaptive_search_hand_simulated_quadratic():
 def test_adaptive_search_exhausts_on_constant_function():
     oracle = Oracle(constant_objective(2))
     res = adaptive_gradient(
-        oracle, GradScheme.FORWARD, np.zeros(2), delta_k=1.0, c_k=1.0,
+        StepEvals(oracle, math.inf), GradScheme.FORWARD, np.zeros(2), delta_k=1.0, c_k=1.0,
         mu=4.0, theta=0.5, i_max=10,
     )
     assert res.exhausted
@@ -161,9 +164,10 @@ def test_accepted_result_satisfies_norm_test(rng):
         c_k = float(10.0 ** rng.uniform(-2, 1))
         delta_k = float(10.0 ** rng.uniform(-3, 0.5))
         oracle = Oracle(sphere_objective(dim))
-        res = adaptive_gradient(oracle, GradScheme.CENTRAL, x, delta_k, c_k, mu, theta)
+        evals = StepEvals(oracle, math.inf)
+        res = adaptive_gradient(evals, GradScheme.CENTRAL, x, delta_k, c_k, mu, theta)
         assert res.g_norm == float(np.linalg.norm(res.g))
-        assert res.cost == oracle.eval_count
+        assert evals.cost == oracle.eval_count
         if res.exhausted:
             continue
         assert np.linalg.norm(res.g) > mu * c_k * res.delta_next
@@ -195,8 +199,8 @@ def test_returned_index_is_minimal(rng):
         delta_k = float(10.0 ** rng.uniform(-2, 1))
         c_k = float(10.0 ** rng.uniform(-1, 1))
         res = adaptive_gradient(
-            Oracle(sphere_objective(dim)), GradScheme.CENTRAL, x, delta_k, c_k,
-            mu, theta,
+            StepEvals(Oracle(sphere_objective(dim)), math.inf), GradScheme.CENTRAL, x,
+            delta_k, c_k, mu, theta,
         )
         if res.exhausted or res.inner_steps == 0:
             continue
@@ -213,15 +217,15 @@ def test_nu_caps_the_probe_interval_but_not_the_threshold():
 
     obj = Objective(dim=1, evaluator=obj_cubic)
     res = adaptive_gradient(
-        Oracle(obj), GradScheme.CENTRAL, np.array([2.0]), delta_k=1.0, c_k=1.0,
-        mu=4.0, theta=0.5, nu_k=0.125,
+        StepEvals(Oracle(obj), math.inf), GradScheme.CENTRAL, np.array([2.0]), delta_k=1.0,
+        c_k=1.0, mu=4.0, theta=0.5, nu_k=0.125,
     )
     assert not res.exhausted
     assert res.inner_steps == 0  # 12 + nu^2 > 4 * 1 * 1 already at i = 0
     assert res.delta_next == pytest.approx(1.0)  # theta^0 * delta_k, not the nu cap
     assert res.g[0] == pytest.approx(12.0 + 0.125**2, rel=1e-10)
     with pytest.raises(ValueError):
-        adaptive_gradient(Oracle(obj), GradScheme.CENTRAL, np.array([2.0]),
+        adaptive_gradient(StepEvals(Oracle(obj), math.inf), GradScheme.CENTRAL, np.array([2.0]),
                           delta_k=1.0, c_k=1.0, mu=4.0, theta=0.5, nu_k=0.0)
 
 
@@ -230,11 +234,12 @@ def test_search_stops_before_an_interval_that_moves_no_coordinate():
     # spacing of 1.0; every stencil before that ran, none after
     oracle = Oracle(constant_objective(2))
     x = np.ones(2)
-    res = adaptive_gradient(oracle, GradScheme.FORWARD, x, delta_k=1.0, c_k=1.0,
+    evals = StepEvals(oracle, math.inf)
+    res = adaptive_gradient(evals, GradScheme.FORWARD, x, delta_k=1.0, c_k=1.0,
                             mu=4.0, theta=0.5)
     assert res.exhausted
     assert res.inner_steps < 60
-    assert res.cost == oracle.eval_count == (res.inner_steps + 1) * 3
+    assert evals.cost == oracle.eval_count == (res.inner_steps + 1) * 3
     assert np.any(x + 0.5**res.inner_steps != x)
     assert np.all(x + 0.5 ** (res.inner_steps + 1) == x)
     assert res.g_norm == 0.0
@@ -243,27 +248,29 @@ def test_search_stops_before_an_interval_that_moves_no_coordinate():
 @pytest.mark.parametrize("scheme", list(GradScheme))
 def test_search_far_out_runs_no_stencil(scheme):
     oracle = Oracle(sphere_objective(3))
-    res = adaptive_gradient(oracle, scheme, np.full(3, 1e20), delta_k=0.1, c_k=1.0,
-                            mu=4.0, theta=0.5, budget=10_000)
+    evals = StepEvals(oracle, 10_000)
+    res = adaptive_gradient(evals, scheme, np.full(3, 1e20), delta_k=0.1, c_k=1.0,
+                            mu=4.0, theta=0.5)
     assert res.exhausted
-    assert (res.cost, res.inner_steps, oracle.eval_count) == (0, 0, 0)
+    assert (evals.cost, res.inner_steps, oracle.eval_count) == (0, 0, 0)
     assert res.g.shape == (3,) and np.all(np.isnan(res.g))
     assert np.isnan(res.g_norm)
 
 
 def test_budget_exhaustion_mid_search_signals_partial_state():
     oracle = Oracle(constant_objective(3))
-    with pytest.raises(BudgetExhausted) as info:
+    evals = StepEvals(oracle, 6)
+    with pytest.raises(BudgetExhausted):
         adaptive_gradient(
-            oracle, GradScheme.FORWARD, np.zeros(3), delta_k=1.0, c_k=1.0,
-            mu=4.0, theta=0.5, budget=6,
+            evals, GradScheme.FORWARD, np.zeros(3), delta_k=1.0, c_k=1.0,
+            mu=4.0, theta=0.5,
         )
     # attempts start while the count is under budget: two full forward calls
     # (4 evals each) complete, the third is refused at count 8 >= 6
     assert oracle.eval_count == 8
-    assert info.value.declared_cost == 8
+    assert evals.cost == 8
     # stencil values are neither iterate nor candidate values
-    assert isinstance(info.value.partial, float) and np.isnan(info.value.partial)
+    assert isinstance(evals.low, float) and np.isnan(evals.low)
 
 
 def _forward_per_point(oracle, x, delta):

@@ -24,6 +24,7 @@ from adafd import (
 )
 from adafd import driver, gdf
 from adafd.baselines import ImfilState, RgState, SimplexState, imfil_step, nelder_mead_step, rg_step
+from adafd.driver import StepEvals
 from adafd.harness import SOLVER_IDS, SOLVERS
 
 
@@ -90,36 +91,37 @@ def test_a_nan_start_value_does_not_poison_best_f(solver_id):
         assert report.best_f == report.trace[-1].f_current == pytest.approx(-0.75)
 
 
-def _direct_step(rule: str, oracle, x1, budget):
+def _direct_step(rule: str, evals, x1):
     """Call one step rule directly from the evaluated start, bypassing drive's
     budget check before the step."""
-    f1 = oracle.evaluate(x1)
+    f1 = evals.oracle.evaluate(x1)
     if rule == "nelder-mead-init":
-        cfg = NelderMeadConfig(x1=x1, budget=budget)
-        return nelder_mead_step(SimplexState(k=0, x=x1, f_x=f1), oracle, None, cfg)
+        cfg = NelderMeadConfig(x1=x1, budget=evals.budget)
+        return nelder_mead_step(SimplexState(k=0, x=x1, f_x=f1), evals, None, cfg)
     if rule == "imfil-cendif":
-        cfg = ImfilConfig(x1=x1, budget=budget)
-        return imfil_step(ImfilState(k=0, x=x1, f_x=f1), oracle, GradScheme.CENTRAL, cfg)
-    cfg = RgConfig(x1=x1, budget=budget, lipschitz=1e3)
+        cfg = ImfilConfig(x1=x1, budget=evals.budget)
+        return imfil_step(ImfilState(k=0, x=x1, f_x=f1), evals, GradScheme.CENTRAL, cfg)
+    cfg = RgConfig(x1=x1, budget=evals.budget, lipschitz=1e3)
     state = RgState(k=0, x=x1, f_x=f1, directions=np.random.default_rng(0),
                     delta=cfg.smoothing, last_tau=1e-4)
-    return rg_step(state, oracle, None, cfg)
+    return rg_step(state, evals, None, cfg)
 
 
 @pytest.mark.parametrize("rule, budget", [("nelder-mead-init", 3), ("imfil-cendif", 1),
                                           ("rg", 1)])
 def test_a_step_called_directly_starts_no_evaluation_at_the_budget(rule, budget):
     oracle = Oracle(build_instance("rosenbrock", 5).objective)
-    with pytest.raises(BudgetExhausted) as stop:
-        _direct_step(rule, oracle, np.zeros(5), budget)
+    evals = StepEvals(oracle, budget)
+    with pytest.raises(BudgetExhausted):
+        _direct_step(rule, evals, np.zeros(5))
     assert oracle.eval_count == budget
-    assert stop.value.declared_cost == budget - 1
+    assert evals.cost == budget - 1
 
 
 def _record_cut_off_steps(monkeypatch, module) -> list:
     """Record each step of ``module``'s runs that the budget cuts off: its
-    ``BudgetExhausted``, the evaluations the step made, and the values it
-    evaluated outside its stencils (at points other than its iterate)."""
+    ``StepEvals``, the evaluations the step made, and the values it evaluated
+    outside its stencils (at points other than its iterate)."""
     cuts, evaluated = [], []
     evaluate = Oracle.evaluate
 
@@ -129,13 +131,13 @@ def _record_cut_off_steps(monkeypatch, module) -> list:
         return value
 
     def recording_drive(*args, step, **kwargs):
-        def recording_step(state, oracle, scheme, cfg):
-            first, evals = len(evaluated), oracle.eval_count
+        def recording_step(state, evals, scheme, cfg):
+            first, count = len(evaluated), evals.oracle.eval_count
             try:
-                return step(state, oracle, scheme, cfg)
-            except BudgetExhausted as stop:
+                return step(state, evals, scheme, cfg)
+            except BudgetExhausted:
                 seen = [v for x, v in evaluated[first:] if not np.array_equal(x, state.x)]
-                cuts.append((stop, oracle.eval_count - evals, seen))
+                cuts.append((evals, evals.oracle.eval_count - count, seen))
                 raise
         return driver.drive(*args, step=recording_step, **kwargs)
 
@@ -162,18 +164,44 @@ def test_a_cut_off_step_reports_its_cost_and_lowest_value(solver_id, monkeypatch
                 run_solver(solver_id, inst, budget, noise, seed=budget, x0=np.zeros(3))
     assert cuts
     candidates = []
-    for stop, spent, seen in cuts:
-        assert stop.declared_cost == spent
-        assert isinstance(stop.partial, float)
+    for ledger, spent, seen in cuts:
+        assert ledger.cost == spent
+        assert isinstance(ledger.low, float)
         if solver_id == "rg":
             seen = []  # the probe at x + sigma u is not an iterate value
         candidates += seen
         finite = [v for v in seen if not math.isnan(v)]
         expected = min(finite) if finite else math.nan
-        assert stop.partial == expected or math.isnan(stop.partial) and math.isnan(expected)
+        assert ledger.low == expected or math.isnan(ledger.low) and math.isnan(expected)
     # DFB's and implicit filtering's linesearches and the simplex moves are
     # cut off after some candidate; the other steps end with their only one
     assert bool(candidates) == solver_id.startswith(("dfb", "nelder", "imfil"))
+
+
+@pytest.mark.parametrize("solver_id", SOLVER_IDS + ("gdf-fordif",))
+def test_the_declared_count_catches_a_step_that_bypasses_its_ledger(solver_id, monkeypatch):
+    # drive declares what each step's StepEvals counted, not what the oracle
+    # counted, so one evaluation per step made around the ledger still shows
+    module = gdf if solver_id.startswith("gdf") else SOLVERS[solver_id][0]
+
+    def bypassing_drive(*args, step, **kwargs):
+        def bypassing_step(state, evals, scheme, cfg):
+            evals.oracle.evaluate(state.x)
+            return step(state, evals, scheme, cfg)
+        return driver.drive(*args, step=bypassing_step, **kwargs)
+
+    def run():
+        if module is gdf:
+            cfg = GdfConfig(x1=np.zeros(3), budget=60, tau=0.01)
+            return gdf.gdf_run(inst.objective, GradScheme.FORWARD, cfg)
+        return run_solver(solver_id, inst, 60, 0.0, seed=0, x0=np.zeros(3))
+
+    inst = random_instance("least_squares", n=3, seed=3)
+    honest = run()
+    assert honest.evals == honest.declared_evals
+    monkeypatch.setattr(module, "drive", bypassing_drive)
+    report = run()
+    assert report.trace and report.evals != report.declared_evals
 
 
 @pytest.mark.parametrize("rule, scheme, settings, evals, last_record", [

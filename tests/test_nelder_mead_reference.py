@@ -20,15 +20,14 @@ from adafd.driver import StepEvals, drive
 from conftest import constant_objective
 
 
-def reference_step(state, oracle, scheme, cfg):
-    evals = StepEvals(oracle, cfg.budget)
+def reference_step(state, evals, scheme, cfg):
     if state.verts is None:
         n = state.x.shape[0]
         verts = np.tile(state.x, (n + 1, 1))
         for i in range(n):
             verts[i + 1, i] += 0.05 * max(abs(verts[i + 1, i]), 1.0)
         seen = [evals.point(v) for v in verts[1:]]
-        return _simplex(0, verts, np.array([state.f_x] + seen), "init", evals)
+        return _simplex(0, verts, np.array([state.f_x] + seen), "init")
 
     rho, chi, psi, sigma = cfg.coefficients
     order = np.argsort(state.fv, kind="stable")
@@ -65,8 +64,7 @@ def reference_step(state, oracle, scheme, cfg):
                 fv[i] = evals.point(verts[i])
     values = fv.tolist()
     f_x = min(values)
-    return SimplexState(state.k + 1, verts[values.index(f_x)], f_x, verts, fv, status,
-                        evals.low, evals.cost)
+    return SimplexState(state.k + 1, verts[values.index(f_x)], f_x, verts, fv, status)
 
 
 def reference_run(objective, cfg, noise_level=0.0, seed=0):
@@ -143,7 +141,7 @@ def test_a_step_never_mutates_the_state_it_received():
     for _ in range(150):
         before = (state.x.copy(), None if state.verts is None else state.verts.copy(),
                   None if state.fv is None else state.fv.copy())
-        nxt = nelder_mead_step(state, oracle, None, cfg)
+        nxt = nelder_mead_step(state, StepEvals(oracle, cfg.budget), None, cfg)
         assert np.array_equal(state.x, before[0])
         if state.verts is not None:
             assert np.array_equal(state.verts, before[1])

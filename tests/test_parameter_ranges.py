@@ -29,7 +29,7 @@ from adafd import (
     gdf_run,
     run_experiment,
 )
-from adafd.driver import check_between, settings
+from adafd.driver import StepEvals, check_between, settings
 from adafd.gradapprox import SearchConfig
 
 from conftest import sphere_objective
@@ -90,20 +90,24 @@ def _oracle():
     return Oracle(sphere_objective(2), 0.0, 0)
 
 
+def _evals():
+    return StepEvals(_oracle(), math.inf)
+
+
 @pytest.mark.parametrize("name, call", [
     ("sampling interval", lambda v: forward_diff(_oracle(), np.ones(2), v)),
     ("sampling interval", lambda v: central_diff(_oracle(), np.ones(2), v)),
     ("lipschitz_const", lambda v: fd_error_bound(v, 2, 0.1)),
     ("delta", lambda v: fd_error_bound(2.0, 2, v)),
-    ("delta_k", lambda v: adaptive_gradient(_oracle(), GradScheme.FORWARD, np.ones(2),
+    ("delta_k", lambda v: adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2),
                                             v, 1.0, 4.0, 0.5)),
-    ("theta", lambda v: adaptive_gradient(_oracle(), GradScheme.FORWARD, np.ones(2),
+    ("theta", lambda v: adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2),
                                           0.1, 1.0, 4.0, v)),
-    ("mu", lambda v: adaptive_gradient(_oracle(), GradScheme.FORWARD, np.ones(2),
+    ("mu", lambda v: adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2),
                                        0.1, 1.0, v, 0.5)),
-    ("nu_k", lambda v: adaptive_gradient(_oracle(), GradScheme.FORWARD, np.ones(2),
+    ("nu_k", lambda v: adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2),
                                          0.1, 1.0, 4.0, 0.5, nu_k=v)),
-    ("t_min", lambda v: backtrack(_oracle(), np.ones(2), np.ones(2), 2.0, 0.25, 0.5,
+    ("t_min", lambda v: backtrack(_evals(), np.ones(2), np.ones(2), 2.0, 0.25, 0.5,
                                   1.0, v)),
 ])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
@@ -115,13 +119,26 @@ def test_function_arguments_reject_nan_infinities_and_zero(name, call, value):
 @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
 def test_c_k_must_be_positive(value):
     with pytest.raises(ValueError, match="c_k must be positive"):
-        adaptive_gradient(_oracle(), GradScheme.FORWARD, np.ones(2), 0.1, value, 4.0, 0.5)
+        adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2), 0.1, value, 4.0, 0.5)
 
 
 def test_an_infinite_c_k_is_an_exhausted_search_not_an_error():
-    res = adaptive_gradient(_oracle(), GradScheme.FORWARD, np.ones(2), 0.1, math.inf, 4.0,
+    res = adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2), 0.1, math.inf, 4.0,
                             0.5, i_max=3)
     assert res.exhausted and res.inner_steps == 3
+
+
+@pytest.mark.parametrize("i_max", [2.5, True, math.nan, math.inf, 3.0, 0, -1])
+def test_adaptive_gradient_checks_i_max_as_the_configs_do(i_max):
+    # the configs' count rule, applied before the search evaluates anything
+    evals = _evals()
+    message = "must be an integer" if i_max not in (0, -1) else r"must be in \(0, inf\)"
+    with pytest.raises(ValueError, match=f"^i_max {message}, got "):
+        adaptive_gradient(evals, GradScheme.FORWARD, np.ones(2), 0.1, 1.0, 4.0, 0.5,
+                          i_max=i_max)
+    assert evals.oracle.eval_count == 0
+    res = adaptive_gradient(evals, GradScheme.FORWARD, np.ones(2), 0.1, 1.0, 4.0, 0.5, i_max=1)
+    assert evals.cost == evals.oracle.eval_count == 3 * (res.inner_steps + 1)
 
 
 def _counting_sphere(calls):

@@ -1,8 +1,8 @@
-"""``driver.StepEvals``: the one budget guard of every step rule.
+"""``driver.StepEvals``: the ledger and budget guard of every step.
 
 It counts the evaluations a step declares in ``cost``, keeps the lowest
 iterate or candidate value in ``low`` (NaN while none) and raises
-``BudgetExhausted`` with both before any evaluation at or past the budget.
+``BudgetExhausted`` before any evaluation at or past the budget, keeping both.
 """
 
 import math
@@ -24,23 +24,24 @@ def _point(evals, candidate=True):
     return evals.point(np.zeros(1), candidate)
 
 
-def test_check_at_the_budget_raises_with_the_cost_and_lowest_value_so_far():
+def test_check_at_the_budget_raises_and_keeps_the_cost_and_lowest_value_so_far():
     oracle = _oracle(3.0, 1.0, 2.0)
     evals = StepEvals(oracle, 3)
     assert [_point(evals) for _ in range(3)] == [3.0, 1.0, 2.0]
     for call in (evals.check, lambda: _point(evals)):
-        with pytest.raises(BudgetExhausted) as stop:
+        with pytest.raises(BudgetExhausted):
             call()
-        assert (stop.value.declared_cost, stop.value.partial) == (3, 1.0)
+        assert (evals.cost, evals.low) == (3, 1.0)
     assert oracle.eval_count == 3  # the cut-off point was never evaluated
 
 
 def test_a_step_cut_off_before_any_evaluation_reports_nothing():
     oracle = _oracle()
     oracle.eval_count = 5  # spent by earlier steps
-    with pytest.raises(BudgetExhausted) as stop:
-        StepEvals(oracle, 5).check()
-    assert stop.value.declared_cost == 0 and math.isnan(stop.value.partial)
+    evals = StepEvals(oracle, 5)
+    with pytest.raises(BudgetExhausted):
+        evals.check()
+    assert evals.cost == 0 and math.isnan(evals.low)
 
 
 def test_point_ignores_nan():

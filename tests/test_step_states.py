@@ -34,9 +34,8 @@ from adafd.baselines import (
     nelder_mead_step,
     rg_step,
 )
-from adafd.driver import ScheduleExhausted
+from adafd.driver import BudgetExhausted, ScheduleExhausted, StepEvals
 from adafd.gdf import GdfState, gdf_step
-from adafd.oracle import BudgetExhausted
 
 
 def _start(rule, x1, f1):
@@ -76,7 +75,7 @@ def _steps(rule, objective, x1, count=200):
     for _ in range(count):
         before = _arrays(state)
         try:
-            nxt = step(state, oracle, scheme, cfg)
+            nxt = step(state, StepEvals(oracle, cfg.budget), scheme, cfg)
         except (BudgetExhausted, ScheduleExhausted):
             break
         assert _arrays(state) == before
@@ -165,16 +164,17 @@ def test_an_exhausted_search_stops_the_step_and_a_stopped_state_cannot_step(rule
     else:
         cfg = GdfConfig(x1=x1, budget=2000, i_max=i_max, c_seq=3.0, tau=0.1)
         state, step = GdfState(0, x1, cfg.delta1, f1), gdf_step
-    stopped = step(state, oracle, scheme, cfg)
+    evals = StepEvals(oracle, cfg.budget)
+    stopped = step(state, evals, scheme, cfg)
     assert stopped.last_step == "stopped" and stopped.k == 1
     assert stopped.x.tobytes() == x1.tobytes()
     assert stopped.f_x == f1 and stopped.C == 3.0
     if rule == "dfb":
         assert stopped.t_min == cfg.t_min1
     assert stopped.last_tau == 0.0
-    assert np.isnan(stopped.last_candidate_f)
-    assert stopped.last_cost == (i_max + 1) * scheme.evals_per_call(3)
-    assert oracle.eval_count == 1 + stopped.last_cost
+    assert np.isnan(evals.low)
+    assert evals.cost == (i_max + 1) * scheme.evals_per_call(3)
+    assert oracle.eval_count == 1 + evals.cost
     with pytest.raises(RuntimeError, match="cannot step a stopped solver state"):
-        step(stopped, oracle, scheme, cfg)
-    assert oracle.eval_count == 1 + stopped.last_cost
+        step(stopped, StepEvals(oracle, cfg.budget), scheme, cfg)
+    assert oracle.eval_count == 1 + evals.cost
