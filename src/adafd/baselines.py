@@ -10,14 +10,15 @@ constant for its stepsize.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .driver import (ScheduleExhausted, StartConfig, StepEvals, check_between, check_count,
-                     config_dict, drive)
+from .driver import (ScheduleExhausted, StartConfig, StepEvals, ValidationError, check_between,
+                     check_count, config_dict, drive)
 from .gradapprox import GradScheme, stencil_gradient
 from .oracle import Array, Objective
 from .trace import RunReport
@@ -34,15 +35,15 @@ class NelderMeadConfig(StartConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        coefficients = tuple(self.coefficients)
-        if len(coefficients) != 4 or not all(map(math.isfinite, coefficients)):
-            raise ValueError("nelder-mead coefficients must be four finite numbers "
-                             "(reflection, expansion, contraction, shrink)")
-        rho, chi, psi, sigma = coefficients
+        if len(self.coefficients) != 4:
+            raise ValidationError("nelder-mead coefficients must be four numbers "
+                                  "(reflection, expansion, contraction, shrink)")
+        rho, chi, psi, sigma = self.coefficients
         # Lagarias, Reeds, Wright and Wright (1998), eq. (2.1)
-        if not (rho > 0 and chi > 1 and chi > rho and 0 < psi < 1 and 0 < sigma < 1):
-            raise ValueError("nelder-mead coefficients need rho > 0, chi > 1, chi > rho, "
-                             "0 < psi < 1 and 0 < sigma < 1")
+        check_between("coefficients: reflection rho", rho, 0.0)
+        check_between("coefficients: expansion chi", chi, max(1.0, rho))
+        check_between("coefficients: contraction psi", psi, 0.0, 1.0)
+        check_between("coefficients: shrink sigma", sigma, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -172,8 +173,6 @@ def nelder_mead_run(
 
     ``final_x`` is the best vertex of the last complete simplex.
     """
-    if cfg.budget < objective.dim + 1:
-        raise ValueError("budget must cover the initial simplex (dim + 1 evaluations)")
     return drive(
         "nelder-mead", objective, None, cfg, noise_level, seed,
         start=lambda x, f: SimplexState(k=0, x=x, f_x=f),
@@ -262,14 +261,14 @@ def rg_step(state: RgState, evals: StepEvals, scheme, cfg: RgConfig) -> RgState:
     """One probe at ``x + sigma u`` with u ~ N(0, I), then a step along
     ``-((phi(x + sigma u) - phi(x)) / sigma) u``; the probe value is not an
     iterate value, so it stays out of ``f_best``."""
-    evals.check()  # before the draw, so a step that cannot start draws no direction
     sigma = state.delta
-    u = state.directions.standard_normal(state.x.shape[0])
+    directions = copy.deepcopy(state.directions)  # the new state holds the advanced copy
+    u = directions.standard_normal(state.x.shape[0])
     f_probe = evals.point(state.x + sigma * u, candidate=False)
     g = ((f_probe - state.f_x) / sigma) * u
     x = state.x - state.last_tau * g
     f_x = evals.point(x)
-    return RgState(state.k + 1, x, f_x, state.directions, sigma, state.last_tau,
+    return RgState(state.k + 1, x, f_x, directions, sigma, state.last_tau,
                    math.sqrt(g.dot(g)), "step")  # np.linalg.norm's own formula
 
 

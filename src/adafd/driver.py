@@ -33,6 +33,10 @@ from .oracle import Array, Objective, Oracle
 from .trace import RunReport, TraceRecord
 
 
+class ValidationError(ValueError):
+    """A request or parameter that breaks a rule: a bad id, dim, count or range."""
+
+
 class BudgetExhausted(RuntimeError):
     """Raised by :meth:`StepEvals.check` when a step would start an oracle call
     at or past its evaluation budget. The step's cost and lowest value so far
@@ -58,14 +62,14 @@ def check_between(name: str, value, low: float, high: float = math.inf) -> None:
     """Reject a ``value`` outside the open interval ``(low, high)``; NaN and
     +-inf always lie outside it."""
     if not low < value < high:
-        raise ValueError(f"{name} must be in ({low:g}, {high:g}), got {value!r}")
+        raise ValidationError(f"{name} must be in ({low:g}, {high:g}), got {value!r}")
 
 
 def check_count(name: str, value, low: float) -> None:
     """Reject a ``value`` that is not an integer (a bool is not one), then one
     that :func:`check_between` rejects for ``(low, inf)``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     check_between(name, value, low)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -24,15 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import baselines, dfb, dfc
-from .driver import settings
+from .driver import ValidationError, check_count, settings
 from .gradapprox import GradScheme
 from .oracle import Array
 from .problems import FAMILIES, IMAGE_RESTORATION, ROSENBROCK, ProblemInstance, build_instance
 from .trace import RunReport, emit_csv, read_csv
-
-
-class ValidationError(ValueError):
-    """A request that fails before any solver runs (bad ids, dims, budgets)."""
 
 
 #: Every registered solver id: (module, run function name, config class, scheme
@@ -74,17 +69,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown problem family {self.family!r}")
-        # A float budget_multiplier gives a float budget, m = 0 an f that is 0
-        # everywhere, and a None seed an unrepeatable draw from OS entropy.
-        for name, least in (("n", 1), ("m", 1), ("budget_multiplier", 1),
-                            ("instance_seed", 0), ("run_seed", 0)):
+        # A float budget_multiplier gives a float budget, m = 0 an f that is 0 everywhere,
+        # a None seed an unrepeatable draw from OS entropy; Rosenbrock needs n >= 2.
+        for name, low in (("n", 1 if self.family == ROSENBROCK else 0), ("m", 0),
+                          ("budget_multiplier", 0), ("instance_seed", -1), ("run_seed", -1)):
             value = getattr(self, name)
-            if name == "m" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                kind = "positive" if least else "nonnegative"
-                raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer as a JSON one
+            if name != "m" or value is not None:
+                check_count(name, value, low)
+                object.__setattr__(self, name, int(value))  # a numpy integer as a JSON one
         if self.family == ROSENBROCK and self.m is not None:
             raise ValidationError("rosenbrock has no m; omit it")
         if self.family == IMAGE_RESTORATION and self.m not in (None, self.n):

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .driver import check_count
 from .oracle import Array, Objective
 
 LEAST_SQUARES = "least_squares"
@@ -171,8 +172,7 @@ def _rosenbrock_terms(head: Array, tail: Array) -> Array:
 
 def make_rosenbrock(n: int) -> ProblemInstance:
     """Chained Rosenbrock; global minimum 0 at the all-ones point."""
-    if n < 2:
-        raise ValueError("rosenbrock needs dimension >= 2")
+    check_count("n", n, 1)  # the chain needs two coordinates
 
     def f(x: Array) -> float:
         return float(np.add.reduce(_rosenbrock_terms(x[:-1], x[1:])))
@@ -220,12 +220,14 @@ def random_instance(family: str, n: int, m: Optional[int] = None,
     Least squares uses an m-by-n matrix (m defaults to n); the log-damped
     family is square by construction.
     """
+    check_count("n", n, 0)
     if family == IMAGE_RESTORATION and m is not None and m != n:
         raise ValueError("this family is square; m must equal n or be omitted")
     makers = {LEAST_SQUARES: make_least_squares, IMAGE_RESTORATION: make_image_restoration}
     if family not in makers:
         raise ValueError(f"family {family!r} is not randomly generated from (A, b)")
     m = n if m is None else m
+    check_count("m", m, 0)  # m = 0 would make f = 0 everywhere
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     return replace(makers[family](A, rng.standard_normal(m)), seed=seed)

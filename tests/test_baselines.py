@@ -6,6 +6,7 @@ import pytest
 
 from adafd import (
     BudgetExhausted,
+    ExperimentConfig,
     GradScheme,
     ImfilConfig,
     NelderMeadConfig,
@@ -19,6 +20,7 @@ from adafd import (
     nelder_mead_run,
     random_instance,
     rg_run,
+    run_experiment,
     run_solver,
 )
 from adafd.baselines import SimplexState, nelder_mead_step
@@ -90,10 +92,16 @@ class TestNelderMead:
             assert not np.shares_memory(new.verts, state.verts)
             state = new
 
-    def test_budget_below_simplex_is_rejected(self):
-        with pytest.raises(ValueError):
-            nelder_mead_run(sphere_objective(3),
-                            NelderMeadConfig(x1=np.ones(3), budget=3))
+    def test_a_budget_below_the_simplex_truncates_like_every_solver(self, tmp_path):
+        # the ledger cuts the initial simplex off at the budget, as it cuts any step
+        report = nelder_mead_run(sphere_objective(3),
+                                 NelderMeadConfig(x1=np.ones(3), budget=3))
+        assert report.trace == [] and report.truncated
+        assert report.evals == report.declared_evals == 3
+        with pytest.raises(ValidationError, match="budget 3 too small to record"):
+            run_experiment(ExperimentConfig(family="least_squares", n=3,
+                                            solvers=["nelder-mead"], budget_multiplier=1,
+                                            output_dir=tmp_path))
 
     @pytest.mark.parametrize("coefficients", [
         (1.0, 2.0, 0.5),  # too few

@@ -20,6 +20,7 @@ from adafd import (
     read_csv,
     run_experiment,
 )
+from adafd import cli
 from adafd.cli import main, parse_config_file
 from adafd.harness import SOLVER_IDS
 from adafd.trace import records_equal
@@ -95,6 +96,20 @@ class TestCsv:
         path.write_text("not,a,trace\n1,2,3\n")
         with pytest.raises(ValueError):
             read_csv(path)
+
+    def test_a_row_with_the_wrong_field_count_is_rejected(self, tmp_path):
+        path = tmp_path / "short_row.csv"
+        emit_csv(_synthetic_trace([1.0, 0.5]), path)
+        path.write_text(path.read_text() + "3,9,0.25\n")
+        with pytest.raises(ValueError, match=r"malformed row '3,9,0\.25'"):
+            read_csv(path)
+
+    def test_records_equal_tells_nan_from_a_number_and_compares_every_field(self):
+        record = _synthetic_trace([1.0])[0]._replace(C=math.nan)
+        assert records_equal(record, record._replace(C=math.nan))
+        assert not records_equal(record, record._replace(C=1.0))
+        assert not records_equal(record, record._replace(f_current=2.0))
+        assert not records_equal(record, record._replace(step_status="null"))
 
 
 class TestPlot:
@@ -258,7 +273,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("name", ["instance_seed", "run_seed"])
     def test_unrepeatable_seed_rejected(self, name, value):
         # None would draw A, b or the oracle seeds from OS entropy
-        with pytest.raises(ValidationError, match=f"{name} must be a nonnegative integer"):
+        rule = "in \\(-1, inf\\)" if value == -1 else "an integer"
+        with pytest.raises(ValidationError, match=f"{name} must be {rule}"):
             ExperimentConfig(family="least_squares", n=4, solvers=["dfc-fordif"],
                              **{name: value})
 
@@ -281,7 +297,8 @@ class TestRunExperiment:
         # budget_multiplier=2.5 used to run with a float budget, m=0 with f = 0
         # everywhere, and n=2.5 to fail inside the instance builder
         fields = {"n": 4, name: value}
-        with pytest.raises(ValidationError, match=f"{name} must be a positive integer"):
+        rule = "in \\(0, inf\\)" if value == 0 else "an integer"
+        with pytest.raises(ValidationError, match=f"{name} must be {rule}"):
             ExperimentConfig(family="least_squares", solvers=["dfc-fordif"], **fields)
 
     @pytest.mark.parametrize("family, m, message", [
@@ -293,6 +310,46 @@ class TestRunExperiment:
         # these used to construct and fail only inside run_experiment
         with pytest.raises(ValidationError, match=message):
             ExperimentConfig(family=family, n=4, m=m, solvers=["dfc-fordif"])
+
+    def test_rosenbrock_needs_two_coordinates(self):
+        # n = 1 used to construct and fail only inside run_experiment
+        with pytest.raises(ValidationError, match=r"^n must be in \(1, inf\), got 1$"):
+            ExperimentConfig(family="rosenbrock", n=1, solvers=["dfc-fordif"])
+        assert ExperimentConfig(family="rosenbrock", n=2, solvers=["dfc-fordif"]).n == 2
+        assert ExperimentConfig(family="least_squares", n=1, solvers=["dfc-fordif"]).n == 1
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValidationError, match="unknown problem family 'sphere'"):
+            ExperimentConfig(family="sphere", n=4, solvers=["dfc-fordif"])
+
+    def test_empty_solver_list_rejected(self):
+        with pytest.raises(ValidationError, match="at least one solver id"):
+            ExperimentConfig(family="least_squares", n=4, solvers=[])
+
+    @pytest.mark.parametrize("initial_point, message", [
+        ("ones", "unknown initial point preset 'ones'"),
+        ([0.5, 0.5], r"initial point has shape \(2,\), expected \(3,\)"),
+    ])
+    def test_a_bad_initial_point_fails_before_any_solver_runs(self, tmp_path,
+                                                              initial_point, message):
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match=message):
+            run_experiment(ExperimentConfig(family="least_squares", n=3,
+                                            solvers=["dfc-fordif"],
+                                            initial_point=initial_point, output_dir=out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver_id", [s for s in SOLVER_IDS if s != "rg"])
+    def test_a_budget_too_small_to_record_is_one_error_for_every_solver(self, tmp_path,
+                                                                        solver_id):
+        # budget n = 3 covers no iteration of these solvers (rg's takes two
+        # evaluations after x1, so it records one)
+        with pytest.raises(ValidationError,
+                           match=f"^{solver_id}: budget 3 too small to record any iteration$"):
+            run_experiment(ExperimentConfig(family="least_squares", n=3,
+                                            solvers=["rg", solver_id], budget_multiplier=1,
+                                            output_dir=tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_square_m_is_accepted_for_image_restoration(self):
         assert ExperimentConfig(family="image_restoration", n=4, m=4,
@@ -467,6 +524,37 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "overridden" / "report.json").exists()
         assert not (tmp_path / "from_file").exists()
+
+    def test_config_file_line_without_equals_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("# recipe\nproblem leastsquares\n")
+        assert main(["run", "--config", str(bad)]) == 1
+        assert f"{bad}:2: expected 'key = value'" in capsys.readouterr().err
+
+    def test_plot_without_trace_files_is_a_validation_error(self, tmp_path, capsys):
+        svg = tmp_path / "o.svg"
+        assert main(["plot", "--traces", " , ", "--out", str(svg)]) == 1
+        assert "no trace files given" in capsys.readouterr().err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("values, line", [
+        ([float(k) ** -2 for k in range(1, 61)], "rate: sublinear (exponent -2"),
+        ([1.0 + 0.01 * ((-1) ** k) for k in range(40)], "rate: none (no tight fit, r2="),
+    ], ids=["sublinear", "none"])
+    def test_rate_prints_each_kind(self, tmp_path, capsys, values, line):
+        path = tmp_path / "t.csv"
+        emit_csv(_synthetic_trace(values), path)
+        assert main(["rate", "--trace", str(path), "--target", "0"]) == 0
+        assert capsys.readouterr().out.startswith(line)
+
+    def test_an_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing_run(cfg):
+            raise RuntimeError("solver blew up")
+
+        monkeypatch.setattr(cli, "run_experiment", failing_run)
+        assert main(["run", "--problem", "leastsquares", "--n", "3", "--solver",
+                     "dfc-fordif", "--out", str(tmp_path / "o")]) == 3
+        assert "internal error: solver blew up" in capsys.readouterr().err
 
     def test_config_file_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"

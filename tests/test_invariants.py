@@ -29,6 +29,17 @@ from adafd.harness import SOLVER_IDS, SOLVERS
 
 
 @pytest.mark.parametrize("solver_id", SOLVER_IDS)
+def test_an_x1_of_another_dimension_is_rejected_before_any_evaluation(solver_id):
+    calls = []
+    objective = Objective(dim=3, evaluator=lambda x: calls.append(x) or float(x @ x),
+                          lipschitz_grad_fn=lambda: 2.0)
+    with pytest.raises(ValueError, match="x1 dimension does not match the objective"):
+        run_solver(solver_id, SimpleNamespace(objective=objective), 50, 0.0, seed=0,
+                   x0=np.zeros(2))
+    assert calls == []
+
+
+@pytest.mark.parametrize("solver_id", SOLVER_IDS)
 def test_truncated_means_the_last_record_missed_evaluations(solver_id):
     # a run is truncated exactly when its final operation was cut off at the
     # budget edge, i.e. when some evaluations are not covered by a record

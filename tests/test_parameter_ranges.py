@@ -14,6 +14,7 @@ from adafd import (
     GradScheme,
     ImfilConfig,
     LEAST_SQUARES,
+    NelderMeadConfig,
     Objective,
     Oracle,
     ROSENBROCK,
@@ -29,7 +30,8 @@ from adafd import (
     gdf_run,
     run_experiment,
 )
-from adafd.driver import StepEvals, check_between, settings
+from adafd import driver, harness
+from adafd.driver import StepEvals, check_between, check_count, settings
 from adafd.gradapprox import SearchConfig
 
 from conftest import sphere_objective
@@ -71,6 +73,30 @@ def test_the_rule_names_the_interval_and_the_value():
     with pytest.raises(ValueError, match=r"^tau_k must be in \(-inf, inf\), got inf$"):
         check_between("tau_k", math.inf, -math.inf)
     check_between("theta", 0.5, 0.0, 1.0)
+
+
+def test_the_rules_raise_the_one_validation_error():
+    # a ValueError, so every caller that catches one is unchanged
+    assert ValidationError is driver.ValidationError is harness.ValidationError
+    assert issubclass(ValidationError, ValueError)
+    with pytest.raises(ValidationError):
+        check_between("theta", 1.0, 0.0, 1.0)
+    with pytest.raises(ValidationError):
+        check_count("i_max", 2.5, 0)
+
+
+@pytest.mark.parametrize("coefficients, message", [
+    ((0.0, 2.0, 0.5, 0.5), r"reflection rho must be in \(0, inf\), got 0.0"),
+    ((0.5, 1.0, 0.5, 0.5), r"expansion chi must be in \(1, inf\), got 1.0"),
+    ((3.0, 2.0, 0.5, 0.5), r"expansion chi must be in \(3, inf\), got 2.0"),
+    ((1.0, 2.0, math.nan, 0.5), r"contraction psi must be in \(0, 1\), got nan"),
+    ((1.0, 2.0, 0.5, 1.0), r"shrink sigma must be in \(0, 1\), got 1.0"),
+])
+def test_nelder_mead_coefficients_go_through_the_rule(coefficients, message):
+    # Lagarias, Reeds, Wright and Wright (1998): rho > 0, chi > max(1, rho),
+    # 0 < psi < 1 and 0 < sigma < 1
+    with pytest.raises(ValidationError, match=f"^coefficients: {message}$"):
+        NelderMeadConfig(x1=np.zeros(2), budget=10, coefficients=coefficients)
 
 
 @pytest.mark.parametrize("max_backtracks", [0, -1])

@@ -15,7 +15,7 @@ from adafd import (
     make_rosenbrock,
     random_instance,
 )
-from adafd import ExperimentConfig, run_experiment
+from adafd import ExperimentConfig, ValidationError, run_experiment
 
 
 class TestLeastSquares:
@@ -64,6 +64,10 @@ class TestImageRestoration:
     def test_requires_square_matrix(self):
         with pytest.raises(ValueError):
             make_image_restoration(np.ones((3, 2)), np.zeros(3))
+
+    def test_requires_one_entry_of_b_per_row(self):
+        with pytest.raises(ValueError, match=r"incompatible shapes A\(3, 3\), b\(2,\)"):
+            make_image_restoration(np.eye(3), np.zeros(2))
 
     def test_gradient_cross_validation(self, rng):
         inst = random_instance("image_restoration", 10, seed=7)
@@ -158,6 +162,22 @@ class TestRandomInstances:
     def test_rosenbrock_is_not_random(self):
         with pytest.raises(ValueError):
             random_instance("rosenbrock", 4, seed=0)
+
+
+@pytest.mark.parametrize("family, n, m, message", [
+    ("rosenbrock", 2.0, None, "n must be an integer, got 2.0"),
+    ("rosenbrock", 1, None, r"n must be in \(1, inf\), got 1"),
+    ("least_squares", 3.0, None, "n must be an integer, got 3.0"),
+    ("least_squares", 0, None, r"n must be in \(0, inf\), got 0"),
+    ("least_squares", 3, 0, r"m must be in \(0, inf\), got 0"),  # f = 0 everywhere
+    ("least_squares", 3, 2.5, "m must be an integer, got 2.5"),
+    ("image_restoration", True, None, "n must be an integer, got True"),
+])
+def test_build_instance_checks_its_counts(family, n, m, message):
+    # these used to build an instance of dimension 2.0, build f = 0, or fail
+    # with a TypeError from numpy
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build_instance(family, n, m=m, seed=0)
 
 
 def test_least_squares_lipschitz_constant_is_twice_the_squared_largest_singular_value():
@@ -299,6 +319,16 @@ class TestLoadInstanceSpec:
         path.write_text(path.read_text().replace('"m": null', '"m": 50'))
         with pytest.raises(ValueError, match="rosenbrock has no m"):
             load_instance_spec(out)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("n", 4.5, "n must be an integer"),
+        ("n", 0, "n must be in"),
+        ("m", 0, "m must be in"),
+    ])
+    def test_a_bad_count_in_the_report_names_the_path(self, tmp_path, key, value, message):
+        path = self._edited(tmp_path, lambda p: p.update({key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_instance_spec(path)
 
     @pytest.mark.parametrize("text", ["{not json", "[]", '{"manifest": {}}'])
     def test_malformed_report_names_the_path(self, tmp_path, text):

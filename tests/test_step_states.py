@@ -96,6 +96,28 @@ def test_a_step_returns_a_new_immutable_state_and_leaves_its_input(rule):
     assert len(_steps(rule, objective, np.full(5, 0.5))) >= 100
 
 
+def _same(a, b):
+    """Field equality for step states: arrays by their bytes, generators by
+    their state, NaN equal to NaN."""
+    if isinstance(a, np.ndarray):
+        return a.tobytes() == b.tobytes()
+    if isinstance(a, np.random.Generator):
+        return a.bit_generator.state == b.bit_generator.state
+    return a == b or a != a and b != b
+
+
+@pytest.mark.parametrize("rule", ["dfc", "dfb", "gdf", "imfil", "rg", "nelder-mead"])
+def test_stepping_one_state_twice_gives_equal_states(rule):
+    # rg used to draw its direction from the generator its input state holds
+    objective, x1 = build_instance("rosenbrock", 5).objective, np.full(5, 0.5)
+    state = _steps(rule, objective, x1, count=3)[-1]
+    _, step, scheme, cfg = _start(rule, x1, state.f_x)
+    first, second = (step(state, StepEvals(Oracle(objective, 1e-3, 7), cfg.budget), scheme, cfg)
+                     for _ in range(2))
+    assert first.k == state.k + 1
+    assert all(_same(a, b) for a, b in zip(first, second)), rule
+
+
 def _sorted_nan_last(fv):
     nan = np.isnan(fv)
     return not np.any(nan[:-1] & ~nan[1:]) and np.all(np.diff(fv[~nan]) >= 0)
