@@ -17,15 +17,15 @@ from .baselines import (
     nelder_mead_run,
     rg_run,
 )
-from .dfb import BacktrackResult, DfbConfig, DfbState, backtrack, dfb_run, dfb_step
-from .dfc import DfcConfig, DfcState, dfc_run, dfc_step
+from .dfb import BacktrackResult, DfbConfig, backtrack, dfb_run, dfb_step
+from .dfc import DfcConfig, dfc_run, dfc_step
 from .driver import BudgetExhausted
 from .gdf import GdfConfig, gdf_run
 from .gradapprox import (
     AdaptiveGradResult,
     GradScheme,
+    SearchState,
     adaptive_gradient,
-    approx_gradient,
     central_diff,
     fd_error_bound,
     forward_diff,

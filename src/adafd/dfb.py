@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .driver import StepEvals, check_between, check_schedule, config_dict, drive, schedule_value
-from .gradapprox import GradScheme, SearchConfig, search_step
+from .gradapprox import GradScheme, SearchConfig, SearchState, search_step
 from .oracle import Array, Objective
 from .trace import RunReport
 
@@ -82,19 +82,8 @@ def backtrack(
         t *= gamma
 
 
-class DfbState(NamedTuple):
-    k: int
-    x: Array
-    delta: float
-    C: float
-    t_min: float
-    f_x: float
-    last_step: str = "init"  # "accepted" | "null" | "stopped" | "init"
-    last_g_norm: float = float("nan")
-    last_tau: float = 0.0
-
-
-def dfb_step(state: DfbState, evals: StepEvals, scheme: GradScheme, cfg: DfbConfig) -> DfbState:
+def dfb_step(state: SearchState, evals: StepEvals, scheme: GradScheme,
+             cfg: DfbConfig) -> SearchState:
     """Advance one iteration; raises :class:`BudgetExhausted` if cut off mid-step."""
     k = state.k + 1
     nu_k = cfg.delta1 / k if cfg.nu is None else schedule_value(cfg.nu, k)
@@ -104,10 +93,10 @@ def dfb_step(state: DfbState, evals: StepEvals, scheme: GradScheme, cfg: DfbConf
                        state.t_min)
         if ls.t >= state.t_min:
             # the floor was never crossed, so the exit must have been a passed test
-            return DfbState(k, state.x - ls.t * res.g, res.delta_next, state.C, state.t_min,
-                            ls.f_candidate, "accepted", res.g_norm, ls.t)
-        return DfbState(k, state.x, res.delta_next, state.C * cfg.eta, state.t_min * cfg.gamma,
-                        state.f_x, "null", res.g_norm, 0.0)
+            return SearchState(k, state.x - ls.t * res.g, res.delta_next, state.C,
+                               ls.f_candidate, "accepted", res.g_norm, ls.t, state.t_min)
+        return SearchState(k, state.x, res.delta_next, state.C * cfg.eta, state.f_x, "null",
+                           res.g_norm, 0.0, state.t_min * cfg.gamma)
 
     return search_step(state, evals, scheme, cfg, k, state.C, nu_k, linesearch)
 
@@ -126,8 +115,7 @@ def dfb_run(
         config["nu"] = "harmonic(delta1/k)"
     return drive(
         f"dfb-{scheme.value}", objective, scheme, cfg, noise_level, seed,
-        start=lambda x, f: DfbState(k=0, x=x, delta=cfg.delta1, C=cfg.c1,
-                                    t_min=cfg.t_min1, f_x=f),
+        start=lambda x, f: SearchState(0, x, cfg.delta1, cfg.c1, f, t_min=cfg.t_min1),
         step=dfb_step,
         config=config,
     )

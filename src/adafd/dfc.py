@@ -11,11 +11,10 @@ An exhausted search ends the run in a "stopped" state (gradapprox.search_step).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .driver import StepEvals, check_between, config_dict, drive
-from .gradapprox import GradScheme, SearchConfig, search_step
-from .oracle import Array, Objective
+from .gradapprox import GradScheme, SearchConfig, SearchState, search_step
+from .oracle import Objective
 from .trace import RunReport
 
 
@@ -32,20 +31,8 @@ class DfcConfig(SearchConfig):
         check_between("kappa", self.kappa, 0.0)
 
 
-class DfcState(NamedTuple):
-    """Solver state after iteration ``k`` (k = 0 is the freshly initialized run)."""
-
-    k: int
-    x: Array
-    delta: float
-    C: float
-    f_x: float
-    last_step: str = "init"  # "accepted" | "rejected" | "stopped" | "init"
-    last_g_norm: float = float("nan")
-    last_tau: float = 0.0
-
-
-def dfc_step(state: DfcState, evals: StepEvals, scheme: GradScheme, cfg: DfcConfig) -> DfcState:
+def dfc_step(state: SearchState, evals: StepEvals, scheme: GradScheme,
+             cfg: DfcConfig) -> SearchState:
     """Advance one iteration; raises :class:`BudgetExhausted` if cut off mid-step."""
 
     def decrease_test(res):
@@ -55,10 +42,10 @@ def dfc_step(state: DfcState, evals: StepEvals, scheme: GradScheme, cfg: DfcConf
         threshold = (state.f_x - cfg.kappa * (cfg.mu - 2.0) / (2.0 * state.C * cfg.mu)
                      * res.g_norm**2)
         if f_cand <= threshold:
-            return DfcState(state.k + 1, candidate, res.delta_next, state.C, f_cand, "accepted",
-                            res.g_norm, tau)
-        return DfcState(state.k + 1, state.x, res.delta_next, state.C * cfg.r, state.f_x,
-                        "rejected", res.g_norm, 0.0)
+            return SearchState(state.k + 1, candidate, res.delta_next, state.C, f_cand,
+                               "accepted", res.g_norm, tau)
+        return SearchState(state.k + 1, state.x, res.delta_next, state.C * cfg.r, state.f_x,
+                           "rejected", res.g_norm)
 
     return search_step(state, evals, scheme, cfg, state.k + 1, state.C, None, decrease_test)
 
@@ -73,7 +60,7 @@ def dfc_run(
     """Run to budget exhaustion or a near-stationarity stop; return the full trace."""
     return drive(
         f"dfc-{scheme.value}", objective, scheme, cfg, noise_level, seed,
-        start=lambda x, f: DfcState(k=0, x=x, delta=cfg.delta1, C=cfg.c1, f_x=f),
+        start=lambda x, f: SearchState(0, x, cfg.delta1, cfg.c1, f),
         step=dfc_step,
         config=config_dict("dfc", scheme, cfg),
     )

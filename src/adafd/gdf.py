@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .driver import StepEvals, check_between, check_schedule, config_dict, drive, schedule_value
-from .gradapprox import GradScheme, SearchConfig, search_step
+from .gradapprox import GradScheme, SearchConfig, SearchState, search_step
 from .oracle import Array, Objective
 from .trace import RunReport
 
@@ -35,20 +35,8 @@ class GdfConfig(SearchConfig):
         check_schedule("tau", self.tau, positive=False)  # a negative step is clamped
 
 
-class GdfState(NamedTuple):
-    """State after iteration ``k``; ``C`` is the proxy constant iteration k ran with."""
-
-    k: int
-    x: Array
-    delta: float
-    f_x: float
-    C: float = float("nan")
-    last_step: str = "init"  # "step" | "clamped" | "stopped" | "init"
-    last_g_norm: float = float("nan")
-    last_tau: float = 0.0
-
-
-def gdf_step(state: GdfState, evals: StepEvals, scheme: GradScheme, cfg: GdfConfig) -> GdfState:
+def gdf_step(state: SearchState, evals: StepEvals, scheme: GradScheme,
+             cfg: GdfConfig) -> SearchState:
     """Advance one iteration x <- x - tau_k g_k under the injected policies.
 
     Negative stepsizes from a rule are clamped to 0 and flagged as status
@@ -69,7 +57,7 @@ def gdf_step(state: GdfState, evals: StepEvals, scheme: GradScheme, cfg: GdfConf
             status = "clamped"
         x = state.x - tau_k * res.g
         f_x = evals.point(x)
-        return GdfState(k, x, res.delta_next, f_x, c_k, status, res.g_norm, tau_k)
+        return SearchState(k, x, res.delta_next, c_k, f_x, status, res.g_norm, tau_k)
 
     return search_step(state, evals, scheme, cfg, k, c_k, nu_k, move)
 
@@ -85,7 +73,7 @@ def gdf_run(
     caller-supplied sequence; every evaluation is part of the declared accounting."""
     return drive(
         f"gdf-{scheme.value}", objective, scheme, cfg, noise_level, seed,
-        start=lambda x, f: GdfState(k=0, x=x, delta=cfg.delta1, f_x=f),
+        start=lambda x, f: SearchState(0, x, cfg.delta1, math.nan, f),
         step=gdf_step,
         config=config_dict("gdf", scheme, cfg),
         trace_C=lambda before, after: after.C,

@@ -74,17 +74,13 @@ def central_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     return (values[:, 0] - values[:, 1]) / (2.0 * delta)
 
 
-def approx_gradient(oracle: Oracle, scheme: GradScheme, x: Array, delta: float) -> Array:
-    if scheme is GradScheme.FORWARD:
-        return forward_diff(oracle, x, delta)
-    return central_diff(oracle, x, delta)
-
-
 def stencil_gradient(evals: StepEvals, scheme: GradScheme, x: Array, delta: float) -> Array:
-    """:func:`approx_gradient` as one unit of a step: started only below the
-    budget of ``evals`` and declared in its ``cost``."""
+    """:func:`forward_diff` or :func:`central_diff`, as ``scheme`` says, as one
+    unit of a step: started only below the budget of ``evals`` and declared in
+    its ``cost``."""
     evals.check()
-    g = approx_gradient(evals.oracle, scheme, x, delta)
+    diff = forward_diff if scheme is GradScheme.FORWARD else central_diff
+    g = diff(evals.oracle, x, delta)
     evals.cost += scheme.evals_per_call(x.shape[0])
     return g
 
@@ -173,11 +169,33 @@ def adaptive_gradient(
     return AdaptiveGradResult(g, radius, max(ran - 1, 0), True, norm)
 
 
-def search_step(state, evals: StepEvals, scheme: GradScheme, cfg: SearchConfig, k: int,
-                c_k: float, nu_k: Optional[float], then: Callable):
+class SearchState(NamedTuple):
+    """State of DFC, DFB or GDF after iteration ``k`` (k = 0 is the freshly
+    initialized run).
+
+    ``C`` is, for DFC and DFB, the proxy after the step's escalation; for GDF,
+    the ``C_k`` its step ran with (NaN at k = 0). ``last_step`` is "accepted"
+    or "rejected" for DFC, "accepted" or "null" for DFB, "step" or "clamped"
+    for GDF, and "init" or "stopped" for all three. ``t_min`` is DFB's
+    linesearch floor; it stays NaN for DFC and GDF.
+    """
+
+    k: int
+    x: Array
+    delta: float
+    C: float
+    f_x: float
+    last_step: str = "init"
+    last_g_norm: float = float("nan")
+    last_tau: float = 0.0
+    t_min: float = float("nan")
+
+
+def search_step(state: SearchState, evals: StepEvals, scheme: GradScheme, cfg: SearchConfig,
+                k: int, c_k: float, nu_k: Optional[float], then: Callable) -> SearchState:
     """Step ``k`` of DFC, DFB or GDF: the search at ``(c_k, nu_k)`` from ``state``,
     then ``then(res)``, all declared in ``evals``. An exhausted search stops the
-    run."""
+    run, keeping ``x``, ``f_x`` and ``t_min``."""
     if state.last_step == "stopped":
         raise RuntimeError("cannot step a stopped solver state")
     res = adaptive_gradient(evals, scheme, state.x, state.delta, c_k, cfg.mu, cfg.theta,

@@ -25,7 +25,7 @@ import numpy as np
 from . import baselines, dfb, dfc
 from .driver import ValidationError, check_count, settings
 from .gradapprox import GradScheme
-from .oracle import Array
+from .oracle import Array, is_noise_level
 from .problems import FAMILIES, IMAGE_RESTORATION, ROSENBROCK, ProblemInstance, build_instance
 from .trace import RunReport, emit_csv, read_csv
 
@@ -81,8 +81,13 @@ class ExperimentConfig:
             raise ValidationError("rosenbrock has no m; omit it")
         if self.family == IMAGE_RESTORATION and self.m not in (None, self.n):
             raise ValidationError("image_restoration is square; m must equal n or be omitted")
-        if not 0.0 <= self.noise_level < math.inf:
-            raise ValidationError("noise level must be finite and nonnegative")
+        if not is_noise_level(self.noise_level):
+            raise ValidationError(
+                f"noise level must be finite and nonnegative, got {self.noise_level!r}")
+        object.__setattr__(self, "noise_level", float(self.noise_level))  # a numpy float too
+        if isinstance(self.solvers, str):
+            raise ValidationError(f"solvers must be a list of solver ids, not the string "
+                                  f"{self.solvers!r}")
         if not self.solvers:
             raise ValidationError("at least one solver id is required")
         seen = set()

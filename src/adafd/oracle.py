@@ -7,12 +7,20 @@ by any optimization loop.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 Array = np.ndarray
+
+
+def is_noise_level(value) -> bool:
+    """Whether ``value`` is a finite, nonnegative real number (a bool is not one)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0.0 <= value < math.inf)
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,9 @@ class Oracle:
     eval_count: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.noise_level < np.inf:
-            raise ValueError("noise_level must be finite and nonnegative")
+        if not is_noise_level(self.noise_level):
+            raise ValueError(
+                f"noise_level must be finite and nonnegative, got {self.noise_level!r}")
         self.reset_counter()
 
     def _noise(self, k: int) -> Array:

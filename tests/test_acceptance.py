@@ -15,13 +15,13 @@ import pytest
 
 from adafd import (
     DfbConfig,
-    DfbState,
     DfcConfig,
     ExperimentConfig,
     GdfConfig,
     GradScheme,
     Oracle,
     BudgetExhausted,
+    SearchState,
     central_diff,
     dfb_run,
     dfb_step,
@@ -195,8 +195,8 @@ def _walk_dfb(objective, scheme, cfg):
     """Replay a noiseless run step by step, returning the full state sequence."""
     oracle = Oracle(objective, 0.0, 0)
     f1 = oracle.evaluate(cfg.x1)
-    state = DfbState(k=0, x=cfg.x1.copy(), delta=cfg.delta1, C=cfg.c1,
-                     t_min=cfg.t_min1, f_x=f1)
+    state = SearchState(k=0, x=cfg.x1.copy(), delta=cfg.delta1, C=cfg.c1,
+                        t_min=cfg.t_min1, f_x=f1)
     states = [state]
     while oracle.eval_count < cfg.budget and state.last_step != "stopped":
         try:

@@ -6,9 +6,9 @@ import pytest
 from adafd import (
     BudgetExhausted,
     DfbConfig,
-    DfbState,
     GradScheme,
     Oracle,
+    SearchState,
     backtrack,
     dfb_run,
     dfb_step,
@@ -91,8 +91,8 @@ def test_step_accept_composes_search_and_linesearch():
     obj = sphere_objective(1)
     oracle = Oracle(obj)
     cfg = DfbConfig(x1=[1.0], budget=100)
-    state = DfbState(k=0, x=np.array([1.0]), delta=cfg.delta1, C=cfg.c1,
-                     t_min=cfg.t_min1, f_x=1.0)
+    state = SearchState(k=0, x=np.array([1.0]), delta=cfg.delta1, C=cfg.c1,
+                        t_min=cfg.t_min1, f_x=1.0)
     state = dfb_step(state, StepEvals(oracle, cfg.budget), GradScheme.CENTRAL, cfg)
     assert state.last_step == "accepted"
     assert state.x[0] == pytest.approx(0.0, abs=1e-12)
@@ -107,8 +107,8 @@ def test_null_step_couples_C_and_floor_updates():
     obj = sphere_objective(1)
     oracle = Oracle(obj)
     cfg = DfbConfig(x1=[1.0], budget=200, t_min1=0.9, eta=2.0, gamma=0.5)
-    state = DfbState(k=0, x=np.array([1.0]), delta=cfg.delta1, C=cfg.c1,
-                     t_min=cfg.t_min1, f_x=1.0)
+    state = SearchState(k=0, x=np.array([1.0]), delta=cfg.delta1, C=cfg.c1,
+                        t_min=cfg.t_min1, f_x=1.0)
     state = dfb_step(state, StepEvals(oracle, cfg.budget), GradScheme.CENTRAL, cfg)
     assert state.last_step == "null"
     assert state.x[0] == 1.0 and state.f_x == 1.0

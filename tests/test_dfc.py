@@ -3,9 +3,9 @@ import pytest
 
 from adafd import (
     DfcConfig,
-    DfcState,
     GradScheme,
     Oracle,
+    SearchState,
     dfc_run,
     dfc_step,
     random_instance,
@@ -16,7 +16,7 @@ from conftest import constant_objective, sphere_objective
 
 
 def _fresh_state(x, f_x, delta=1.0, C=1.0):
-    return DfcState(k=0, x=np.asarray(x, float), delta=delta, C=C, f_x=f_x)
+    return SearchState(k=0, x=np.asarray(x, float), delta=delta, C=C, f_x=f_x)
 
 
 def test_step_accepts_hand_simulated_quadratic():

@@ -284,6 +284,28 @@ class TestRunExperiment:
             ExperimentConfig(family="least_squares", n=4, solvers=["dfc-fordif"],
                              noise_level=noise)
 
+    @pytest.mark.parametrize("noise", [True, False, "0.1", None, 1j])
+    def test_a_noise_level_that_is_not_a_real_number_is_rejected(self, noise):
+        # True used to run with noise 1.0, and "0.1" to fail with a TypeError
+        with pytest.raises(ValidationError, match="finite and nonnegative, got"):
+            ExperimentConfig(family="least_squares", n=4, solvers=["dfc-fordif"],
+                             noise_level=noise)
+
+    @pytest.mark.parametrize("noise", [np.float32(0.25), np.int64(1)])
+    def test_a_numpy_noise_level_is_written_to_report_json(self, tmp_path, noise):
+        # a numpy scalar used to run every solver, then fail json.dump halfway
+        run_experiment(ExperimentConfig(family="least_squares", n=3, solvers=["dfc-fordif"],
+                                        noise_level=noise, budget_multiplier=10,
+                                        output_dir=tmp_path))
+        manifest = json.loads((tmp_path / "report.json").read_text())["manifest"]
+        assert manifest["noise_level"] == float(noise)
+
+    def test_a_string_of_solvers_is_rejected(self):
+        # it used to be split into characters: "unknown solver id 'd'"
+        with pytest.raises(ValidationError, match="solvers must be a list of solver ids, "
+                                                  "not the string 'dfc-fordif'"):
+            ExperimentConfig(family="least_squares", n=3, solvers="dfc-fordif")
+
     def test_zero_budget_multiplier_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(family="least_squares", n=4, solvers=["dfc-fordif"],

@@ -102,6 +102,13 @@ def test_non_finite_noise_level_is_rejected(level):
         Oracle(sphere_objective(1), noise_level=level)
 
 
+@pytest.mark.parametrize("level", [True, "0.1", None])
+def test_a_noise_level_that_is_not_a_real_number_is_rejected(level):
+    # True used to draw noise from U(-1, 1)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        Oracle(sphere_objective(1), noise_level=level)
+
+
 def _base(dim, seed=3):
     return np.random.default_rng(seed).standard_normal(dim)
 

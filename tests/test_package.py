@@ -11,9 +11,7 @@ EXPORTED = {
     "CSV_COLUMNS",
     "ComparisonReport",
     "DfbConfig",
-    "DfbState",
     "DfcConfig",
-    "DfcState",
     "ExperimentConfig",
     "FAMILIES",
     "GdfConfig",
@@ -30,10 +28,10 @@ EXPORTED = {
     "RateEstimate",
     "RgConfig",
     "RunReport",
+    "SearchState",
     "TraceRecord",
     "ValidationError",
     "adaptive_gradient",
-    "approx_gradient",
     "backtrack",
     "build_instance",
     "central_diff",
@@ -64,7 +62,7 @@ EXPORTED = {
 
 
 def test_the_exported_names_are_the_public_imports():
-    assert len(adafd.__all__) == len(EXPORTED) == 55
+    assert len(adafd.__all__) == len(EXPORTED) == 53
     assert set(adafd.__all__) == EXPORTED
     assert adafd.__all__ == sorted(adafd.__all__)
     for name in adafd.__all__:

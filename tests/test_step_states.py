@@ -11,9 +11,7 @@ import pytest
 
 from adafd import (
     DfbConfig,
-    DfbState,
     DfcConfig,
-    DfcState,
     GdfConfig,
     GradScheme,
     ImfilConfig,
@@ -21,6 +19,7 @@ from adafd import (
     Objective,
     Oracle,
     RgConfig,
+    SearchState,
     build_instance,
     dfb_step,
     dfc_step,
@@ -35,7 +34,7 @@ from adafd.baselines import (
     rg_step,
 )
 from adafd.driver import BudgetExhausted, ScheduleExhausted, StepEvals
-from adafd.gdf import GdfState, gdf_step
+from adafd.gdf import gdf_step
 
 
 def _start(rule, x1, f1):
@@ -43,14 +42,14 @@ def _start(rule, x1, f1):
     budget = 2000
     if rule == "dfc":
         cfg = DfcConfig(x1=x1, budget=budget)
-        return DfcState(0, x1, cfg.delta1, cfg.c1, f1), dfc_step, GradScheme.FORWARD, cfg
+        return SearchState(0, x1, cfg.delta1, cfg.c1, f1), dfc_step, GradScheme.FORWARD, cfg
     if rule == "dfb":
         cfg = DfbConfig(x1=x1, budget=budget)
-        return (DfbState(0, x1, cfg.delta1, cfg.c1, cfg.t_min1, f1), dfb_step,
+        return (SearchState(0, x1, cfg.delta1, cfg.c1, f1, t_min=cfg.t_min1), dfb_step,
                 GradScheme.CENTRAL, cfg)
     if rule == "gdf":
         cfg = GdfConfig(x1=x1, budget=budget, tau=1e-3)
-        return GdfState(0, x1, cfg.delta1, f1), gdf_step, GradScheme.FORWARD, cfg
+        return SearchState(0, x1, cfg.delta1, np.nan, f1), gdf_step, GradScheme.FORWARD, cfg
     if rule == "imfil":
         cfg = ImfilConfig(x1=x1, budget=budget)
         return ImfilState(0, x1, f1), imfil_step, GradScheme.CENTRAL, cfg
@@ -179,13 +178,13 @@ def test_an_exhausted_search_stops_the_step_and_a_stopped_state_cannot_step(rule
     f1 = oracle.evaluate(x1)
     if rule == "dfc":
         cfg = DfcConfig(x1=x1, budget=2000, i_max=i_max, c1=3.0)
-        state, step = DfcState(0, x1, cfg.delta1, cfg.c1, f1), dfc_step
+        state, step = SearchState(0, x1, cfg.delta1, cfg.c1, f1), dfc_step
     elif rule == "dfb":
         cfg = DfbConfig(x1=x1, budget=2000, i_max=i_max, c1=3.0)
-        state, step = DfbState(0, x1, cfg.delta1, cfg.c1, cfg.t_min1, f1), dfb_step
+        state, step = SearchState(0, x1, cfg.delta1, cfg.c1, f1, t_min=cfg.t_min1), dfb_step
     else:
         cfg = GdfConfig(x1=x1, budget=2000, i_max=i_max, c_seq=3.0, tau=0.1)
-        state, step = GdfState(0, x1, cfg.delta1, f1), gdf_step
+        state, step = SearchState(0, x1, cfg.delta1, np.nan, f1), gdf_step
     evals = StepEvals(oracle, cfg.budget)
     stopped = step(state, evals, scheme, cfg)
     assert stopped.last_step == "stopped" and stopped.k == 1

@@ -1,7 +1,7 @@
 """Equal seeds give bitwise-equal runs across processes, for every solver.
 
 ``tools/trace_grid.py`` runs every solver on every family at three sizes and
-two noise levels, plus the direct GDF runs, and prints a sha256 per trace CSV
+two noise levels, plus the direct GDF, DFC and DFB runs, and prints a sha256 per trace CSV
 and ``report.json``. Two runs of it in fresh interpreters must print the same
 digests, which also keeps the byte-identity tool itself working.
 """
@@ -15,8 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Six runs (3 sizes x 2 noise levels) of each family, each writing one CSV
 #: per solver and a report.json: 8 solvers, or 7 on Rosenbrock (no rg); then
-#: the eight GDF traces and their report.json.
-FILES = 6 * (9 + 9 + 8) + 9
+#: the eight GDF traces and their report.json; then the five direct DFC and
+#: DFB traces and their report.json.
+FILES = 6 * (9 + 9 + 8) + 9 + 6
 
 
 def _digests(out_dir: Path) -> list:
@@ -30,5 +31,5 @@ def _digests(out_dir: Path) -> list:
 def test_two_processes_write_byte_identical_grids(tmp_path):
     first = _digests(tmp_path / "a")
     second = _digests(tmp_path / "b")
-    assert len(first) == FILES == 165
+    assert len(first) == FILES == 171
     assert first == second

@@ -10,8 +10,12 @@ the ``halves`` initial point (rg needs a gradient-Lipschitz constant, so it
 is left off Rosenbrock), plus eight direct ``gdf_run`` runs that reach GDF's
 schedules, rules, clamping and stops. Each experiment writes its trace CSVs
 and ``report.json`` into a subdirectory of OUT_DIR, and the eight GDF runs
-write theirs into ``OUT_DIR/gdf``. The script prints one ``<sha256>  <path>``
-line per file, paths relative to OUT_DIR, sorted.
+write theirs into ``OUT_DIR/gdf``. Five direct DFC and DFB runs reach what
+the grid never does and write theirs into ``OUT_DIR/direct``: DFB null steps,
+whose escalation moves C and the linesearch floor ``t_min``, a finite ``nu``
+that ends the run on ``schedule``, and exhausted searches that stop DFB and
+DFC ``stationary``. The script prints one ``<sha256>  <path>`` line per file,
+paths relative to OUT_DIR, sorted.
 
 Two checkouts give the same output exactly when every trace and report is
 byte-identical, so a refactor is checked by running the script in each and
@@ -29,11 +33,15 @@ from pathlib import Path
 import numpy as np
 
 from adafd import (
+    DfbConfig,
+    DfcConfig,
     ExperimentConfig,
     GdfConfig,
     GradScheme,
     Objective,
     build_instance,
+    dfb_run,
+    dfc_run,
     emit_csv,
     gdf_run,
     run_experiment,
@@ -67,6 +75,30 @@ def _gdf_cases():
     ]
 
 
+def direct_reports() -> dict:
+    """The direct DFC and DFB runs' :class:`RunReport`s by case name, each at
+    budget 150 and seed 3. From Rosenbrock's minimizer under noise,
+    DFB-forward makes 3 null steps and ends with C = 8."""
+    n, budget = 5, 150
+    rosen = build_instance("rosenbrock", n).objective
+    ls = build_instance("least_squares", n).objective
+    flat = Objective(dim=n, evaluator=lambda x: 1.0)
+    fwd, cen = GradScheme.FORWARD, GradScheme.CENTRAL
+    at_min, halves = np.ones(n), np.full(n, 0.5)
+    cases = [
+        ("dfb-rosen-min-fordif", dfb_run, rosen, fwd, DfbConfig(x1=at_min, budget=budget), 1e-4),
+        ("dfb-rosen-min-cendif", dfb_run, rosen, cen, DfbConfig(x1=at_min, budget=budget), 1e-4),
+        ("dfb-ls-nu-list", dfb_run, ls, fwd,
+         DfbConfig(x1=halves, budget=budget, nu=[0.05] * 6), 0.0),
+        ("dfb-flat-stopped", dfb_run, flat, cen,
+         DfbConfig(x1=halves, budget=budget, i_max=4), 0.0),
+        ("dfc-flat-stopped", dfc_run, flat, fwd,
+         DfcConfig(x1=halves, budget=budget, i_max=4), 0.0),
+    ]
+    return {name: run(objective, scheme, cfg, noise, 3)
+            for name, run, objective, scheme, cfg, noise in cases}
+
+
 def _summary(report) -> dict:
     return {
         "solver_id": report.solver_id,
@@ -81,8 +113,19 @@ def _summary(report) -> dict:
     }
 
 
+def write_runs(out_dir: Path, reports: dict) -> None:
+    """One ``trace_<name>.csv`` per report and a ``report.json`` of their summaries."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, report in reports.items():
+        emit_csv(report.trace, out_dir / f"trace_{name}.csv")
+    with open(out_dir / "report.json", "w") as fh:
+        json.dump({name: _summary(report) for name, report in reports.items()}, fh,
+                  indent=2, sort_keys=True)
+
+
 def run_grid(out_dir: Path) -> None:
-    """Write every experiment and GDF run of the grid under ``out_dir``."""
+    """Write every experiment, GDF run and direct DFC and DFB run of the grid
+    under ``out_dir``."""
     for family in FAMILIES:
         solvers = [s for s in SOLVER_IDS if not (s == "rg" and family == "rosenbrock")]
         for n in DIMS:
@@ -91,17 +134,13 @@ def run_grid(out_dir: Path) -> None:
                     family=family, n=n, solvers=solvers, noise_level=noise,
                     budget_multiplier=BUDGET_MULTIPLIER, initial_point="halves",
                     output_dir=out_dir / f"{family}-n{n}-noise{noise:g}"))
-    gdf_dir = out_dir / "gdf"
-    gdf_dir.mkdir(parents=True, exist_ok=True)
-    summaries = {}
+    gdf = {}
     for seed, (name, objective, scheme, overrides, noise) in enumerate(_gdf_cases()):
         cfg = GdfConfig(x1=np.full(objective.dim, 0.5),
                         budget=BUDGET_MULTIPLIER * objective.dim, **overrides)
-        report = gdf_run(objective, scheme, cfg, noise, seed)
-        emit_csv(report.trace, gdf_dir / f"trace_{name}.csv")
-        summaries[name] = _summary(report)
-    with open(gdf_dir / "report.json", "w") as fh:
-        json.dump(summaries, fh, indent=2, sort_keys=True)
+        gdf[name] = gdf_run(objective, scheme, cfg, noise, seed)
+    write_runs(out_dir / "gdf", gdf)
+    write_runs(out_dir / "direct", direct_reports())
 
 
 def digests(out_dir: Path) -> list:
