@@ -1,10 +1,13 @@
 """Experiment runner: one problem instance, several solvers, identical budget.
 
 Every solver in an experiment sees the same instance and the same evaluation
-budget (budget_multiplier * dimension); per-solver oracle seeds are derived
-from the experiment seed with numpy SeedSequence spawning. A results directory
-holds one ``trace_<solver id>.csv`` per run and ``report.json``, the one record
-of the experiment: the manifest, whose ``problem`` entry is the recipe that
+budget (budget_multiplier * dimension). Consecutive experiments with one
+random recipe (family, n, m, instance_seed) share one instance object too:
+:func:`adafd.problems.random_instance` keeps the last instance it drew.
+Per-solver oracle seeds are derived from the experiment seed with numpy
+SeedSequence spawning. A results directory holds one
+``trace_<solver id>.csv`` per run and ``report.json``, the one record of the
+experiment: the manifest, whose ``problem`` entry is the recipe that
 :func:`adafd.problems.load_instance_spec` rebuilds the instance from, the
 ranking by final ``f_best``, and each run's summary from its
 :class:`RunReport`. The CSVs hold the final records exactly (shortest
@@ -234,7 +237,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         }
         for sid, rep in reports.items()
     }
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump({"manifest": manifest, "ranking": [list(item) for item in ranking],
-                   "results": results}, fh, indent=2, sort_keys=True)
+    with open(out_dir / "report.json", "w") as fh:  # one write, not one per token
+        fh.write(json.dumps({"manifest": manifest, "ranking": [list(item) for item in ranking],
+                             "results": results}, indent=2, sort_keys=True))
     return ComparisonReport(ranking=ranking, reports=reports, manifest=manifest)

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .driver import check_count
+from .driver import ValidationError, check_count
 from .oracle import Array, Objective
 
 LEAST_SQUARES = "least_squares"
@@ -37,7 +37,12 @@ FAMILIES = (LEAST_SQUARES, IMAGE_RESTORATION, ROSENBROCK)
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Immutable benchmark instance; safe to share across concurrent runs."""
+    """Immutable benchmark instance; safe to share across concurrent runs.
+
+    :func:`random_instance` hands out one object per seeded recipe, so every
+    experiment with that recipe shares it: its A and b are read-only, and
+    what its objective computes once (column norms, L) is computed once for
+    all of them."""
 
     family: str
     dim: int
@@ -213,24 +218,48 @@ def make_rosenbrock(n: int) -> ProblemInstance:
     return ProblemInstance(family=ROSENBROCK, dim=n, objective=objective)
 
 
+#: How many seeded instances :func:`random_instance` keeps, most recent first:
+#: a fixed bound, not an option. One keeps 8 m (n + 1) bytes of A and b alive
+#: (plus the 8 n of least squares' column norms once a stencil has read them)
+#: and serves experiments that repeat one recipe back to back; Rosenbrock is
+#: not drawn, so it neither fills nor evicts it.
+RANDOM_INSTANCE_CACHE_SIZE = 1
+
+_MAKERS = {LEAST_SQUARES: make_least_squares, IMAGE_RESTORATION: make_image_restoration}
+
+
 def random_instance(family: str, n: int, m: Optional[int] = None,
-                    seed: int = 0) -> ProblemInstance:
+                    seed: Optional[int] = 0) -> ProblemInstance:
     """Generate A and b with i.i.d. standard Gaussian entries from one seed.
 
     Least squares uses an m-by-n matrix (m defaults to n); the log-damped
-    family is square by construction.
+    family is square by construction. A seeded recipe (family, n, m, seed)
+    is drawn once: while it is among the last ``RANDOM_INSTANCE_CACHE_SIZE``
+    drawn, the same instance object is returned, its A and b read-only.
+    ``seed=None`` draws from OS entropy, afresh on every call.
     """
     check_count("n", n, 0)
     if family == IMAGE_RESTORATION and m is not None and m != n:
-        raise ValueError("this family is square; m must equal n or be omitted")
-    makers = {LEAST_SQUARES: make_least_squares, IMAGE_RESTORATION: make_image_restoration}
-    if family not in makers:
-        raise ValueError(f"family {family!r} is not randomly generated from (A, b)")
+        raise ValidationError("this family is square; m must equal n or be omitted")
+    if family not in (LEAST_SQUARES, IMAGE_RESTORATION):
+        raise ValidationError(f"family {family!r} is not randomly generated from (A, b)")
     m = n if m is None else m
     check_count("m", m, 0)  # m = 0 would make f = 0 everywhere
+    if seed is None:
+        return _draw(family, n, m, None)
+    check_count("seed", seed, -1)
+    return _draw_seeded(family, int(n), int(m), int(seed))
+
+
+def _draw(family: str, n: int, m: int, seed: Optional[int]) -> ProblemInstance:
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
-    return replace(makers[family](A, rng.standard_normal(m)), seed=seed)
+    b = rng.standard_normal(m)
+    A.flags.writeable = b.flags.writeable = False  # the instance may be shared
+    return replace(_MAKERS[family](A, b), seed=seed)
+
+
+_draw_seeded = functools.lru_cache(maxsize=RANDOM_INSTANCE_CACHE_SIZE)(_draw)
 
 
 def build_instance(family: str, n: int, m: Optional[int] = None,
@@ -238,7 +267,7 @@ def build_instance(family: str, n: int, m: Optional[int] = None,
     """Uniform entry point: random (A, b) families or deterministic Rosenbrock."""
     if family == ROSENBROCK:
         if m is not None:
-            raise ValueError("rosenbrock has no m; omit it")
+            raise ValidationError("rosenbrock has no m; omit it")
         return make_rosenbrock(n)
     return random_instance(family, n, m=m, seed=seed)
 

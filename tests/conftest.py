@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adafd import Objective
+from adafd import Objective, problems
 
 
 def sphere_objective(dim: int) -> Objective:
@@ -63,3 +63,10 @@ def looping_stencil(objective: Objective) -> Objective:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def fresh_instances():
+    """Empty :func:`adafd.random_instance`'s cache, so a test that counts the
+    work of a first build sees it whatever tests ran before it."""
+    problems._draw_seeded.cache_clear()

@@ -20,7 +20,7 @@ from adafd import (
     read_csv,
     run_experiment,
 )
-from adafd import cli
+from adafd import cli, problems
 from adafd.cli import main, parse_config_file
 from adafd.harness import SOLVER_IDS
 from adafd.trace import records_equal
@@ -259,6 +259,24 @@ class TestRunExperiment:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "173987b53903de0aee698a85f200c150108f7ba6105826f92cd322099f96633e")
 
+    @pytest.mark.parametrize("family", ["least_squares", "image_restoration"])
+    def test_a_shared_instance_writes_the_bytes_of_a_fresh_one(self, tmp_path, family,
+                                                              fresh_instances):
+        # drawn, shared with the next experiment, then drawn again: every
+        # solver reads the instance, rg its cached L too
+        outputs = []
+        for run in ("cold", "warm", "redrawn"):
+            if run == "redrawn":
+                problems._draw_seeded.cache_clear()
+            out = tmp_path / run
+            run_experiment(ExperimentConfig(family=family, n=4, solvers=SOLVER_IDS,
+                                            noise_level=1e-3, budget_multiplier=15,
+                                            instance_seed=7, output_dir=out))
+            outputs.append({path.name: path.read_text().replace(str(out), "OUT")
+                            for path in sorted(out.iterdir())})
+        assert len(outputs[0]) == len(SOLVER_IDS) + 1
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_report_json_records_start_and_budget_once(self, tmp_path):
         x0 = [0.25, -0.5, 1.0]
         run_experiment(ExperimentConfig(
@@ -418,7 +436,8 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             run_experiment(cfg)
 
-    def test_only_rg_computes_the_lipschitz_constant(self, tmp_path, monkeypatch):
+    def test_only_rg_computes_the_lipschitz_constant(self, tmp_path, monkeypatch,
+                                                     fresh_instances):
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",

@@ -13,6 +13,7 @@ from adafd import (
     make_image_restoration,
     make_least_squares,
     make_rosenbrock,
+    problems,
     random_instance,
 )
 from adafd import ExperimentConfig, ValidationError, run_experiment
@@ -164,6 +165,81 @@ class TestRandomInstances:
             random_instance("rosenbrock", 4, seed=0)
 
 
+class TestInstanceCache:
+    """A seeded recipe is drawn once and shared; a ``seed=None`` draw never is."""
+
+    def test_equal_recipes_give_the_same_object(self, fresh_instances):
+        inst = random_instance("least_squares", 6, m=9, seed=5)
+        assert random_instance("least_squares", 6, m=9, seed=5) is inst
+        assert random_instance("least_squares", np.int64(6), m=np.int64(9),
+                               seed=np.int64(5)) is inst
+        assert build_instance("least_squares", 6, m=9, seed=5) is inst
+        square = random_instance("image_restoration", 4, seed=5)
+        assert random_instance("image_restoration", 4, m=4, seed=5) is square
+
+    @pytest.mark.parametrize("family, m", [("least_squares", 9),
+                                           ("image_restoration", None)])
+    def test_matrices_are_the_seeds_first_two_draws_bitwise(self, family, m):
+        for _ in range(2):  # drawn, then looked up
+            inst = random_instance(family, 6, m=m, seed=4)
+            rng = np.random.default_rng(4)
+            A = rng.standard_normal((m or 6, 6))
+            b = rng.standard_normal(m or 6)
+            assert np.array_equal(inst.A, A) and np.array_equal(inst.b, b)
+
+    def test_matrices_are_read_only(self):
+        inst = random_instance("least_squares", 3, m=4, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            inst.A[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            inst.b += 1.0
+        assert np.array_equal(inst.A, np.random.default_rng(0).standard_normal((4, 3)))
+
+    def test_an_unseeded_draw_is_fresh_and_evicts_nothing(self, fresh_instances):
+        seeded = random_instance("least_squares", 5, seed=1)
+        a = random_instance("least_squares", 5, seed=None)
+        b = random_instance("least_squares", 5, seed=None)
+        assert a is not b and a.seed is None and b.seed is None
+        assert not np.array_equal(a.A, b.A)
+        assert random_instance("least_squares", 5, seed=1) is seeded
+
+    def test_a_numpy_seed_is_recorded_as_an_int(self, fresh_instances):
+        for seed in (np.int64(2), 2, np.uint8(2)):
+            inst = random_instance("least_squares", 3, seed=seed)
+            assert type(inst.seed) is int and inst.seed == 2
+
+    @pytest.mark.parametrize("seed, rule", [(True, "an integer"), (False, "an integer"),
+                                            ([1], "an integer"), (2.0, "an integer"),
+                                            ("2", "an integer"),
+                                            (-1, r"in \(-1, inf\)")])
+    def test_a_seed_that_is_not_a_count_is_rejected(self, seed, rule):
+        # numpy itself would draw from a list (as SeedSequence([1])) or a bool (as 0 or 1)
+        with pytest.raises(ValidationError, match=f"^seed must be {rule}, got "):
+            random_instance("least_squares", 3, seed=seed)
+
+    def test_the_bound_evicts_the_oldest_recipe(self, fresh_instances):
+        first = random_instance("least_squares", 4, seed=0)
+        for seed in range(1, problems.RANDOM_INSTANCE_CACHE_SIZE + 1):
+            random_instance("least_squares", 4, seed=seed)
+        again = random_instance("least_squares", 4, seed=0)
+        assert again is not first and np.array_equal(again.A, first.A)
+
+    def test_rosenbrock_neither_fills_nor_evicts_it(self, fresh_instances):
+        inst = random_instance("least_squares", 4, seed=0)
+        assert build_instance("rosenbrock", 4) is not build_instance("rosenbrock", 4)
+        assert random_instance("least_squares", 4, seed=0) is inst
+
+
+@pytest.mark.parametrize("family, m, message", [
+    ("rosenbrock", 50, "rosenbrock has no m; omit it"),
+    ("image_restoration", 5, "this family is square; m must equal n or be omitted"),
+    ("sphere", None, "family 'sphere' is not randomly generated from (A, b)"),
+])
+def test_build_instance_raises_one_error_class(family, m, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build_instance(family, 4, m=m, seed=0)
+
+
 @pytest.mark.parametrize("family, n, m, message", [
     ("rosenbrock", 2.0, None, "n must be an integer, got 2.0"),
     ("rosenbrock", 1, None, r"n must be in \(1, inf\), got 1"),
@@ -198,7 +274,7 @@ def test_a_nan_matrix_entry_gives_no_lipschitz_constant():
 
 class TestLazyLipschitzConstant:
     @pytest.fixture
-    def eig_calls(self, monkeypatch):
+    def eig_calls(self, monkeypatch, fresh_instances):
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -324,6 +400,9 @@ class TestLoadInstanceSpec:
         ("n", 4.5, "n must be an integer"),
         ("n", 0, "n must be in"),
         ("m", 0, "m must be in"),
+        ("instance_seed", True, "seed must be an integer"),
+        ("instance_seed", [1], "seed must be an integer"),
+        ("instance_seed", -3, "seed must be in"),
     ])
     def test_a_bad_count_in_the_report_names_the_path(self, tmp_path, key, value, message):
         path = self._edited(tmp_path, lambda p: p.update({key: value}))
