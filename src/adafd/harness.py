@@ -2,8 +2,9 @@
 
 Every solver in an experiment sees the same instance and the same evaluation
 budget (budget_multiplier * dimension). Consecutive experiments with one
-random recipe (family, n, m, instance_seed) share one instance object too:
-:func:`adafd.problems.random_instance` keeps the last instance it drew.
+random recipe (family, n, m, instance_seed), such as a noise sweep, share one
+instance object too: :func:`adafd.problems.random_instance` keeps the last
+instance it drew, up to 4 MiB of A and b.
 Per-solver oracle seeds are derived from the experiment seed with numpy
 SeedSequence spawning. A results directory holds one
 ``trace_<solver id>.csv`` per run and ``report.json``, the one record of the

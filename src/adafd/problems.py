@@ -39,10 +39,10 @@ FAMILIES = (LEAST_SQUARES, IMAGE_RESTORATION, ROSENBROCK)
 class ProblemInstance:
     """Immutable benchmark instance; safe to share across concurrent runs.
 
-    :func:`random_instance` hands out one object per seeded recipe, so every
-    experiment with that recipe shares it: its A and b are read-only, and
-    what its objective computes once (column norms, L) is computed once for
-    all of them."""
+    :func:`random_instance` hands the last seeded recipe's object out again,
+    so consecutive experiments with that recipe share it: its A and b are
+    read-only, and what its objective computes once (column norms, L) is
+    computed once for all of them."""
 
     family: str
     dim: int
@@ -218,14 +218,11 @@ def make_rosenbrock(n: int) -> ProblemInstance:
     return ProblemInstance(family=ROSENBROCK, dim=n, objective=objective)
 
 
-#: How many seeded instances :func:`random_instance` keeps, most recent first:
-#: a fixed bound, not an option. One keeps 8 m (n + 1) bytes of A and b alive
-#: (plus the 8 n of least squares' column norms once a stencil has read them)
-#: and serves experiments that repeat one recipe back to back; Rosenbrock is
-#: not drawn, so it neither fills nor evicts it.
-RANDOM_INSTANCE_CACHE_SIZE = 1
-
 _MAKERS = {LEAST_SQUARES: make_least_squares, IMAGE_RESTORATION: make_image_restoration}
+
+#: Largest A and b, 8 m (n + 1) bytes, that :func:`random_instance` keeps for
+#: the next call (about 720 by 720); a larger draw is never kept.
+_SHARED_BYTES_MAX = 4 << 20
 
 
 def random_instance(family: str, n: int, m: Optional[int] = None,
@@ -233,10 +230,10 @@ def random_instance(family: str, n: int, m: Optional[int] = None,
     """Generate A and b with i.i.d. standard Gaussian entries from one seed.
 
     Least squares uses an m-by-n matrix (m defaults to n); the log-damped
-    family is square by construction. A seeded recipe (family, n, m, seed)
-    is drawn once: while it is among the last ``RANDOM_INSTANCE_CACHE_SIZE``
-    drawn, the same instance object is returned, its A and b read-only.
-    ``seed=None`` draws from OS entropy, afresh on every call.
+    family is square by construction. The last seeded recipe (family, n, m,
+    seed) drawn is kept, A and b read-only, if they take at most 4 MiB: a
+    noise sweep, one experiment per noise level on one recipe, draws it
+    once. ``seed=None`` draws from OS entropy, afresh on every call.
     """
     check_count("n", n, 0)
     if family == IMAGE_RESTORATION and m is not None and m != n:
@@ -245,10 +242,13 @@ def random_instance(family: str, n: int, m: Optional[int] = None,
         raise ValidationError(f"family {family!r} is not randomly generated from (A, b)")
     m = n if m is None else m
     check_count("m", m, 0)  # m = 0 would make f = 0 everywhere
+    n, m = int(n), int(m)
     if seed is None:
         return _draw(family, n, m, None)
     check_count("seed", seed, -1)
-    return _draw_seeded(family, int(n), int(m), int(seed))
+    if 8 * m * (n + 1) > _SHARED_BYTES_MAX:
+        return _draw(family, n, m, int(seed))
+    return _draw_seeded(family, n, m, int(seed))
 
 
 def _draw(family: str, n: int, m: int, seed: Optional[int]) -> ProblemInstance:
@@ -259,7 +259,8 @@ def _draw(family: str, n: int, m: int, seed: Optional[int]) -> ProblemInstance:
     return replace(_MAKERS[family](A, b), seed=seed)
 
 
-_draw_seeded = functools.lru_cache(maxsize=RANDOM_INSTANCE_CACHE_SIZE)(_draw)
+# One entry: the last recipe stays alive until another is drawn.
+_draw_seeded = functools.lru_cache(maxsize=1)(_draw)
 
 
 def build_instance(family: str, n: int, m: Optional[int] = None,

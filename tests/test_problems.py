@@ -13,7 +13,6 @@ from adafd import (
     make_image_restoration,
     make_least_squares,
     make_rosenbrock,
-    problems,
     random_instance,
 )
 from adafd import ExperimentConfig, ValidationError, run_experiment
@@ -217,12 +216,20 @@ class TestInstanceCache:
         with pytest.raises(ValidationError, match=f"^seed must be {rule}, got "):
             random_instance("least_squares", 3, seed=seed)
 
-    def test_the_bound_evicts_the_oldest_recipe(self, fresh_instances):
+    def test_the_next_recipe_evicts_the_last(self, fresh_instances):
         first = random_instance("least_squares", 4, seed=0)
-        for seed in range(1, problems.RANDOM_INSTANCE_CACHE_SIZE + 1):
-            random_instance("least_squares", 4, seed=seed)
+        random_instance("least_squares", 4, seed=1)
         again = random_instance("least_squares", 4, seed=0)
         assert again is not first and np.array_equal(again.A, first.A)
+
+    def test_only_a_draw_of_at_most_4_mib_is_kept(self, fresh_instances):
+        # A and b of a one-column least squares take 16 m bytes
+        kept = random_instance("least_squares", 1, m=2**18, seed=0)
+        assert random_instance("least_squares", 1, m=2**18, seed=0) is kept
+        big = random_instance("least_squares", 1, m=2**18 + 1, seed=0)
+        assert random_instance("least_squares", 1, m=2**18 + 1, seed=0) is not big
+        assert not big.A.flags.writeable and np.array_equal(big.A[:-1], kept.A)
+        assert random_instance("least_squares", 1, m=2**18, seed=0) is kept
 
     def test_rosenbrock_neither_fills_nor_evicts_it(self, fresh_instances):
         inst = random_instance("least_squares", 4, seed=0)
