@@ -4,15 +4,15 @@ Faithful variants for comparative benchmarking, not ports of any specific
 third-party codebase: a classical Nelder-Mead simplex, implicit filtering
 (finite-difference gradients on an externally fixed decreasing scale schedule,
 the designed contrast with the adaptive-interval solvers), and a two-point
-Gaussian-smoothing random search that needs an explicit gradient-Lipschitz
-constant for its stepsize.
+Gaussian-smoothing random search whose stepsize needs a gradient-Lipschitz
+constant: the configured one, or else the objective's.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,14 +70,13 @@ class ImfilConfig(StartConfig):
 
 @dataclass(frozen=True)
 class RgConfig(StartConfig):
-    lipschitz: Optional[float] = None  # required
+    lipschitz: Optional[float] = None  # default: the objective's lipschitz_grad_constant
     smoothing: Optional[float] = None  # default 1e-6 * (1 + ||x1||)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.lipschitz is None:
-            raise ValueError("rg requires a lipschitz constant")
-        check_between("lipschitz", self.lipschitz, 0.0)
+        if self.lipschitz is not None:
+            check_between("lipschitz", self.lipschitz, 0.0)
         smoothing = self.smoothing
         if smoothing is None:
             smoothing = 1e-6 * (1.0 + float(np.linalg.norm(self.x1)))
@@ -281,7 +280,13 @@ def rg_run(
     """Two-point Gaussian random search with stepsize 1 / (4 (n + 4) L):
     :func:`rg_step` until the budget is exhausted, exactly two evaluations per
     iteration. Noise and directions draw from two streams spawned from ``seed``.
+    L is ``cfg.lipschitz``, else the objective's constant; the run's config records L.
     """
+    if cfg.lipschitz is None:
+        L = objective.lipschitz_grad_constant
+        if L is None:
+            raise ValidationError("rg needs a gradient-Lipschitz constant; this objective has none")
+        cfg = replace(cfg, lipschitz=L)  # which checks L as a configured one is checked
     noise_ss, dir_ss = np.random.SeedSequence(seed).spawn(2)
     directions = np.random.default_rng(dir_ss)
     step = 1.0 / (4.0 * (objective.dim + 4) * cfg.lipschitz)

@@ -54,12 +54,10 @@ def backtrack(
     x: Array,
     g: Array,
     f_x: float,
-    beta: float,
-    gamma: float,
-    tau_bar: float,
+    cfg: DfbConfig,
     t_min: float,
 ) -> BacktrackResult:
-    """Shrink t from tau_bar by gamma until sufficient decrease or the floor.
+    """Shrink t from ``cfg.tau_bar`` by ``cfg.gamma`` until sufficient decrease or the floor.
 
     The compound exit condition checks the decrease test first, then the floor:
     every loop pass costs one oracle evaluation, the search can therefore end
@@ -68,18 +66,18 @@ def backtrack(
     Each trial is an ``evals.point``, so ``evals`` declares the trials and
     holds their lowest value, also when the budget cuts the search off.
     """
-    check_between("t_min", t_min, 0.0, tau_bar)
+    check_between("t_min", t_min, 0.0, cfg.tau_bar)
     g_norm_sq = float(g @ g)
     if g_norm_sq <= 0.0:
         raise ValueError("backtracking requires a nonzero direction")
-    t = tau_bar
+    t = cfg.tau_bar
     while True:
         f_cand = evals.point(x - t * g)
-        if f_cand <= f_x - beta * t * g_norm_sq:
+        if f_cand <= f_x - cfg.beta * t * g_norm_sq:
             return BacktrackResult(t, True, f_cand)
         if t < t_min:
             return BacktrackResult(t, False, f_cand)
-        t *= gamma
+        t *= cfg.gamma
 
 
 def dfb_step(state: SearchState, evals: StepEvals, scheme: GradScheme,
@@ -89,8 +87,7 @@ def dfb_step(state: SearchState, evals: StepEvals, scheme: GradScheme,
     nu_k = cfg.delta1 / k if cfg.nu is None else schedule_value(cfg.nu, k)
 
     def linesearch(res):
-        ls = backtrack(evals, state.x, res.g, state.f_x, cfg.beta, cfg.gamma, cfg.tau_bar,
-                       state.t_min)
+        ls = backtrack(evals, state.x, res.g, state.f_x, cfg, state.t_min)
         if ls.t >= state.t_min:
             # the floor was never crossed, so the exit must have been a passed test
             return SearchState(k, state.x - ls.t * res.g, res.delta_next, state.C,

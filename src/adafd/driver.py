@@ -29,12 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .oracle import Array, Objective, Oracle
+from .oracle import Array, Objective, Oracle, ValidationError, check_between, check_count
 from .trace import RunReport, TraceRecord
-
-
-class ValidationError(ValueError):
-    """A request or parameter that breaks a rule: a bad id, dim, count or range."""
 
 
 class BudgetExhausted(RuntimeError):
@@ -56,21 +52,6 @@ def schedule_value(rule, k: int, *args) -> float:
     if k - 1 >= len(rule):
         raise ScheduleExhausted()
     return float(rule[k - 1])
-
-
-def check_between(name: str, value, low: float, high: float = math.inf) -> None:
-    """Reject a ``value`` outside the open interval ``(low, high)``; NaN and
-    +-inf always lie outside it."""
-    if not low < value < high:
-        raise ValidationError(f"{name} must be in ({low:g}, {high:g}), got {value!r}")
-
-
-def check_count(name: str, value, low: float) -> None:
-    """Reject a ``value`` that is not an integer (a bool is not one), then one
-    that :func:`check_between` rejects for ``(low, inf)``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    check_between(name, value, low)
 
 
 def check_schedule(name: str, rule, positive: bool = True) -> None:
@@ -181,7 +162,7 @@ def drive(
     the end of a schedule. ``iterates`` holds every recorded ``state.x`` only
     with ``collect_iterates``."""
     if cfg.x1.shape != (objective.dim,):
-        raise ValueError("x1 dimension does not match the objective")
+        raise ValidationError("x1 dimension does not match the objective")
     oracle = Oracle(objective, noise_level, seed)
     f_best = oracle.evaluate(cfg.x1)
     state = start(cfg.x1.copy(), f_best)

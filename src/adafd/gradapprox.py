@@ -17,24 +17,20 @@ import numpy as np
 from .driver import StartConfig, StepEvals, check_between, check_count
 from .oracle import Array, Oracle
 
-#: Default cap on the number of interval reductions in one adaptive search.
-#: With theta = 1/2 the smallest interval tried is 2**-60 times the incoming
-#: radius; a gradient that cannot pass the norm test by then is treated as a
-#: near-stationarity signal (the exact-zero-gradient case would never pass).
-DEFAULT_I_MAX = 60
-
 
 @dataclass(frozen=True)
 class SearchConfig(StartConfig):
     """The fields that every interval-search config carries after ``x1`` and
-    ``budget``: the search parameters delta1, theta, mu and i_max.
-    ``DfcConfig``, ``DfbConfig`` and ``GdfConfig`` add their own fields after
-    these."""
+    ``budget``: the search parameters delta1, theta, mu and i_max, which
+    :func:`adaptive_gradient` reads from here. ``DfcConfig``, ``DfbConfig``
+    and ``GdfConfig`` add their own fields after these."""
 
     delta1: float = 0.1
     theta: float = 0.5
     mu: float = 4.0
-    i_max: int = DEFAULT_I_MAX
+    # Interval reductions per search: at theta = 1/2 the last interval is 2**-60 of the
+    # radius, and a gradient that fails the norm test there is taken as near-stationary.
+    i_max: int = 60
 
     def __post_init__(self):
         super().__post_init__()
@@ -119,14 +115,13 @@ def adaptive_gradient(
     x: Array,
     delta_k: float,
     c_k: float,
-    mu: float,
-    theta: float,
+    cfg: SearchConfig,
     nu_k: Optional[float] = None,
-    i_max: int = DEFAULT_I_MAX,
 ) -> AdaptiveGradResult:
     """Find the largest interval theta**i * delta_k whose estimate passes the norm test.
 
-    Tries i = 0, 1, ..., i_max. At each i the estimate is computed at interval
+    Tries i = 0, 1, ..., i_max, with theta, mu and i_max read from ``cfg``,
+    which checked them. At each i the estimate is computed at interval
     ``min(theta**i * delta_k, nu_k)`` (just ``theta**i * delta_k`` when ``nu_k``
     is None), while the acceptance threshold ``mu * c_k * theta**i * delta_k``
     always uses the unclamped radius. An estimate with a non-finite norm (an
@@ -145,26 +140,23 @@ def adaptive_gradient(
     check_between("delta_k", delta_k, 0.0)
     if not c_k > 0:  # not check_between: DFC's escalation C *= r may reach +inf
         raise ValueError(f"c_k must be positive, got {c_k!r}")
-    check_between("theta", theta, 0.0, 1.0)
-    check_between("mu", mu, 2.0)
     if nu_k is not None:
         check_between("nu_k", nu_k, 0.0)
-    check_count("i_max", i_max, 0)
 
     x = np.asarray(x, dtype=float)
     g = np.full(x.shape[0], np.nan)  # no estimate until a stencil runs
     norm = float("nan")
     radius = delta_k
     ran = 0  # stencils evaluated; equals i at the top of each pass
-    for i in range(i_max + 1):
-        radius = theta**i * delta_k
+    for i in range(cfg.i_max + 1):
+        radius = cfg.theta**i * delta_k
         interval = radius if nu_k is None else min(radius, nu_k)
         if interval <= 0.0 or np.all(x + interval == x):
             break  # below the float spacing of x (or underflowed): nothing to evaluate
         g = stencil_gradient(evals, scheme, x, interval)
         ran += 1
         norm = float(np.linalg.norm(g))
-        if np.isfinite(norm) and norm > mu * c_k * radius:
+        if np.isfinite(norm) and norm > cfg.mu * c_k * radius:
             return AdaptiveGradResult(g, radius, i, False, norm)
     return AdaptiveGradResult(g, radius, max(ran - 1, 0), True, norm)
 
@@ -198,8 +190,7 @@ def search_step(state: SearchState, evals: StepEvals, scheme: GradScheme, cfg: S
     run, keeping ``x``, ``f_x`` and ``t_min``."""
     if state.last_step == "stopped":
         raise RuntimeError("cannot step a stopped solver state")
-    res = adaptive_gradient(evals, scheme, state.x, state.delta, c_k, cfg.mu, cfg.theta,
-                            nu_k=nu_k, i_max=cfg.i_max)
+    res = adaptive_gradient(evals, scheme, state.x, state.delta, c_k, cfg, nu_k)
     if res.exhausted:
         return state._replace(k=k, C=c_k, delta=res.delta_next, last_step="stopped",
                               last_g_norm=res.g_norm, last_tau=0.0)

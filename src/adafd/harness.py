@@ -29,7 +29,7 @@ import numpy as np
 from . import baselines, dfb, dfc
 from .driver import ValidationError, check_count, settings
 from .gradapprox import GradScheme
-from .oracle import Array, is_noise_level
+from .oracle import Array, check_noise_level
 from .problems import FAMILIES, IMAGE_RESTORATION, ROSENBROCK, ProblemInstance, build_instance
 from .trace import RunReport, emit_csv, read_csv
 
@@ -55,6 +55,17 @@ SolverSpec = Union[str, Tuple[str, dict]]
 def _split_spec(spec: SolverSpec) -> Tuple[str, dict]:
     """A solver spec as its id and its config overrides."""
     return (spec, {}) if isinstance(spec, str) else (spec[0], spec[1] or {})
+
+
+def _check_solver(solver_id: str, overrides: dict) -> None:
+    """Reject an unknown solver id or an override key its config has no setting for."""
+    if solver_id not in SOLVERS:
+        raise ValidationError(f"unknown solver id {solver_id!r}; known: {', '.join(SOLVER_IDS)}")
+    valid = [f.name for f in settings(SOLVERS[solver_id][2])]
+    unknown = sorted(set(overrides) - set(valid))
+    if unknown:
+        raise ValidationError(f"{solver_id}: unknown override keys {', '.join(unknown)}; "
+                              f"valid: {', '.join(valid)}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +96,7 @@ class ExperimentConfig:
             raise ValidationError("rosenbrock has no m; omit it")
         if self.family == IMAGE_RESTORATION and self.m not in (None, self.n):
             raise ValidationError("image_restoration is square; m must equal n or be omitted")
-        if not is_noise_level(self.noise_level):
-            raise ValidationError(
-                f"noise level must be finite and nonnegative, got {self.noise_level!r}")
+        check_noise_level(self.noise_level)
         object.__setattr__(self, "noise_level", float(self.noise_level))  # a numpy float too
         if isinstance(self.solvers, str):
             raise ValidationError(f"solvers must be a list of solver ids, not the string "
@@ -97,18 +106,10 @@ class ExperimentConfig:
         seen = set()
         for spec in self.solvers:
             sid, overrides = _split_spec(spec)
-            if sid not in SOLVERS:
-                raise ValidationError(
-                    f"unknown solver id {sid!r}; known: {', '.join(SOLVER_IDS)}"
-                )
+            _check_solver(sid, overrides)
             if sid in seen:
                 raise ValidationError(f"solver id {sid!r} is listed twice")
             seen.add(sid)
-            valid = [f.name for f in settings(SOLVERS[sid][2])]
-            unknown = sorted(set(overrides) - set(valid))
-            if unknown:
-                raise ValidationError(f"{sid}: unknown override keys {', '.join(unknown)}; "
-                                      f"valid: {', '.join(valid)}")
 
     @property
     def budget(self) -> int:
@@ -153,17 +154,9 @@ def run_solver(
     overrides: Optional[dict] = None,
 ) -> RunReport:
     """Run one registered solver on an instance; overrides patch its config."""
-    if solver_id not in SOLVERS:
-        raise ValidationError(f"unknown solver id {solver_id!r}")
+    overrides = overrides or {}
+    _check_solver(solver_id, overrides)
     module, run_name, config_class, scheme = SOLVERS[solver_id]
-    overrides = dict(overrides or {})
-    if solver_id == "rg" and "lipschitz" not in overrides:
-        lipschitz = instance.objective.lipschitz_grad_constant
-        if lipschitz is None:
-            raise ValidationError(
-                "rg needs a gradient-Lipschitz constant and this instance has none"
-            )
-        overrides["lipschitz"] = lipschitz
     cfg = config_class(x1=x0, budget=budget, **overrides)
     args = (cfg,) if scheme is None else (scheme, cfg)
     report = getattr(module, run_name)(instance.objective, *args, noise_level, seed)
@@ -182,7 +175,12 @@ def _nan_last(item: Tuple[str, float]):
 def rank_trace_files(paths: Dict[str, Union[str, Path]]) -> List[Tuple[str, float]]:
     """Rank solvers by the final f_best stored in their trace files, as
     :func:`run_experiment` ranks its in-memory runs."""
-    finals = {sid: read_csv(path)[-1].f_best for sid, path in paths.items()}
+    finals = {}
+    for sid, path in paths.items():
+        records = read_csv(path)
+        if not records:
+            raise ValueError(f"{path}: the trace has no records to rank")
+        finals[sid] = records[-1].f_best
     return sorted(finals.items(), key=_nan_last)
 
 

@@ -3,6 +3,9 @@
 Solvers only ever see an :class:`Oracle`; analytic gradients attached to an
 :class:`Objective` are for validation and diagnostics and are never consulted
 by any optimization loop.
+
+Every other module imports this one, so the argument rules and their
+:class:`ValidationError` live here too; ``driver`` re-exports them.
 """
 
 from __future__ import annotations
@@ -17,10 +20,29 @@ import numpy as np
 Array = np.ndarray
 
 
-def is_noise_level(value) -> bool:
-    """Whether ``value`` is a finite, nonnegative real number (a bool is not one)."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0.0 <= value < math.inf)
+class ValidationError(ValueError):
+    """A request or parameter that breaks a rule: a bad id, dim, count or range."""
+
+
+def check_between(name: str, value, low: float, high: float = math.inf) -> None:
+    """Reject a ``value`` outside the open interval ``(low, high)``; NaN and
+    +-inf always lie outside it."""
+    if not low < value < high:
+        raise ValidationError(f"{name} must be in ({low:g}, {high:g}), got {value!r}")
+
+
+def check_count(name: str, value, low: float) -> None:
+    """Reject a ``value`` that is not an integer (a bool is not one), then one
+    that :func:`check_between` rejects for ``(low, inf)``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    check_between(name, value, low)
+
+
+def check_noise_level(value) -> None:
+    """Reject a ``value`` that is not a finite, nonnegative real number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+        raise ValidationError(f"noise level must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +87,7 @@ class Objective:
     stencil_evaluator: Optional[Callable[[Array, Array], Array]] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"objective dimension must be positive, got {self.dim}")
+        check_count("objective dimension", self.dim, 0)
 
     @property
     def lipschitz_grad_constant(self) -> Optional[float]:
@@ -109,9 +130,7 @@ class Oracle:
     eval_count: int = field(default=0, init=False)
 
     def __post_init__(self):
-        if not is_noise_level(self.noise_level):
-            raise ValueError(
-                f"noise_level must be finite and nonnegative, got {self.noise_level!r}")
+        check_noise_level(self.noise_level)
         self.reset_counter()
 
     def _noise(self, k: int) -> Array:

@@ -64,10 +64,18 @@ class ProblemInstance:
 STENCIL_BLOCK_BYTES = 2**19
 
 
+def _frozen(a) -> Array:
+    """``a`` as a read-only float array: ``a`` itself if it already is one that
+    owns its data, as ``random_instance``'s draw is, else a copy."""
+    kept = isinstance(a, np.ndarray) and a.base is None and not a.flags.writeable
+    out = np.asarray(a, dtype=float) if kept else np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def make_least_squares(A: Array, b: Array) -> ProblemInstance:
-    """f(x) = ||A x - b||^2 with gradient 2 A^T (A x - b)."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """f(x) = ||A x - b||^2 with gradient 2 A^T (A x - b), on :func:`_frozen` A and b."""
+    A, b = _frozen(A), _frozen(b)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError(f"incompatible shapes A{A.shape}, b{b.shape}")
     m, n = A.shape
@@ -110,8 +118,7 @@ def make_least_squares(A: Array, b: Array) -> ProblemInstance:
 
 def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
     """f(x) = sum_i log(1 + (A x - b)_i^2), the log-damped nonconvex residual."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    A, b = _frozen(A), _frozen(b)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"square matrix required, got {A.shape}")
     if b.shape != (A.shape[0],):
@@ -255,7 +262,7 @@ def _draw(family: str, n: int, m: int, seed: Optional[int]) -> ProblemInstance:
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    A.flags.writeable = b.flags.writeable = False  # the instance may be shared
+    A.flags.writeable = b.flags.writeable = False  # may be shared; the maker copies neither
     return replace(_MAKERS[family](A, b), seed=seed)
 
 

@@ -15,6 +15,7 @@ from adafd import (
     RgConfig,
     ValidationError,
     default_imfil_scales,
+    emit_csv,
     imfil_run,
     make_rosenbrock,
     nelder_mead_run,
@@ -197,9 +198,30 @@ class TestRandomGradientFree:
         mean = sample.mean(axis=0)
         assert np.linalg.norm(mean - c) <= 0.05 * np.linalg.norm(c)
 
+    @pytest.mark.parametrize("overrides", [{}, {"lipschitz": 50.0}], ids=["objective", "given"])
+    def test_a_direct_run_and_run_solver_agree_on_the_constant(self, tmp_path, overrides):
+        # without a configured L, rg_run takes the objective's, as run_solver does
+        inst = random_instance("least_squares", n=4, m=6, seed=3)
+        x0 = np.full(4, 0.5)
+        direct = rg_run(inst.objective, RgConfig(x1=x0, budget=60, **overrides), 1e-3, 11)
+        solver = run_solver("rg", inst, 60, 1e-3, 11, x0, overrides)
+        emit_csv(direct.trace, tmp_path / "direct.csv")
+        emit_csv(solver.trace, tmp_path / "solver.csv")
+        assert (tmp_path / "direct.csv").read_bytes() == (tmp_path / "solver.csv").read_bytes()
+        assert direct.config == solver.config
+        L = overrides.get("lipschitz", inst.objective.lipschitz_grad_constant)
+        assert direct.config["lipschitz"] == L
+        assert direct.config["step"] == 1.0 / (4.0 * (4 + 4) * L)
+
     def test_missing_lipschitz_constant_fails_before_any_evaluation(self):
-        with pytest.raises(ValueError):
-            RgConfig(x1=np.zeros(2), budget=10)
+        calls = []
+        obj = Objective(dim=2, evaluator=lambda x: calls.append(x) or 0.0)
+        cfg = RgConfig(x1=np.zeros(2), budget=10)
+        with pytest.raises(ValidationError, match="gradient-Lipschitz constant"):
+            rg_run(obj, cfg)
+        with pytest.raises(ValidationError, match="gradient-Lipschitz constant"):
+            run_solver("rg", SimpleNamespace(objective=obj), 10, 0.0, 0, np.zeros(2))
+        assert calls == []
 
     @pytest.mark.parametrize("smoothing", [0.0, -1e-6, float("inf"), float("nan")])
     def test_bad_smoothing_fails_before_any_evaluation(self, smoothing):

@@ -20,19 +20,38 @@ from adafd.driver import StepEvals
 
 from conftest import sphere_objective
 
+#: The linesearch parameters the backtracking tests run with.
+LS = DfbConfig(x1=[0.0], budget=0, beta=0.25, gamma=0.5, tau_bar=1.0)
+
 
 def test_backtrack_hand_simulated_two_steps():
     # f(x) = x^2, x = 1, g = 2: t = 1 gives f(-1) = 1 > 0, t = 0.5 gives
     # f(0) = 0 <= 0.5, accepted after exactly two evaluations.
     oracle = Oracle(sphere_objective(1))
     evals = StepEvals(oracle, math.inf)
-    res = backtrack(evals, np.array([1.0]), np.array([2.0]), f_x=1.0,
-                    beta=0.25, gamma=0.5, tau_bar=1.0, t_min=1e-10)
+    res = backtrack(evals, np.array([1.0]), np.array([2.0]), f_x=1.0, cfg=LS, t_min=1e-10)
     assert res.sufficient
     assert res.t == pytest.approx(0.5)
     assert evals.cost == 2
     assert res.f_candidate == pytest.approx(0.0)
     assert oracle.eval_count == 2
+
+
+@pytest.mark.parametrize("changes, t, trials", [
+    ({"tau_bar": 0.5}, 0.5, 1),  # f(0) = 0 <= 1 - 0.25 * 0.5 * 4
+    ({"gamma": 0.25}, 0.25, 2),  # f(0.5) = 0.25 <= 1 - 0.25 * 0.25 * 4
+    ({"beta": 0.49}, 0.5, 2),  # f(0) = 0 <= 1 - 0.49 * 0.5 * 4
+    ({"tau_bar": 0.9}, 0.45, 2),  # f(-0.8) = 0.64 > 0.1, then f(0.1) = 0.01 <= 0.55
+])
+def test_backtrack_reads_beta_gamma_and_tau_bar_from_its_config(changes, t, trials):
+    # f(x) = x^2 from x = 1 along g = 2, as in the hand simulation above
+    oracle = Oracle(sphere_objective(1))
+    evals = StepEvals(oracle, math.inf)
+    cfg = DfbConfig(x1=[0.0], budget=0, **changes)
+    res = backtrack(evals, np.array([1.0]), np.array([2.0]), f_x=1.0, cfg=cfg, t_min=1e-10)
+    assert res.sufficient
+    assert res.t == pytest.approx(t)
+    assert evals.cost == oracle.eval_count == trials
 
 
 def test_backtrack_terminates_above_a_tiny_floor_for_good_directions(rng):
@@ -45,8 +64,8 @@ def test_backtrack_terminates_above_a_tiny_floor_for_good_directions(rng):
             continue
         grad = 2.0 * x
         g = grad * float(rng.uniform(0.8, 1.2))
-        res = backtrack(StepEvals(Oracle(obj), math.inf), x, g, f_x=float(x @ x), beta=0.25,
-                        gamma=0.5, tau_bar=1.0, t_min=1e-12)
+        res = backtrack(StepEvals(Oracle(obj), math.inf), x, g, f_x=float(x @ x), cfg=LS,
+                        t_min=1e-12)
         assert res.sufficient
         assert res.t > 1e-12
 
@@ -54,8 +73,7 @@ def test_backtrack_terminates_above_a_tiny_floor_for_good_directions(rng):
 def test_backtrack_ascent_direction_runs_to_the_floor():
     oracle = Oracle(sphere_objective(1))
     evals = StepEvals(oracle, math.inf)
-    res = backtrack(evals, np.array([1.0]), np.array([-2.0]), f_x=1.0,
-                    beta=0.25, gamma=0.5, tau_bar=1.0, t_min=1e-10)
+    res = backtrack(evals, np.array([1.0]), np.array([-2.0]), f_x=1.0, cfg=LS, t_min=1e-10)
     assert not res.sufficient
     assert res.t < 1e-10
     # 1, 0.5, ..., first t below 1e-10 is 2^-34: 35 condition evaluations
@@ -65,9 +83,9 @@ def test_backtrack_ascent_direction_runs_to_the_floor():
 def test_backtrack_rejects_zero_direction_and_bad_floor():
     evals = StepEvals(Oracle(sphere_objective(1)), math.inf)
     with pytest.raises(ValueError):
-        backtrack(evals, np.ones(1), np.zeros(1), 1.0, 0.25, 0.5, 1.0, 1e-10)
+        backtrack(evals, np.ones(1), np.zeros(1), 1.0, LS, 1e-10)
     with pytest.raises(ValueError):
-        backtrack(evals, np.ones(1), np.ones(1), 1.0, 0.25, 0.5, 1.0, 2.0)
+        backtrack(evals, np.ones(1), np.ones(1), 1.0, LS, 2.0)
 
 
 @pytest.mark.parametrize("budget", [0, 1, 3])
@@ -77,8 +95,7 @@ def test_backtrack_cut_off_by_the_budget_reports_its_lowest_trial(budget):
     oracle = Oracle(sphere_objective(1))
     evals = StepEvals(oracle, budget)
     with pytest.raises(BudgetExhausted):
-        backtrack(evals, np.array([1.0]), np.array([-2.0]), f_x=1.0, beta=0.25,
-                  gamma=0.5, tau_bar=1.0, t_min=1e-10)
+        backtrack(evals, np.array([1.0]), np.array([-2.0]), f_x=1.0, cfg=LS, t_min=1e-10)
     assert evals.cost == oracle.eval_count == budget
     assert isinstance(evals.low, float)
     if budget:

@@ -18,6 +18,7 @@ from adafd import (
     make_least_squares,
 )
 from adafd.driver import StepEvals
+from adafd.gradapprox import SearchConfig
 
 from conftest import (constant_objective, cusp_objective, linear_objective, looping_stencil,
                       sphere_objective)
@@ -129,13 +130,18 @@ def test_error_bound_holds_empirically_on_least_squares(rng):
             assert err <= bound
 
 
+def _search(**changes):
+    """The search parameters of ``changes`` over the defaults (mu = 4, theta = 1/2)."""
+    return SearchConfig(x1=[0.0], budget=0, **changes)
+
+
 def test_adaptive_search_hand_simulated_quadratic():
     # f(x) = x^2 at x = 1 with central differences: g = 2 at every interval.
     # i = 0: 2 > 4*1*1 fails; i = 1: 2 > 2 fails (strict); i = 2: 2 > 1 holds.
     oracle = Oracle(sphere_objective(1))
     res = adaptive_gradient(
         StepEvals(oracle, math.inf), GradScheme.CENTRAL, np.array([1.0]), delta_k=1.0, c_k=1.0,
-        mu=4.0, theta=0.5,
+        cfg=_search(mu=4.0, theta=0.5),
     )
     assert not res.exhausted
     assert res.inner_steps == 2
@@ -144,11 +150,29 @@ def test_adaptive_search_hand_simulated_quadratic():
     assert oracle.eval_count == 3 * GradScheme.CENTRAL.evals_per_call(1)
 
 
+@pytest.mark.parametrize("cfg, inner_steps", [
+    (SearchConfig(x1=[0.0], budget=0, mu=2.5), 1),  # 2 > 2.5 * 0.5
+    (DfcConfig(x1=[0.0], budget=0, theta=0.25), 1),  # 2 > 4 * 0.25
+    (DfbConfig(x1=[0.0], budget=0, mu=8.0, i_max=3), 3),  # 2 > 8 * 0.125
+    (GdfConfig(x1=[0.0], budget=0, mu=8.0, i_max=2), None),  # 2 > 8 * 0.25 fails
+])
+def test_the_search_reads_theta_mu_and_i_max_from_its_config(cfg, inner_steps):
+    # as in the hand simulation above, g = 2 at every interval: the search
+    # accepts at the first i with 2 > mu * theta**i, if i_max allows it
+    oracle = Oracle(sphere_objective(1))
+    res = adaptive_gradient(StepEvals(oracle, math.inf), GradScheme.CENTRAL, np.array([1.0]),
+                            delta_k=1.0, c_k=1.0, cfg=cfg)
+    assert res.exhausted is (inner_steps is None)
+    assert res.inner_steps == (cfg.i_max if inner_steps is None else inner_steps)
+    assert res.delta_next == cfg.theta**res.inner_steps
+    assert oracle.eval_count == 2 * (res.inner_steps + 1)
+
+
 def test_adaptive_search_exhausts_on_constant_function():
     oracle = Oracle(constant_objective(2))
     res = adaptive_gradient(
         StepEvals(oracle, math.inf), GradScheme.FORWARD, np.zeros(2), delta_k=1.0, c_k=1.0,
-        mu=4.0, theta=0.5, i_max=10,
+        cfg=_search(mu=4.0, theta=0.5, i_max=10),
     )
     assert res.exhausted
     assert res.inner_steps == 10
@@ -165,7 +189,8 @@ def test_accepted_result_satisfies_norm_test(rng):
         delta_k = float(10.0 ** rng.uniform(-3, 0.5))
         oracle = Oracle(sphere_objective(dim))
         evals = StepEvals(oracle, math.inf)
-        res = adaptive_gradient(evals, GradScheme.CENTRAL, x, delta_k, c_k, mu, theta)
+        res = adaptive_gradient(evals, GradScheme.CENTRAL, x, delta_k, c_k,
+                                _search(mu=mu, theta=theta))
         assert res.g_norm == float(np.linalg.norm(res.g))
         assert evals.cost == oracle.eval_count
         if res.exhausted:
@@ -200,7 +225,7 @@ def test_returned_index_is_minimal(rng):
         c_k = float(10.0 ** rng.uniform(-1, 1))
         res = adaptive_gradient(
             StepEvals(Oracle(sphere_objective(dim)), math.inf), GradScheme.CENTRAL, x,
-            delta_k, c_k, mu, theta,
+            delta_k, c_k, _search(mu=mu, theta=theta),
         )
         if res.exhausted or res.inner_steps == 0:
             continue
@@ -218,7 +243,7 @@ def test_nu_caps_the_probe_interval_but_not_the_threshold():
     obj = Objective(dim=1, evaluator=obj_cubic)
     res = adaptive_gradient(
         StepEvals(Oracle(obj), math.inf), GradScheme.CENTRAL, np.array([2.0]), delta_k=1.0,
-        c_k=1.0, mu=4.0, theta=0.5, nu_k=0.125,
+        c_k=1.0, cfg=_search(mu=4.0, theta=0.5), nu_k=0.125,
     )
     assert not res.exhausted
     assert res.inner_steps == 0  # 12 + nu^2 > 4 * 1 * 1 already at i = 0
@@ -226,7 +251,7 @@ def test_nu_caps_the_probe_interval_but_not_the_threshold():
     assert res.g[0] == pytest.approx(12.0 + 0.125**2, rel=1e-10)
     with pytest.raises(ValueError):
         adaptive_gradient(StepEvals(Oracle(obj), math.inf), GradScheme.CENTRAL, np.array([2.0]),
-                          delta_k=1.0, c_k=1.0, mu=4.0, theta=0.5, nu_k=0.0)
+                          delta_k=1.0, c_k=1.0, cfg=_search(), nu_k=0.0)
 
 
 def test_search_stops_before_an_interval_that_moves_no_coordinate():
@@ -236,7 +261,7 @@ def test_search_stops_before_an_interval_that_moves_no_coordinate():
     x = np.ones(2)
     evals = StepEvals(oracle, math.inf)
     res = adaptive_gradient(evals, GradScheme.FORWARD, x, delta_k=1.0, c_k=1.0,
-                            mu=4.0, theta=0.5)
+                            cfg=_search(mu=4.0, theta=0.5))
     assert res.exhausted
     assert res.inner_steps < 60
     assert evals.cost == oracle.eval_count == (res.inner_steps + 1) * 3
@@ -250,7 +275,7 @@ def test_search_far_out_runs_no_stencil(scheme):
     oracle = Oracle(sphere_objective(3))
     evals = StepEvals(oracle, 10_000)
     res = adaptive_gradient(evals, scheme, np.full(3, 1e20), delta_k=0.1, c_k=1.0,
-                            mu=4.0, theta=0.5)
+                            cfg=_search(mu=4.0, theta=0.5))
     assert res.exhausted
     assert (evals.cost, res.inner_steps, oracle.eval_count) == (0, 0, 0)
     assert res.g.shape == (3,) and np.all(np.isnan(res.g))
@@ -263,7 +288,7 @@ def test_budget_exhaustion_mid_search_signals_partial_state():
     with pytest.raises(BudgetExhausted):
         adaptive_gradient(
             evals, GradScheme.FORWARD, np.zeros(3), delta_k=1.0, c_k=1.0,
-            mu=4.0, theta=0.5,
+            cfg=_search(mu=4.0, theta=0.5),
         )
     # attempts start while the count is under budget: two full forward calls
     # (4 evals each) complete, the third is refused at count 8 >= 6

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import warnings
+from types import SimpleNamespace
 from xml.dom import minidom
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from adafd import (
     ExperimentConfig,
     InsufficientData,
+    Objective,
     TraceRecord,
     ValidationError,
     emit_csv,
@@ -19,6 +21,7 @@ from adafd import (
     rank_trace_files,
     read_csv,
     run_experiment,
+    run_solver,
 )
 from adafd import cli, problems
 from adafd.cli import main, parse_config_file
@@ -414,12 +417,20 @@ class TestRunExperiment:
             ExperimentConfig(family="least_squares", n=4,
                              solvers=["dfc-fordif", ("dfc-fordif", {"kappa": 0.1})])
 
-    @pytest.mark.parametrize("key", ["bogus", "armijo"])
+    @pytest.mark.parametrize("key", ["bogus", "armijo", "x1"])
     def test_unknown_override_key_rejected_before_any_solver_runs(self, key):
-        # "armijo" belongs to implicit filtering, not to Nelder-Mead
+        # "armijo" belongs to implicit filtering, not to Nelder-Mead, and x1 is
+        # the experiment's; run_solver applies the same rule, before evaluating
         with pytest.raises(ValidationError, match="valid: coefficients$"):
             ExperimentConfig(family="least_squares", n=4,
                              solvers=["dfc-fordif", ("nelder-mead", {key: 5.0})])
+        calls = []
+        objective = Objective(dim=2, evaluator=lambda x: calls.append(x) or 0.0)
+        with pytest.raises(ValidationError, match="^nelder-mead: unknown override keys "
+                                                  f"{key}; valid: coefficients$"):
+            run_solver("nelder-mead", SimpleNamespace(objective=objective), 10, 0.0, 0,
+                       np.zeros(2), {key: 5.0})
+        assert calls == []
 
     @pytest.mark.parametrize("solver_id", SOLVER_IDS)
     def test_an_override_reaches_the_report_config(self, tmp_path, solver_id):

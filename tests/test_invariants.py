@@ -16,6 +16,7 @@ from adafd import (
     Objective,
     Oracle,
     RgConfig,
+    ValidationError,
     build_instance,
     dfb_run,
     imfil_run,
@@ -33,7 +34,7 @@ def test_an_x1_of_another_dimension_is_rejected_before_any_evaluation(solver_id)
     calls = []
     objective = Objective(dim=3, evaluator=lambda x: calls.append(x) or float(x @ x),
                           lipschitz_grad_fn=lambda: 2.0)
-    with pytest.raises(ValueError, match="x1 dimension does not match the objective"):
+    with pytest.raises(ValidationError, match="x1 dimension does not match the objective"):
         run_solver(solver_id, SimpleNamespace(objective=objective), 50, 0.0, seed=0,
                    x0=np.zeros(2))
     assert calls == []

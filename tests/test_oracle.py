@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adafd import Objective, Oracle
+from adafd import Objective, Oracle, ValidationError
 
 from conftest import looping_stencil, sphere_objective
 
@@ -89,9 +89,17 @@ def test_noiseless_oracle_never_touches_the_rng():
     assert oracle._rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("dim, message", [(0, r"must be in \(0, inf\)"),
+                                          (2.5, "must be an integer"),
+                                          (True, "must be an integer")],
+                         ids=["zero", "float", "bool"])
+def test_an_objective_dimension_is_a_positive_integer(dim, message):
+    with pytest.raises(ValidationError, match=f"^objective dimension {message}, got "):
+        Objective(dim=dim, evaluator=lambda x: 0.0)
+    assert Objective(dim=np.int64(2), evaluator=lambda x: 0.0).dim == 2
+
+
 def test_validation_of_bad_inputs():
-    with pytest.raises(ValueError):
-        Objective(dim=0, evaluator=lambda x: 0.0)
     with pytest.raises(ValueError):
         Oracle(sphere_objective(1), noise_level=-1.0)
 

@@ -30,7 +30,7 @@ from adafd import (
     gdf_run,
     run_experiment,
 )
-from adafd import driver, harness
+from adafd import driver, harness, oracle
 from adafd.driver import StepEvals, check_between, check_count, settings
 from adafd.gradapprox import SearchConfig
 
@@ -45,15 +45,13 @@ BOUNDS = {
     "armijo": (0.0, 1.0), "ls_gamma": (0.0, 1.0),
     "lipschitz": (0.0, math.inf), "smoothing": (0.0, math.inf),
 }
-#: What each config needs besides x1 and budget to build from its defaults.
-REQUIRED = {RgConfig: {"lipschitz": 2.0}}
 FLOAT_FIELDS = [(cls, f.name)
                 for cls in (SearchConfig, DfcConfig, DfbConfig, ImfilConfig, RgConfig)
                 for f in settings(cls) if f.type in ("float", "Optional[float]")]
 
 
 def build(cls, **changes):
-    return cls(x1=np.zeros(2), budget=10, **{**REQUIRED.get(cls, {}), **changes})
+    return cls(x1=np.zeros(2), budget=10, **changes)
 
 
 @pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
@@ -77,7 +75,8 @@ def test_the_rule_names_the_interval_and_the_value():
 
 def test_the_rules_raise_the_one_validation_error():
     # a ValueError, so every caller that catches one is unchanged
-    assert ValidationError is driver.ValidationError is harness.ValidationError
+    assert (ValidationError is driver.ValidationError is harness.ValidationError
+            is oracle.ValidationError)
     assert issubclass(ValidationError, ValueError)
     with pytest.raises(ValidationError):
         check_between("theta", 1.0, 0.0, 1.0)
@@ -120,21 +119,21 @@ def _evals():
     return StepEvals(_oracle(), math.inf)
 
 
+#: The search and linesearch parameters the function-argument tests run with.
+SEARCH = SearchConfig(x1=np.zeros(2), budget=10)
+LS = DfbConfig(x1=np.zeros(2), budget=10)
+
+
 @pytest.mark.parametrize("name, call", [
     ("sampling interval", lambda v: forward_diff(_oracle(), np.ones(2), v)),
     ("sampling interval", lambda v: central_diff(_oracle(), np.ones(2), v)),
     ("lipschitz_const", lambda v: fd_error_bound(v, 2, 0.1)),
     ("delta", lambda v: fd_error_bound(2.0, 2, v)),
     ("delta_k", lambda v: adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2),
-                                            v, 1.0, 4.0, 0.5)),
-    ("theta", lambda v: adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2),
-                                          0.1, 1.0, 4.0, v)),
-    ("mu", lambda v: adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2),
-                                       0.1, 1.0, v, 0.5)),
+                                            v, 1.0, SEARCH)),
     ("nu_k", lambda v: adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2),
-                                         0.1, 1.0, 4.0, 0.5, nu_k=v)),
-    ("t_min", lambda v: backtrack(_evals(), np.ones(2), np.ones(2), 2.0, 0.25, 0.5,
-                                  1.0, v)),
+                                         0.1, 1.0, SEARCH, nu_k=v)),
+    ("t_min", lambda v: backtrack(_evals(), np.ones(2), np.ones(2), 2.0, LS, v)),
 ])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
 def test_function_arguments_reject_nan_infinities_and_zero(name, call, value):
@@ -145,26 +144,13 @@ def test_function_arguments_reject_nan_infinities_and_zero(name, call, value):
 @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
 def test_c_k_must_be_positive(value):
     with pytest.raises(ValueError, match="c_k must be positive"):
-        adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2), 0.1, value, 4.0, 0.5)
+        adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2), 0.1, value, SEARCH)
 
 
 def test_an_infinite_c_k_is_an_exhausted_search_not_an_error():
-    res = adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2), 0.1, math.inf, 4.0,
-                            0.5, i_max=3)
+    res = adaptive_gradient(_evals(), GradScheme.FORWARD, np.ones(2), 0.1, math.inf,
+                            SearchConfig(x1=np.zeros(2), budget=10, i_max=3))
     assert res.exhausted and res.inner_steps == 3
-
-
-@pytest.mark.parametrize("i_max", [2.5, True, math.nan, math.inf, 3.0, 0, -1])
-def test_adaptive_gradient_checks_i_max_as_the_configs_do(i_max):
-    # the configs' count rule, applied before the search evaluates anything
-    evals = _evals()
-    message = "must be an integer" if i_max not in (0, -1) else r"must be in \(0, inf\)"
-    with pytest.raises(ValueError, match=f"^i_max {message}, got "):
-        adaptive_gradient(evals, GradScheme.FORWARD, np.ones(2), 0.1, 1.0, 4.0, 0.5,
-                          i_max=i_max)
-    assert evals.oracle.eval_count == 0
-    res = adaptive_gradient(evals, GradScheme.FORWARD, np.ones(2), 0.1, 1.0, 4.0, 0.5, i_max=1)
-    assert evals.cost == evals.oracle.eval_count == 3 * (res.inner_steps + 1)
 
 
 def _counting_sphere(calls):
@@ -227,7 +213,7 @@ COUNTS += [(ImfilConfig, "max_backtracks")]
 
 
 def build_count(cls, name, value):
-    return cls(**{"x1": np.zeros(2), "budget": 10, **REQUIRED.get(cls, {}), name: value})
+    return cls(**{"x1": np.zeros(2), "budget": 10, name: value})
 
 
 @pytest.mark.parametrize("cls, name", COUNTS,

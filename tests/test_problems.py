@@ -164,6 +164,29 @@ class TestRandomInstances:
             random_instance("rosenbrock", 4, seed=0)
 
 
+@pytest.mark.parametrize("make", [make_least_squares, make_image_restoration])
+def test_a_maker_holds_a_read_only_copy_of_the_callers_arrays(make):
+    A, b = np.eye(2), np.zeros(2)
+    inst = make(A, b)
+    f1, L = inst.objective.evaluator(np.ones(2)), inst.objective.lipschitz_grad_constant
+    A *= 3.0
+    b += 1.0
+    assert inst.A is not A and inst.b is not b
+    assert inst.objective.evaluator(np.ones(2)) == f1
+    assert inst.objective.lipschitz_grad_constant == L == pytest.approx(2.0)
+    assert np.array_equal(inst.A, np.eye(2)) and np.array_equal(inst.b, np.zeros(2))
+    with pytest.raises(ValueError, match="read-only"):
+        inst.A[0, 0] = 1.0
+    # a read-only view of a writeable array is copied too; a read-only array
+    # that owns its data, as random_instance passes, is held as it is
+    view = A[:, :]
+    view.flags.writeable = False
+    assert make(view, b).A is not view
+    owned = np.eye(2)
+    owned.flags.writeable = False
+    assert make(owned, b).A is owned
+
+
 class TestInstanceCache:
     """A seeded recipe is drawn once and shared; a ``seed=None`` draw never is."""
 

@@ -1,6 +1,8 @@
 import math
 
-from adafd import TraceRecord, emit_csv, rank_trace_files
+import pytest
+
+from adafd import CSV_COLUMNS, TraceRecord, emit_csv, rank_trace_files
 
 
 def _write(path, f_best):
@@ -22,3 +24,11 @@ def test_nan_ranks_last_whatever_the_insertion_order(tmp_path):
 def test_ties_break_by_solver_id(tmp_path):
     paths = {sid: _write(tmp_path / f"{sid}.csv", 2.0) for sid in ("z", "m", "a")}
     assert [sid for sid, _ in rank_trace_files(paths)] == ["a", "m", "z"]
+
+
+def test_a_trace_without_records_is_named_not_indexed(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",".join(CSV_COLUMNS) + "\n")
+    paths = {"a": _write(tmp_path / "a.csv", 1.0), "b": empty}
+    with pytest.raises(ValueError, match=f"^{empty}: the trace has no records"):
+        rank_trace_files(paths)
