@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .driver import (ScheduleExhausted, StartConfig, StepEvals, ValidationError, check_between,
-                     check_count, config_dict, drive)
+                     check_count, drive)
 from .gradapprox import GradScheme, stencil_gradient
 from .oracle import Array, Objective
 from .trace import RunReport
@@ -176,7 +176,6 @@ def nelder_mead_run(
         "nelder-mead", objective, None, cfg, noise_level, seed,
         start=lambda x, f: SimplexState(k=0, x=x, f_x=f),
         step=nelder_mead_step,
-        config=config_dict("nelder_mead", None, cfg),
         collect_iterates=False,
     )
 
@@ -232,10 +231,9 @@ def imfil_run(
     do. The run ends when the budget or the schedule is exhausted.
     """
     return drive(
-        f"imfil-{scheme.value}", objective, scheme, cfg, noise_level, seed,
+        "imfil", objective, scheme, cfg, noise_level, seed,
         start=lambda x, f: ImfilState(k=0, x=x, f_x=f),
         step=imfil_step,
-        config=config_dict("imfil", scheme, cfg),
         collect_iterates=False,
     )
 
@@ -290,14 +288,11 @@ def rg_run(
     noise_ss, dir_ss = np.random.SeedSequence(seed).spawn(2)
     directions = np.random.default_rng(dir_ss)
     step = 1.0 / (4.0 * (objective.dim + 4) * cfg.lipschitz)
-    config = config_dict("rg", None, cfg)
-    config["step"] = step
     return drive(
         "rg", objective, None, cfg, noise_level,
         int(noise_ss.generate_state(1, np.uint64)[0]),
         start=lambda x, f: RgState(k=0, x=x, f_x=f, directions=directions,
                                    delta=cfg.smoothing, last_tau=step),
         step=rg_step,
-        config=config,
         collect_iterates=False,
     )

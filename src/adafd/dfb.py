@@ -6,7 +6,8 @@ floor t_min. A floor hit is a null step: the iterate freezes while C grows by
 eta and the floor shrinks by gamma, exactly one coupled pair per null step.
 Designed for objectives whose gradient is only locally Lipschitz, so a
 per-iteration error cap nu_k (decreasing to zero) caps the sampling interval.
-An exhausted search ends the run in a "stopped" state (gradapprox.search_step).
+An exhausted search (gradapprox.search_step) or a floor that underflows to 0
+ends the run in a "stopped" state.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .driver import StepEvals, check_between, check_schedule, config_dict, drive, schedule_value
+from .driver import StepEvals, check_between, check_schedule, drive, schedule_value
 from .gradapprox import GradScheme, SearchConfig, SearchState, search_step
 from .oracle import Array, Objective
 from .trace import RunReport
@@ -30,7 +31,7 @@ class DfbConfig(SearchConfig):
     gamma: float = 0.5
     tau_bar: float = 1.0
     t_min1: float = 1e-10
-    nu: NuRule = None  # positive caps decreasing to 0; default: harmonic decay delta1 / k
+    nu: NuRule = None  # positive caps decreasing to 0; None (null in a report) is delta1 / k
 
     def __post_init__(self):
         super().__post_init__()
@@ -92,8 +93,9 @@ def dfb_step(state: SearchState, evals: StepEvals, scheme: GradScheme,
             # the floor was never crossed, so the exit must have been a passed test
             return SearchState(k, state.x - ls.t * res.g, res.delta_next, state.C,
                                ls.f_candidate, "accepted", res.g_norm, ls.t, state.t_min)
-        return SearchState(k, state.x, res.delta_next, state.C * cfg.eta, state.f_x, "null",
-                           res.g_norm, 0.0, state.t_min * cfg.gamma)
+        t_min = state.t_min * cfg.gamma  # a floor of 0 is never crossed: stop, as at C = inf
+        return SearchState(k, state.x, res.delta_next, state.C * cfg.eta, state.f_x,
+                           "null" if t_min > 0.0 else "stopped", res.g_norm, 0.0, t_min)
 
     return search_step(state, evals, scheme, cfg, k, state.C, nu_k, linesearch)
 
@@ -107,12 +109,8 @@ def dfb_run(
 ) -> RunReport:
     """Run to budget exhaustion, a near-stationarity stop or the end of a finite nu
     sequence; return the full trace."""
-    config = config_dict("dfb", scheme, cfg)
-    if cfg.nu is None:
-        config["nu"] = "harmonic(delta1/k)"
     return drive(
-        f"dfb-{scheme.value}", objective, scheme, cfg, noise_level, seed,
+        "dfb", objective, scheme, cfg, noise_level, seed,
         start=lambda x, f: SearchState(0, x, cfg.delta1, cfg.c1, f, t_min=cfg.t_min1),
         step=dfb_step,
-        config=config,
     )

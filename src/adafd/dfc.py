@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .driver import StepEvals, check_between, config_dict, drive
+from .driver import StepEvals, check_between, drive
 from .gradapprox import GradScheme, SearchConfig, SearchState, search_step
 from .oracle import Objective
 from .trace import RunReport
@@ -59,8 +59,7 @@ def dfc_run(
 ) -> RunReport:
     """Run to budget exhaustion or a near-stationarity stop; return the full trace."""
     return drive(
-        f"dfc-{scheme.value}", objective, scheme, cfg, noise_level, seed,
+        "dfc", objective, scheme, cfg, noise_level, seed,
         start=lambda x, f: SearchState(0, x, cfg.delta1, cfg.c1, f),
         step=dfc_step,
-        config=config_dict("dfc", scheme, cfg),
     )

@@ -17,7 +17,7 @@ reports its curvature proxy in ``C``. NaN is the only "no value", and
 ``f_best`` ignores it: it is NaN only while no other value has been seen. A
 state whose ``last_step`` is "stopped" ends the run ``stationary``; for DFC,
 DFB and GDF it comes from ``gradapprox.search_step`` when the interval search
-is exhausted.
+is exhausted, and for DFB also from a null step whose floor underflows to 0.
 """
 
 from __future__ import annotations
@@ -83,13 +83,11 @@ def settings(config_class) -> tuple:
     return fields(config_class)[len(fields(StartConfig)):]
 
 
-def config_dict(solver: str, scheme, cfg) -> dict:
+def config_dict(cfg) -> dict:
     """A config's settings as JSON-ready values: sequences of numbers become
-    lists of floats and rules "custom"; ``scheme`` is left out when it is None.
-    ``report.json`` records ``x1`` and ``budget`` once per experiment."""
-    out = {"solver": solver}
-    if scheme is not None:
-        out["scheme"] = scheme.value
+    lists of floats and rules "custom". ``report.json`` records ``x1`` and
+    ``budget`` once per experiment, and the solver id is the run's own."""
+    out = {}
     for f in settings(cfg):
         value = getattr(cfg, f.name)
         if callable(value):
@@ -146,7 +144,7 @@ def _ran_with_C(before, after) -> float:
 
 
 def drive(
-    solver_id: str,
+    solver: str,
     objective: Objective,
     scheme,
     cfg,
@@ -154,13 +152,13 @@ def drive(
     seed: int,
     start: Callable,
     step: Callable,
-    config: dict,
     trace_C: Callable = _ran_with_C,
     collect_iterates: bool = True,
 ) -> RunReport:
     """Run ``step`` from ``start(x1, f(x1))`` to the budget, a stationary stop or
-    the end of a schedule. ``iterates`` holds every recorded ``state.x`` only
-    with ``collect_iterates``."""
+    the end of a schedule. The report's id is ``solver`` and the scheme's suffix
+    (as registered), its ``config`` is :func:`config_dict` of ``cfg``, and its
+    ``iterates`` every recorded ``state.x`` only with ``collect_iterates``."""
     if cfg.x1.shape != (objective.dim,):
         raise ValidationError("x1 dimension does not match the objective")
     oracle = Oracle(objective, noise_level, seed)
@@ -197,7 +195,7 @@ def drive(
             break
 
     return RunReport(
-        solver_id=solver_id,
+        solver_id=solver if scheme is None else f"{solver}-{scheme.suffix}",
         trace=trace,
         final_x=state.x.copy(),
         best_f=f_best,
@@ -207,5 +205,5 @@ def drive(
         truncated=truncated,
         final_C=state.C,
         iterates=iterates,
-        config=config,
+        config=config_dict(cfg),
     )

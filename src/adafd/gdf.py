@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
-from .driver import StepEvals, check_between, check_schedule, config_dict, drive, schedule_value
+from .driver import StepEvals, check_between, check_schedule, drive, schedule_value
 from .gradapprox import GradScheme, SearchConfig, SearchState, search_step
 from .oracle import Array, Objective
 from .trace import RunReport
@@ -72,9 +72,8 @@ def gdf_run(
     """Iterate :func:`gdf_step` to the budget, a stationary stop or the end of a
     caller-supplied sequence; every evaluation is part of the declared accounting."""
     return drive(
-        f"gdf-{scheme.value}", objective, scheme, cfg, noise_level, seed,
+        "gdf", objective, scheme, cfg, noise_level, seed,
         start=lambda x, f: SearchState(0, x, cfg.delta1, math.nan, f),
         step=gdf_step,
-        config=config_dict("gdf", scheme, cfg),
         trace_C=lambda before, after: after.C,
     )

@@ -49,6 +49,11 @@ class GradScheme(enum.Enum):
     def evals_per_call(self, dim: int) -> int:
         return dim + 1 if self is GradScheme.FORWARD else 2 * dim
 
+    @property
+    def suffix(self) -> str:
+        """The end of a registered solver id that uses this scheme, as in "dfc-fordif"."""
+        return "fordif" if self is GradScheme.FORWARD else "cendif"
+
 
 def forward_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     """Forward-difference gradient estimate; costs exactly dim + 1 evaluations.

@@ -30,7 +30,7 @@ from . import baselines, dfb, dfc
 from .driver import ValidationError, check_count, settings
 from .gradapprox import GradScheme
 from .oracle import Array, check_noise_level
-from .problems import FAMILIES, IMAGE_RESTORATION, ROSENBROCK, ProblemInstance, build_instance
+from .problems import ProblemInstance, build_instance, check_recipe
 from .trace import RunReport, emit_csv, read_csv
 
 
@@ -82,20 +82,14 @@ class ExperimentConfig:
     output_dir: Union[str, Path] = "."
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown problem family {self.family!r}")
-        # A float budget_multiplier gives a float budget, m = 0 an f that is 0 everywhere,
-        # a None seed an unrepeatable draw from OS entropy; Rosenbrock needs n >= 2.
-        for name, low in (("n", 1 if self.family == ROSENBROCK else 0), ("m", 0),
-                          ("budget_multiplier", 0), ("instance_seed", -1), ("run_seed", -1)):
-            value = getattr(self, name)
-            if name != "m" or value is not None:
-                check_count(name, value, low)
-                object.__setattr__(self, name, int(value))  # a numpy integer as a JSON one
-        if self.family == ROSENBROCK and self.m is not None:
-            raise ValidationError("rosenbrock has no m; omit it")
-        if self.family == IMAGE_RESTORATION and self.m not in (None, self.n):
-            raise ValidationError("image_restoration is square; m must equal n or be omitted")
+        check_recipe(self.family, self.n, self.m)
+        resolve_initial_point(self.initial_point, self.n)
+        # a float budget_multiplier gives a float budget, a None seed an unrepeatable draw
+        for name, low in (("budget_multiplier", 0), ("instance_seed", -1), ("run_seed", -1)):
+            check_count(name, getattr(self, name), low)
+        for name in ("n", "m", "budget_multiplier", "instance_seed", "run_seed"):
+            if getattr(self, name) is not None:  # a numpy integer as a JSON one
+                object.__setattr__(self, name, int(getattr(self, name)))
         check_noise_level(self.noise_level)
         object.__setattr__(self, "noise_level", float(self.noise_level))  # a numpy float too
         if isinstance(self.solvers, str):
@@ -159,9 +153,7 @@ def run_solver(
     module, run_name, config_class, scheme = SOLVERS[solver_id]
     cfg = config_class(x1=x0, budget=budget, **overrides)
     args = (cfg,) if scheme is None else (scheme, cfg)
-    report = getattr(module, run_name)(instance.objective, *args, noise_level, seed)
-    report.solver_id = solver_id
-    return report
+    return getattr(module, run_name)(instance.objective, *args, noise_level, seed)
 
 
 def _nan_last(item: Tuple[str, float]):

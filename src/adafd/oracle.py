@@ -72,12 +72,12 @@ class Objective:
     its real displacement s = (x_i + step) - x_i in closed form,
     f0 + s (2 a_i^T r0 + s ||a_i||^2) with r0 = A x - b, also O(1) per point;
     and image restoration adds the moved coordinate's column, times s, to the
-    base residual. All three are equal to ``evaluator`` up to rounding. Each
-    finite-difference stencil reaches it in one call, so it bounds its own
+    base residual. All three are equal to ``evaluator`` up to rounding, and
+    return :func:`pointwise_stencil` (the loop a stencil runs without a kernel)
+    where the base work, f(x) or image restoration's A x - b, is not finite.
+    Each stencil reaches the kernel in one call, so it bounds its own
     temporaries: the built-in kernels do the base point's work once per call,
-    and the image-restoration one walks the coordinates in blocks of at most
-    ``problems.STENCIL_BLOCK_BYTES`` of scratch. Without it, a stencil loops
-    over ``evaluator``.
+    and the image-restoration one blocks its scratch by ``problems.STENCIL_BLOCK_BYTES``.
     """
 
     dim: int
@@ -98,6 +98,16 @@ class Objective:
         if not L >= 0:  # NaN too, as a matrix with a non-finite entry gives
             raise ValueError(f"lipschitz_grad_constant must be nonnegative, got {L}")
         return L
+
+
+def pointwise_stencil(evaluator: Callable[[Array], float], x: Array, steps: Array) -> Array:
+    """``Objective.stencil_evaluator``'s entries by one ``evaluator`` call per point."""
+    values = np.empty((x.shape[0], steps.shape[0]))
+    for i, j in np.ndindex(values.shape):
+        y = x.copy()
+        y[i] += steps[j]
+        values[i, j] = evaluator(y)
+    return values
 
 
 #: Noise values the oracle draws from its generator at a time. Values are
@@ -177,18 +187,10 @@ class Oracle:
         shape = (n, steps.shape[0])
         self.eval_count += shape[0] * shape[1]
         hook = self.objective.stencil_evaluator
-        if hook is None:
-            values = np.empty(shape)
-            for i, j in np.ndindex(shape):
-                y = x.copy()
-                y[i] += steps[j]
-                values[i, j] = self.objective.evaluator(y)
-        else:
-            values = np.asarray(hook(x, steps), dtype=float)
-            if values.shape != shape:
-                raise ValueError(
-                    f"stencil evaluator returned shape {values.shape}, expected {shape}"
-                )
+        values = (pointwise_stencil(self.objective.evaluator, x, steps) if hook is None
+                  else np.asarray(hook(x, steps), dtype=float))
+        if values.shape != shape:
+            raise ValueError(f"stencil evaluator returned shape {values.shape}, expected {shape}")
         if self.noise_level > 0.0:
             values = values + self._noise(values.size).reshape(shape)
         return values

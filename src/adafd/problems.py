@@ -13,13 +13,14 @@ reuses the base point's work. Least squares and Rosenbrock are in closed form,
 O(1) per point: f(x) plus the change the moved coordinate makes. Image
 restoration adds one column of A to the base residual, O(n) per point, in
 blocks of ``STENCIL_BLOCK_BYTES`` of scratch. All three equal the scalar
-evaluator up to rounding.
+evaluator up to rounding, point by point where the base work is not finite.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .driver import ValidationError, check_count
-from .oracle import Array, Objective
+from .oracle import Array, Objective, pointwise_stencil
 
 LEAST_SQUARES = "least_squares"
 IMAGE_RESTORATION = "image_restoration"
@@ -96,11 +97,14 @@ def make_least_squares(A: Array, b: Array) -> ProblemInstance:
         # r0 and the slopes 2 a_i^T r0.
         r0 = A @ x
         r0 -= b
+        f0 = r0 @ r0
+        if not math.isfinite(f0):  # the closed form cannot hold: point by point
+            return pointwise_stencil(f, x, steps)
         s = (x[:, None] + steps) - x[:, None]
         values = s * column_norms()[:, None]
         values += 2.0 * (r0 @ A)[:, None]
         values *= s
-        values += r0 @ r0
+        values += f0
         return values
 
     def grad(x: Array) -> Array:
@@ -138,9 +142,11 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
         # call, plus the moved coordinate's column of A times the displacement
         # that coordinate really has, (x_i + step) - x_i. That is O(m) per
         # point instead of a matrix-vector product's O(m n), equal up to
-        # rounding.
+        # rounding while r0 is finite; otherwise it is evaluated point by point.
         r0 = A @ x
         r0 -= b
+        if not np.isfinite(r0).all():
+            return pointwise_stencil(f, x, steps)
         moved = (x[:, None] + steps) - x[:, None]
         AT = A.T
         p = steps.shape[0]
@@ -193,25 +199,17 @@ def make_rosenbrock(n: int) -> ProblemInstance:
         # Moving coordinate i changes only term i - 1 (i is its tail) and term
         # i (i is its head), so entry [i, j] is f(x) plus those two terms'
         # changes: O(1) per point, equal to f up to rounding. A term the move
-        # leaves unchanged adds exactly 0, so a base term that overflowed to
-        # +inf keeps the value +inf instead of giving inf - inf = NaN.
+        # leaves unchanged adds exactly 0. With f(x) not finite (an overflowed
+        # term), a change is inf - inf, so the points are evaluated one by one.
         terms = _rosenbrock_terms(x[:-1], x[1:])
-        moved = x[:, None] + steps
         f0 = np.add.reduce(terms)
+        if not math.isfinite(f0):
+            return pointwise_stencil(f, x, steps)
+        moved = x[:, None] + steps
         values = np.full((n, steps.shape[0]), f0)
         old = terms[:, None]
-        tail = _rosenbrock_terms(x[:-1, None], moved[1:])  # term i with x[i + 1] moved
-        head = _rosenbrock_terms(moved[:-1], x[1:, None])  # term i with x[i] moved
-        with np.errstate(invalid="ignore"):  # inf - inf, only where f(x) = inf: redone below
-            for new, rows in ((tail, values[1:]), (head, values[:-1])):
-                rows += np.subtract(new, old, out=np.zeros_like(new), where=new != old)
-        if not np.isfinite(f0):
-            # A move that makes an overflowed term finite again gave NaN above;
-            # with f(x) finite, only a NaN step gives NaN, as on the scalar route.
-            for i, j in zip(*np.nonzero(np.isnan(values))):
-                y = x.copy()
-                y[i] = moved[i, j]
-                values[i, j] = f(y)
+        values[1:] += _rosenbrock_terms(x[:-1, None], moved[1:]) - old  # x[i + 1] moved
+        values[:-1] += _rosenbrock_terms(moved[:-1], x[1:, None]) - old  # x[i] moved
         return values
 
     def grad(x: Array) -> Array:
@@ -226,6 +224,21 @@ def make_rosenbrock(n: int) -> ProblemInstance:
 
 
 _MAKERS = {LEAST_SQUARES: make_least_squares, IMAGE_RESTORATION: make_image_restoration}
+
+
+def check_recipe(family: str, n, m=None) -> None:
+    """Reject a recipe (family, n, m) that no family builds, one message per rule;
+    Rosenbrock's chain needs n >= 2, and m = 0 would make f = 0 everywhere."""
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown problem family {family!r}; known: {', '.join(FAMILIES)}")
+    check_count("n", n, 1 if family == ROSENBROCK else 0)
+    if m is None:
+        return
+    if family == ROSENBROCK:
+        raise ValidationError("rosenbrock has no m; omit it")
+    check_count("m", m, 0)
+    if family == IMAGE_RESTORATION and m != n:
+        raise ValidationError("image_restoration is square; m must equal n or be omitted")
 
 #: Largest A and b, 8 m (n + 1) bytes, that :func:`random_instance` keeps for
 #: the next call (about 720 by 720); a larger draw is never kept.
@@ -242,14 +255,10 @@ def random_instance(family: str, n: int, m: Optional[int] = None,
     noise sweep, one experiment per noise level on one recipe, draws it
     once. ``seed=None`` draws from OS entropy, afresh on every call.
     """
-    check_count("n", n, 0)
-    if family == IMAGE_RESTORATION and m is not None and m != n:
-        raise ValidationError("this family is square; m must equal n or be omitted")
-    if family not in (LEAST_SQUARES, IMAGE_RESTORATION):
+    check_recipe(family, n, m)
+    if family not in _MAKERS:
         raise ValidationError(f"family {family!r} is not randomly generated from (A, b)")
-    m = n if m is None else m
-    check_count("m", m, 0)  # m = 0 would make f = 0 everywhere
-    n, m = int(n), int(m)
+    n, m = int(n), int(n if m is None else m)
     if seed is None:
         return _draw(family, n, m, None)
     check_count("seed", seed, -1)
@@ -273,9 +282,8 @@ _draw_seeded = functools.lru_cache(maxsize=1)(_draw)
 def build_instance(family: str, n: int, m: Optional[int] = None,
                    seed: int = 0) -> ProblemInstance:
     """Uniform entry point: random (A, b) families or deterministic Rosenbrock."""
+    check_recipe(family, n, m)
     if family == ROSENBROCK:
-        if m is not None:
-            raise ValidationError("rosenbrock has no m; omit it")
         return make_rosenbrock(n)
     return random_instance(family, n, m=m, seed=seed)
 

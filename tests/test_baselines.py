@@ -211,7 +211,8 @@ class TestRandomGradientFree:
         assert direct.config == solver.config
         L = overrides.get("lipschitz", inst.objective.lipschitz_grad_constant)
         assert direct.config["lipschitz"] == L
-        assert direct.config["step"] == 1.0 / (4.0 * (4 + 4) * L)
+        # the step is not recorded: it follows from n and the recorded L
+        assert direct.trace[0].tau == 1.0 / (4.0 * (4 + 4) * L) and "step" not in direct.config
 
     def test_missing_lipschitz_constant_fails_before_any_evaluation(self):
         calls = []

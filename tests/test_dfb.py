@@ -7,6 +7,7 @@ from adafd import (
     BudgetExhausted,
     DfbConfig,
     GradScheme,
+    Objective,
     Oracle,
     SearchState,
     backtrack,
@@ -137,6 +138,20 @@ def test_null_step_couples_C_and_floor_updates():
         if state.last_tau > 0:
             break
     assert state.last_tau > 0
+
+
+def test_a_floor_that_underflows_to_zero_stops_the_run_and_keeps_its_trace():
+    # from t_min1 = 1e-320 the 12th null step halves the floor to 0.0, which no
+    # trial step can fall below; the next backtrack used to raise a
+    # ValidationError out of drive. eta = 1.01 keeps C far from overflowing.
+    flat = Objective(dim=1, evaluator=lambda x: 0.0)
+    cfg = DfbConfig(x1=[0.0], budget=100_000, nu=1e-3, eta=1.01, t_min1=1e-320)
+    report = dfb_run(flat, GradScheme.FORWARD, cfg, noise_level=1e-3, seed=0)
+    statuses = [r.step_status for r in report.trace]
+    assert report.termination == "stationary" and statuses[-1] == "stopped"
+    assert statuses.count("null") + 1 == 12
+    assert report.evals == report.declared_evals < cfg.budget
+    assert report.final_C == pytest.approx(1.01**12)
 
 
 def test_rosenbrock_run_is_monotone_with_early_nulls_only():

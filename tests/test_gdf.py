@@ -136,7 +136,7 @@ def test_constant_schedules_accept_numpy_scalars():
     assert report.config["nu"] == np.float32(0.05).item()
     json.dumps(report.config)  # report.json must be able to hold it
     default = dfb_run(obj, GradScheme.FORWARD, DfbConfig(x1=[0.3, -0.2], budget=200))
-    assert default.config["nu"] == "harmonic(delta1/k)"
+    assert default.config["nu"] is None  # DFB's harmonic default, as configured
 
 
 @pytest.mark.parametrize("config, settings, rejected", [
@@ -166,14 +166,14 @@ def test_a_bad_schedule_entry_is_rejected_when_the_config_is_built(config, setti
 def test_config_records_number_sequences_as_lists_and_rules_as_custom():
     cfg = GdfConfig(x1=[0.3, -0.2], budget=10, tau=np.array([0.1, 0.05]), c_seq=(1, 2),
                     nu_seq=lambda k: 0.1 / k)
-    config = config_dict("gdf", GradScheme.FORWARD, cfg)
+    config = config_dict(cfg)
     assert config["tau"] == [0.1, 0.05]
     assert config["c_seq"] == [1.0, 2.0] and all(type(v) is float for v in config["c_seq"])
     assert config["nu_seq"] == "custom"
-    assert config["scheme"] == "forward"
     json.dumps(config)
-    assert "scheme" not in config_dict("nelder_mead", None,
-                                       NelderMeadConfig(x1=[0.0], budget=2))
+    # exactly the settings: the solver id and scheme are the run's, not the config's
+    assert list(config) == ["delta1", "theta", "mu", "i_max", "c_seq", "tau", "nu_seq"]
+    assert list(config_dict(NelderMeadConfig(x1=[0.0], budget=2))) == ["coefficients"]
 
 
 def test_diverged_run_stops_at_the_float_spacing_of_its_iterate():

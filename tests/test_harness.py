@@ -10,16 +10,29 @@ import numpy as np
 import pytest
 
 from adafd import (
+    DfbConfig,
+    DfcConfig,
     ExperimentConfig,
+    GdfConfig,
+    GradScheme,
+    ImfilConfig,
     InsufficientData,
+    NelderMeadConfig,
     Objective,
+    RgConfig,
     TraceRecord,
     ValidationError,
+    dfb_run,
+    dfc_run,
     emit_csv,
     emit_plot,
     estimate_rate,
+    gdf_run,
+    imfil_run,
+    nelder_mead_run,
     rank_trace_files,
     read_csv,
+    rg_run,
     run_experiment,
     run_solver,
 )
@@ -259,8 +272,10 @@ class TestRunExperiment:
             noise_level=1e-4, budget_multiplier=30, output_dir=tmp_path))
         text = (tmp_path / "report.json").read_text().replace(str(tmp_path), "TMP")
         assert '"trace": "TMP/trace_nelder-mead.csv"' in text
+        # each manifest.solvers entry is exactly its config's settings: no
+        # solver name, scheme or label for a default
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "173987b53903de0aee698a85f200c150108f7ba6105826f92cd322099f96633e")
+            "9e86de881603977da51f7117c4f9323abbcfda1b5fa63b342486beaab5c983d6")
 
     @pytest.mark.parametrize("family", ["least_squares", "image_restoration"])
     def test_a_shared_instance_writes_the_bytes_of_a_fresh_one(self, tmp_path, family,
@@ -345,13 +360,13 @@ class TestRunExperiment:
             ExperimentConfig(family="least_squares", solvers=["dfc-fordif"], **fields)
 
     @pytest.mark.parametrize("family, m, message", [
-        ("rosenbrock", 4, "rosenbrock has no m"),
-        ("rosenbrock", 50, "rosenbrock has no m"),
-        ("image_restoration", 5, "m must equal n or be omitted"),
+        ("rosenbrock", 4, "rosenbrock has no m; omit it"),
+        ("rosenbrock", 50, "rosenbrock has no m; omit it"),
+        ("image_restoration", 5, "image_restoration is square; m must equal n or be omitted"),
     ])
     def test_an_m_the_family_cannot_take_is_rejected(self, family, m, message):
         # these used to construct and fail only inside run_experiment
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             ExperimentConfig(family=family, n=4, m=m, solvers=["dfc-fordif"])
 
     def test_rosenbrock_needs_two_coordinates(self):
@@ -362,7 +377,8 @@ class TestRunExperiment:
         assert ExperimentConfig(family="least_squares", n=1, solvers=["dfc-fordif"]).n == 1
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValidationError, match="unknown problem family 'sphere'"):
+        with pytest.raises(ValidationError, match="^unknown problem family 'sphere'; known: "
+                                                  "least_squares, image_restoration, rosenbrock$"):
             ExperimentConfig(family="sphere", n=4, solvers=["dfc-fordif"])
 
     def test_empty_solver_list_rejected(self):
@@ -371,16 +387,14 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("initial_point, message", [
         ("ones", "unknown initial point preset 'ones'"),
+        ("zeroes", "unknown initial point preset 'zeroes'"),
         ([0.5, 0.5], r"initial point has shape \(2,\), expected \(3,\)"),
     ])
-    def test_a_bad_initial_point_fails_before_any_solver_runs(self, tmp_path,
-                                                              initial_point, message):
-        out = tmp_path / "out"
+    def test_a_bad_initial_point_fails_before_any_solver_runs(self, initial_point, message):
+        # these used to construct and fail only inside run_experiment, after the draw
         with pytest.raises(ValidationError, match=message):
-            run_experiment(ExperimentConfig(family="least_squares", n=3,
-                                            solvers=["dfc-fordif"],
-                                            initial_point=initial_point, output_dir=out))
-        assert not out.exists()
+            ExperimentConfig(family="least_squares", n=3, solvers=["dfc-fordif"],
+                             initial_point=initial_point)
 
     @pytest.mark.parametrize("solver_id", [s for s in SOLVER_IDS if s != "rg"])
     def test_a_budget_too_small_to_record_is_one_error_for_every_solver(self, tmp_path,
@@ -440,6 +454,37 @@ class TestRunExperiment:
                                         budget_multiplier=20, output_dir=tmp_path))
         manifest = json.loads((tmp_path / "report.json").read_text())["manifest"]
         assert manifest["solvers"][solver_id][key] == value
+
+    @pytest.mark.parametrize("configured", [False, True], ids=["defaults", "override"])
+    @pytest.mark.parametrize("solver_id", SOLVER_IDS)
+    def test_a_recorded_run_is_rebuilt_from_its_id_and_config(self, tmp_path, solver_id,
+                                                              configured):
+        # the id and config a report records are run_solver's arguments, as
+        # report.json holds them
+        inst = problems.random_instance("least_squares", 5, m=7, seed=2)
+        x0 = np.full(5, 0.5)
+        overrides = dict([ONE_OVERRIDE[solver_id]]) if configured else {}
+        first = run_solver(solver_id, inst, 120, 1e-3, 9, x0, overrides)
+        again = run_solver(first.solver_id, inst, 120, 1e-3, 9, x0,
+                           json.loads(json.dumps(first.config)))
+        emit_csv(first.trace, tmp_path / "first.csv")
+        emit_csv(again.trace, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+        assert again.config == first.config and again.solver_id == solver_id
+
+    def test_a_direct_run_reports_its_registered_id(self):
+        # run_solver no longer renames a report: each run function names its solver
+        obj = problems.random_instance("least_squares", 3, seed=1).objective
+        x0 = np.full(3, 0.5)
+        reports = [nelder_mead_run(obj, NelderMeadConfig(x1=x0, budget=20)),
+                   rg_run(obj, RgConfig(x1=x0, budget=20))]
+        for scheme in GradScheme:
+            reports += [dfc_run(obj, scheme, DfcConfig(x1=x0, budget=20)),
+                        dfb_run(obj, scheme, DfbConfig(x1=x0, budget=20)),
+                        imfil_run(obj, scheme, ImfilConfig(x1=x0, budget=20))]
+            gdf = gdf_run(obj, scheme, GdfConfig(x1=x0, budget=20))
+            assert gdf.solver_id == f"gdf-{scheme.suffix}"
+        assert sorted(r.solver_id for r in reports) == sorted(SOLVER_IDS)
 
     def test_rg_on_rosenbrock_rejected_for_missing_constant(self, tmp_path):
         cfg = ExperimentConfig(family="rosenbrock", n=4, solvers=["rg"],

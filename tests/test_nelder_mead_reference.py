@@ -70,8 +70,7 @@ def reference_step(state, evals, scheme, cfg):
 def reference_run(objective, cfg, noise_level=0.0, seed=0):
     return drive("nelder-mead", objective, None, cfg, noise_level, seed,
                  start=lambda x, f: SimplexState(k=0, x=x, f_x=f),
-                 step=reference_step, config={},
-                 collect_iterates=False)
+                 step=reference_step, collect_iterates=False)
 
 
 def assert_same_run(objective, x1, budget, tmp_path, noise_level=0.0, seed=0):

@@ -262,12 +262,16 @@ class TestInstanceCache:
 
 @pytest.mark.parametrize("family, m, message", [
     ("rosenbrock", 50, "rosenbrock has no m; omit it"),
-    ("image_restoration", 5, "this family is square; m must equal n or be omitted"),
-    ("sphere", None, "family 'sphere' is not randomly generated from (A, b)"),
+    ("image_restoration", 5, "image_restoration is square; m must equal n or be omitted"),
+    ("sphere", None, "unknown problem family 'sphere'; known: least_squares, "
+                     "image_restoration, rosenbrock"),
 ])
 def test_build_instance_raises_one_error_class(family, m, message):
+    # one rule, one message: ExperimentConfig checks the recipe with build_instance's check
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         build_instance(family, 4, m=m, seed=0)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(family=family, n=4, m=m, solvers=["dfc-fordif"])
 
 
 @pytest.mark.parametrize("family, n, m, message", [

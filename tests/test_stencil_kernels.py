@@ -147,6 +147,23 @@ def test_least_squares_closed_form_matches_the_scalar_evaluator(m, n):
                                    err_msg=f"{steps}")
 
 
+@pytest.mark.parametrize("steps", ([1e-3, -1e-3, 1.0], [1.0, -1e308, 1e308]))
+@pytest.mark.parametrize("family, x", [
+    ("least_squares", np.full(6, 1e308)),
+    ("image_restoration", np.array([0.5, np.inf, 0.3, 0.2, 0.1, -0.4])),
+])
+def test_matrix_family_stencils_at_an_overflowed_base_point(family, x, steps):
+    # A x - b is not finite at x, where the closed form's inf - inf used to
+    # give NaN in entries that the scalar evaluator gives as inf
+    objective = random_instance(family, 6, seed=0).objective
+    steps = np.array(steps)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = objective.stencil_evaluator(x, steps)
+        expected = _scalar_stencil(objective, x, steps)
+    assert np.isinf(expected).any()
+    np.testing.assert_array_equal(got, expected)
+
+
 def _instances(n):
     return [make_rosenbrock(n), random_instance("least_squares", n, seed=n),
             random_instance("image_restoration", n, seed=n)]
