@@ -11,6 +11,7 @@ constant: the configured one, or else the objective's.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -18,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .driver import (ScheduleExhausted, StartConfig, StepEvals, ValidationError, check_between,
-                     check_count, drive)
+                     check_count, drive, shrinking)
 from .gradapprox import GradScheme, stencil_gradient
 from .oracle import Array, Objective
 from .trace import RunReport
@@ -207,14 +208,11 @@ def imfil_step(state: ImfilState, evals: StepEvals, scheme: GradScheme,
     if not h < g_norm < math.inf:  # too small, or a NaN or infinite estimate
         return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "stencil_fail",
                           g_norm)
-    t = 1.0
-    for _ in range(cfg.max_backtracks):
-        candidate = state.x - t * g
-        f_cand = evals.point(candidate)
+    steps = itertools.islice(shrinking(1.0, cfg.ls_gamma), cfg.max_backtracks)
+    for t, f_cand in evals.line(state.x, g, steps):
         if f_cand <= state.f_x - cfg.armijo * t * g_norm**2:
-            return ImfilState(state.k + 1, candidate, f_cand, state.scale, h, "accepted",
+            return ImfilState(state.k + 1, state.x - t * g, f_cand, state.scale, h, "accepted",
                               g_norm, t)
-        t *= cfg.ls_gamma
     return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "ls_fail", g_norm)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .driver import StepEvals, check_between, check_schedule, drive, schedule_value
+from .driver import StepEvals, check_between, check_schedule, drive, schedule_value, shrinking
 from .gradapprox import GradScheme, SearchConfig, SearchState, search_step
 from .oracle import Array, Objective
 from .trace import RunReport
@@ -64,21 +64,19 @@ def backtrack(
     every loop pass costs one oracle evaluation, the search can therefore end
     below the floor with the decrease test satisfied (the caller still treats
     that as a floor hit), and ``sufficient`` reports the last evaluated test.
-    Each trial is an ``evals.point``, so ``evals`` declares the trials and
+    The trials come from ``evals.line``, so ``evals`` declares them and
     holds their lowest value, also when the budget cuts the search off.
     """
     check_between("t_min", t_min, 0.0, cfg.tau_bar)
     g_norm_sq = float(g @ g)
     if g_norm_sq <= 0.0:
         raise ValueError("backtracking requires a nonzero direction")
-    t = cfg.tau_bar
-    while True:
-        f_cand = evals.point(x - t * g)
+    # t reaches the floor (0 at the latest), so the search ends inside the loop
+    for t, f_cand in evals.line(x, g, shrinking(cfg.tau_bar, cfg.gamma)):
         if f_cand <= f_x - cfg.beta * t * g_norm_sq:
             return BacktrackResult(t, True, f_cand)
         if t < t_min:
             return BacktrackResult(t, False, f_cand)
-        t *= cfg.gamma
 
 
 def dfb_step(state: SearchState, evals: StepEvals, scheme: GradScheme,

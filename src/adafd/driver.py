@@ -22,10 +22,11 @@ is exhausted, and for DFB also from a null step whose floor underflows to 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -100,6 +101,19 @@ def config_dict(cfg) -> dict:
     return out
 
 
+def shrinking(t: float, factor: float) -> Iterator[float]:
+    """The steps of a backtracking search, t, t * factor, (t * factor) * factor,
+    ..., each the previous one times ``factor``, without end."""
+    while True:
+        yield t
+        t *= factor
+
+
+#: Linesearch trials that :meth:`StepEvals.line` computes in one
+#: ``rows_evaluator`` call.
+LINE_CHUNK = 8
+
+
 def lower(a: float, b: float) -> float:
     """The lower of two values, ignoring NaN: NaN only when both are NaN."""
     return b if b < a or a != a else a
@@ -137,6 +151,30 @@ class StepEvals:
         if candidate:
             self.low = lower(self.low, f)
         return f
+
+    def line(self, x: Array, d: Array, ts: Iterable[float]) -> Iterator[tuple]:
+        """Yield ``(t, f(x - t * d))`` for each t of ``ts`` in turn, each trial
+        a candidate that is checked, counted and folded into ``low`` as by
+        :meth:`point`, when the caller takes it.
+
+        With the objective's ``rows_evaluator``, ``LINE_CHUNK`` trial points
+        at a time go to the oracle as one array, whose values are bitwise
+        those of :meth:`point`; the trials computed past the last one taken
+        are dropped and never charged. Without one, each trial is a ``point``.
+        """
+        if self.oracle.objective.rows_evaluator is None:
+            for t in ts:
+                yield t, self.point(x - t * d)
+            return
+        ts = iter(ts)
+        while chunk := list(itertools.islice(ts, LINE_CHUNK)):
+            values = self.oracle.evaluate_rows(x - np.multiply.outer(chunk, d))
+            for t in chunk:
+                self.check()
+                f = next(values)
+                self.cost += 1
+                self.low = lower(self.low, f)
+                yield t, f
 
 
 def _ran_with_C(before, after) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -78,6 +78,17 @@ class Objective:
     Each stencil reaches the kernel in one call, so it bounds its own
     temporaries: the built-in kernels do the base point's work once per call,
     and the image-restoration one blocks its scratch by ``problems.STENCIL_BLOCK_BYTES``.
+
+    ``rows_evaluator``, when given, evaluates the rows of a ``(k, dim)`` float
+    array ``X`` in one call: ``rows_evaluator(X)`` returns a ``(k,)`` array
+    whose entry j is bitwise ``evaluator(X[j])``, NaN included, not merely
+    equal up to rounding, and it must not write to ``X``. Linesearch trials
+    reach it a block at a time through :meth:`Oracle.evaluate_rows`, which
+    charges only the rows taken, so under that contract a run with it is
+    bitwise the run without it. Of the benchmark families only Rosenbrock has
+    one, its terms reduced along each row as the scalar evaluator reduces
+    them; least squares has none, since both ``X @ A.T`` and its closed form
+    round differently from ``A @ x``.
     """
 
     dim: int
@@ -85,6 +96,7 @@ class Objective:
     analytic_gradient: Optional[Callable[[Array], Array]] = None
     lipschitz_grad_fn: Optional[Callable[[], float]] = None
     stencil_evaluator: Optional[Callable[[Array, Array], Array]] = None
+    rows_evaluator: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         check_count("objective dimension", self.dim, 0)
@@ -128,7 +140,10 @@ class Oracle:
     and takes them in call order, so the values are bitwise those of one
     generator call per point. With epsilon = 0 the exact value f(x) is
     returned and the generator is never advanced. ``noise_level`` is read when
-    a chunk is drawn, so it must not change after construction.
+    a chunk is drawn, so it must not change after construction. ``evaluate``
+    and ``evaluate_rows`` charge each point by one step, count one and then
+    add the next noise draw; ``evaluate_stencil`` charges its points at once,
+    to the same counter and noise values.
 
     An Oracle is single-owner mutable state: concurrent runs must construct
     independent oracles (same Objective, distinct seeds).
@@ -154,6 +169,14 @@ class Oracle:
         self._noise_at = at + k
         return self._noise_chunk[at:at + k]
 
+    def _charge(self, value) -> float:
+        """Count one evaluation and return ``value`` plus the next noise draw."""
+        self.eval_count += 1
+        value = float(value)
+        if self.noise_level > 0.0:
+            value += float(self._noise(1)[0])
+        return value
+
     def evaluate(self, x: Array) -> float:
         """Return phi(x) and advance the evaluation counter by exactly one."""
         x = np.asarray(x, dtype=float)
@@ -161,11 +184,27 @@ class Oracle:
             raise ValueError(
                 f"point has shape {x.shape}, objective expects ({self.objective.dim},)"
             )
-        self.eval_count += 1
-        value = float(self.objective.evaluator(x))
-        if self.noise_level > 0.0:
-            value += float(self._noise(1)[0])
-        return value
+        return self._charge(self.objective.evaluator(x))
+
+    def evaluate_rows(self, X: Array) -> Iterator[float]:
+        """Yield phi at each row of the ``(k, dim)`` array X, in row order,
+        from one ``rows_evaluator`` call made when the first value is taken.
+
+        A value is counted and given its noise draw only when it is taken, so
+        after j values the counter and noise stream stand, and the values are
+        bitwise, as after one ``evaluate`` call per row on the first j rows;
+        rows not taken cost nothing. The objective must have a ``rows_evaluator``.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.objective.dim:
+            raise ValueError(f"rows have shape {X.shape}, objective expects "
+                             f"(k, {self.objective.dim})")
+        values = np.asarray(self.objective.rows_evaluator(X), dtype=float)
+        if values.shape != X.shape[:1]:
+            raise ValueError(f"rows evaluator returned shape {values.shape}, "
+                             f"expected {X.shape[:1]}")
+        for value in values:
+            yield self._charge(value)
 
     def evaluate_stencil(self, x: Array, steps: Array) -> Array:
         """Return phi at the points x + steps[j] e_i, i = 0, ..., dim - 1, as a

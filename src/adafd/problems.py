@@ -14,6 +14,9 @@ O(1) per point: f(x) plus the change the moved coordinate makes. Image
 restoration adds one column of A to the base residual, O(n) per point, in
 blocks of ``STENCIL_BLOCK_BYTES`` of scratch. All three equal the scalar
 evaluator up to rounding, point by point where the base work is not finite.
+Rosenbrock also evaluates linesearch trials a block of rows at a time
+(``Objective.rows_evaluator``), bitwise equal to the scalar evaluator; least
+squares has no such hook, because every batched form of it rounds differently.
 """
 
 from __future__ import annotations
@@ -212,6 +215,10 @@ def make_rosenbrock(n: int) -> ProblemInstance:
         values[:-1] += _rosenbrock_terms(moved[:-1], x[1:, None]) - old  # x[i] moved
         return values
 
+    def f_rows(X: Array) -> Array:
+        # each row reduced as f reduces its terms, so bitwise f(X[j])
+        return np.add.reduce(_rosenbrock_terms(X[:, :-1], X[:, 1:]), axis=1)
+
     def grad(x: Array) -> Array:
         g = np.zeros_like(x)
         g[:-1] += -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) + 2.0 * (x[:-1] - 1.0)
@@ -219,7 +226,7 @@ def make_rosenbrock(n: int) -> ProblemInstance:
         return g
 
     objective = Objective(dim=n, evaluator=f, analytic_gradient=grad,
-                          stencil_evaluator=f_stencil)
+                          stencil_evaluator=f_stencil, rows_evaluator=f_rows)
     return ProblemInstance(family=ROSENBROCK, dim=n, objective=objective)
 
 

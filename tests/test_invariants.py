@@ -132,15 +132,21 @@ def test_a_step_called_directly_starts_no_evaluation_at_the_budget(rule, budget)
 
 def _record_cut_off_steps(monkeypatch, module) -> list:
     """Record each step of ``module``'s runs that the budget cuts off: its
-    ``StepEvals``, the evaluations the step made, and the values it evaluated
-    outside its stencils (at points other than its iterate)."""
+    ``StepEvals``, the evaluations the step made, the values it evaluated
+    outside its stencils (at points other than its iterate), and how many of
+    them it took through ``Oracle.evaluate_rows``."""
     cuts, evaluated = [], []
-    evaluate = Oracle.evaluate
+    evaluate, evaluate_rows = Oracle.evaluate, Oracle.evaluate_rows
 
     def recording_evaluate(self, x):
         value = evaluate(self, x)
-        evaluated.append((np.array(x, dtype=float), value))
+        evaluated.append((np.array(x, dtype=float), value, False))
         return value
+
+    def recording_rows(self, X):
+        for x, value in zip(X, evaluate_rows(self, X)):
+            evaluated.append((np.array(x, dtype=float), value, True))
+            yield value
 
     def recording_drive(*args, step, **kwargs):
         def recording_step(state, evals, scheme, cfg):
@@ -148,12 +154,15 @@ def _record_cut_off_steps(monkeypatch, module) -> list:
             try:
                 return step(state, evals, scheme, cfg)
             except BudgetExhausted:
-                seen = [v for x, v in evaluated[first:] if not np.array_equal(x, state.x)]
-                cuts.append((evals, evals.oracle.eval_count - count, seen))
+                seen = [(v, rows) for x, v, rows in evaluated[first:]
+                        if not np.array_equal(x, state.x)]
+                cuts.append((evals, evals.oracle.eval_count - count, [v for v, _ in seen],
+                             sum(rows for _, rows in seen)))
                 raise
         return driver.drive(*args, step=recording_step, **kwargs)
 
     monkeypatch.setattr(Oracle, "evaluate", recording_evaluate)
+    monkeypatch.setattr(Oracle, "evaluate_rows", recording_rows)
     monkeypatch.setattr(module, "drive", recording_drive)
     return cuts
 
@@ -162,21 +171,28 @@ def _record_cut_off_steps(monkeypatch, module) -> list:
 def test_a_cut_off_step_reports_its_cost_and_lowest_value(solver_id, monkeypatch):
     # every budget from 4 to 80 on least squares n=3 cuts the runs off at
     # every kind of operation: interval searches, decrease tests,
-    # linesearches, simplex moves and probes
+    # linesearches, simplex moves and probes; on Rosenbrock n=3 the
+    # linesearches take their trials through its rows_evaluator
     module = gdf if solver_id.startswith("gdf") else SOLVERS[solver_id][0]
     cuts = _record_cut_off_steps(monkeypatch, module)
-    inst = random_instance("least_squares", n=3, seed=3)
-    for noise in (0.0, 1e-4):
-        for budget in range(4, 81):
-            if module is gdf:
-                scheme = GradScheme.FORWARD if solver_id.endswith("fordif") else GradScheme.CENTRAL
-                cfg = GdfConfig(x1=np.zeros(3), budget=budget, tau=0.01)
-                gdf.gdf_run(inst.objective, scheme, cfg, noise, budget)
-            else:
-                run_solver(solver_id, inst, budget, noise, seed=budget, x0=np.zeros(3))
+    for inst in (random_instance("least_squares", n=3, seed=3), build_instance("rosenbrock", 3)):
+        # Rosenbrock has no gradient-Lipschitz constant for rg to read
+        rosenbrock_rg = solver_id == "rg" and inst.family == "rosenbrock"
+        overrides = {"lipschitz": 1e3} if rosenbrock_rg else None
+        for noise in (0.0, 1e-4):
+            for budget in range(4, 81):
+                if module is gdf:
+                    scheme = (GradScheme.FORWARD if solver_id.endswith("fordif")
+                              else GradScheme.CENTRAL)
+                    cfg = GdfConfig(x1=np.zeros(3), budget=budget, tau=0.01)
+                    gdf.gdf_run(inst.objective, scheme, cfg, noise, budget)
+                else:
+                    run_solver(solver_id, inst, budget, noise, seed=budget, x0=np.zeros(3),
+                               overrides=overrides)
     assert cuts
-    candidates = []
-    for ledger, spent, seen in cuts:
+    candidates, from_rows = [], 0
+    for ledger, spent, seen, rows in cuts:
+        from_rows += rows
         assert ledger.cost == spent
         assert isinstance(ledger.low, float)
         if solver_id == "rg":
@@ -188,6 +204,8 @@ def test_a_cut_off_step_reports_its_cost_and_lowest_value(solver_id, monkeypatch
     # DFB's and implicit filtering's linesearches and the simplex moves are
     # cut off after some candidate; the other steps end with their only one
     assert bool(candidates) == solver_id.startswith(("dfb", "nelder", "imfil"))
+    # and DFB's and implicit filtering's take Rosenbrock's trials as rows
+    assert bool(from_rows) == solver_id.startswith(("dfb", "imfil"))
 
 
 @pytest.mark.parametrize("solver_id", SOLVER_IDS + ("gdf-fordif",))
