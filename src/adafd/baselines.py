@@ -209,10 +209,10 @@ def imfil_step(state: ImfilState, evals: StepEvals, scheme: GradScheme,
         return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "stencil_fail",
                           g_norm)
     steps = itertools.islice(shrinking(1.0, cfg.ls_gamma), cfg.max_backtracks)
-    for t, f_cand in evals.line(state.x, g, steps):
-        if f_cand <= state.f_x - cfg.armijo * t * g_norm**2:
-            return ImfilState(state.k + 1, state.x - t * g, f_cand, state.scale, h, "accepted",
-                              g_norm, t)
+    t, passed, f_cand = evals.linesearch(state.x, g, steps, state.f_x, cfg.armijo, g_norm**2)
+    if passed:
+        return ImfilState(state.k + 1, state.x - t * g, f_cand, state.scale, h, "accepted",
+                          g_norm, t)
     return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "ls_fail", g_norm)
 
 

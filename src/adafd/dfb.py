@@ -60,23 +60,19 @@ def backtrack(
 ) -> BacktrackResult:
     """Shrink t from ``cfg.tau_bar`` by ``cfg.gamma`` until sufficient decrease or the floor.
 
-    The compound exit condition checks the decrease test first, then the floor:
-    every loop pass costs one oracle evaluation, the search can therefore end
-    below the floor with the decrease test satisfied (the caller still treats
-    that as a floor hit), and ``sufficient`` reports the last evaluated test.
-    The trials come from ``evals.line``, so ``evals`` declares them and
-    holds their lowest value, also when the budget cuts the search off.
+    The trials ``shrinking(cfg.tau_bar, cfg.gamma, t_min)`` end with the first
+    step below the floor (0 at the latest). Each costs one oracle evaluation and
+    is tested for decrease before the next, so the search can end below the
+    floor with the test passed (the caller still treats that as a floor hit),
+    and ``sufficient`` reports the last test. ``evals.linesearch`` declares the
+    trials and holds their lowest value, also when the budget cuts it off.
     """
     check_between("t_min", t_min, 0.0, cfg.tau_bar)
     g_norm_sq = float(g @ g)
     if g_norm_sq <= 0.0:
         raise ValueError("backtracking requires a nonzero direction")
-    # t reaches the floor (0 at the latest), so the search ends inside the loop
-    for t, f_cand in evals.line(x, g, shrinking(cfg.tau_bar, cfg.gamma)):
-        if f_cand <= f_x - cfg.beta * t * g_norm_sq:
-            return BacktrackResult(t, True, f_cand)
-        if t < t_min:
-            return BacktrackResult(t, False, f_cand)
+    steps = shrinking(cfg.tau_bar, cfg.gamma, t_min)
+    return BacktrackResult(*evals.linesearch(x, g, steps, f_x, cfg.beta, g_norm_sq))
 
 
 def dfb_step(state: SearchState, evals: StepEvals, scheme: GradScheme,

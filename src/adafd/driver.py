@@ -101,16 +101,18 @@ def config_dict(cfg) -> dict:
     return out
 
 
-def shrinking(t: float, factor: float) -> Iterator[float]:
+def shrinking(t: float, factor: float, floor: float = 0.0) -> Iterator[float]:
     """The steps of a backtracking search, t, t * factor, (t * factor) * factor,
-    ..., each the previous one times ``factor``, without end."""
+    ..., up to the first below ``floor``: without end for a positive t and floor 0."""
     while True:
         yield t
+        if t < floor:
+            return
         t *= factor
 
 
-#: Linesearch trials that :meth:`StepEvals.line` computes in one
-#: ``rows_evaluator`` call.
+#: Linesearch trials that :meth:`StepEvals.linesearch` hands
+#: :meth:`Oracle.evaluate_rows` in one block.
 LINE_CHUNK = 8
 
 
@@ -152,20 +154,14 @@ class StepEvals:
             self.low = lower(self.low, f)
         return f
 
-    def line(self, x: Array, d: Array, ts: Iterable[float]) -> Iterator[tuple]:
-        """Yield ``(t, f(x - t * d))`` for each t of ``ts`` in turn, each trial
-        a candidate that is checked, counted and folded into ``low`` as by
-        :meth:`point`, when the caller takes it.
-
-        With the objective's ``rows_evaluator``, ``LINE_CHUNK`` trial points
-        at a time go to the oracle as one array, whose values are bitwise
-        those of :meth:`point`; the trials computed past the last one taken
-        are dropped and never charged. Without one, each trial is a ``point``.
+    def linesearch(self, x: Array, d: Array, ts: Iterable[float], f_x: float, c: float,
+                   d_sq: float) -> tuple:
+        """``(t, passed, f)`` for the first t of the nonempty ``ts`` whose value
+        f = f(x - t * d) passes ``f <= f_x - c * t * d_sq``, else for the last t.
+        Each trial is a candidate, checked, counted and folded into ``low`` as by
+        :meth:`point`, in turn; its point is built in a block of ``LINE_CHUNK``,
+        bitwise ``x - t * d``, and its value taken from :meth:`Oracle.evaluate_rows`.
         """
-        if self.oracle.objective.rows_evaluator is None:
-            for t in ts:
-                yield t, self.point(x - t * d)
-            return
         ts = iter(ts)
         while chunk := list(itertools.islice(ts, LINE_CHUNK)):
             values = self.oracle.evaluate_rows(x - np.multiply.outer(chunk, d))
@@ -174,7 +170,9 @@ class StepEvals:
                 f = next(values)
                 self.cost += 1
                 self.low = lower(self.low, f)
-                yield t, f
+                if f <= f_x - c * t * d_sq:
+                    return t, True, f
+        return t, False, f
 
 
 def _ran_with_C(before, after) -> float:

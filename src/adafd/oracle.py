@@ -84,11 +84,11 @@ class Objective:
     whose entry j is bitwise ``evaluator(X[j])``, NaN included, not merely
     equal up to rounding, and it must not write to ``X``. Linesearch trials
     reach it a block at a time through :meth:`Oracle.evaluate_rows`, which
-    charges only the rows taken, so under that contract a run with it is
-    bitwise the run without it. Of the benchmark families only Rosenbrock has
-    one, its terms reduced along each row as the scalar evaluator reduces
-    them; least squares has none, since both ``X @ A.T`` and its closed form
-    round differently from ``A @ x``.
+    serves objectives without one too and charges only the rows taken, so
+    under that contract a run with it is bitwise the run without it. Of the
+    benchmark families only Rosenbrock has one, its terms reduced along each
+    row as the scalar evaluator reduces them; least squares has none, since
+    both ``X @ A.T`` and its closed form round differently from ``A @ x``.
     """
 
     dim: int
@@ -140,9 +140,10 @@ class Oracle:
     and takes them in call order, so the values are bitwise those of one
     generator call per point. With epsilon = 0 the exact value f(x) is
     returned and the generator is never advanced. ``noise_level`` is read when
-    a chunk is drawn, so it must not change after construction. ``evaluate``
-    and ``evaluate_rows`` charge each point by one step, count one and then
-    add the next noise draw; ``evaluate_stencil`` charges its points at once,
+    a chunk is drawn, so it must not change after construction. Each route
+    charges a value (counts it, then adds its noise draw) only once the
+    evaluator has returned it in the expected shape: ``evaluate`` and
+    ``evaluate_rows`` one point at a time, ``evaluate_stencil`` all at once,
     to the same counter and noise values.
 
     An Oracle is single-owner mutable state: concurrent runs must construct
@@ -171,8 +172,8 @@ class Oracle:
 
     def _charge(self, value) -> float:
         """Count one evaluation and return ``value`` plus the next noise draw."""
-        self.eval_count += 1
         value = float(value)
+        self.eval_count += 1
         if self.noise_level > 0.0:
             value += float(self._noise(1)[0])
         return value
@@ -187,22 +188,27 @@ class Oracle:
         return self._charge(self.objective.evaluator(x))
 
     def evaluate_rows(self, X: Array) -> Iterator[float]:
-        """Yield phi at each row of the ``(k, dim)`` array X, in row order,
-        from one ``rows_evaluator`` call made when the first value is taken.
+        """Yield phi at each row of the ``(k, dim)`` array X, in row order, from
+        one ``rows_evaluator`` call made when the first value is taken or, with
+        no such hook, one ``evaluator`` call per row taken.
 
         A value is counted and given its noise draw only when it is taken, so
         after j values the counter and noise stream stand, and the values are
         bitwise, as after one ``evaluate`` call per row on the first j rows;
-        rows not taken cost nothing. The objective must have a ``rows_evaluator``.
+        rows not taken cost nothing.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.objective.dim:
             raise ValueError(f"rows have shape {X.shape}, objective expects "
                              f"(k, {self.objective.dim})")
-        values = np.asarray(self.objective.rows_evaluator(X), dtype=float)
-        if values.shape != X.shape[:1]:
-            raise ValueError(f"rows evaluator returned shape {values.shape}, "
-                             f"expected {X.shape[:1]}")
+        hook = self.objective.rows_evaluator
+        if hook is None:
+            values = map(self.objective.evaluator, X)  # lazy: only the rows taken
+        else:
+            values = np.asarray(hook(X), dtype=float)
+            if values.shape != X.shape[:1]:
+                raise ValueError(f"rows evaluator returned shape {values.shape}, "
+                                 f"expected {X.shape[:1]}")
         for value in values:
             yield self._charge(value)
 
@@ -224,12 +230,12 @@ class Oracle:
         if steps.ndim != 1:
             raise ValueError(f"steps must be 1-D, got shape {steps.shape}")
         shape = (n, steps.shape[0])
-        self.eval_count += shape[0] * shape[1]
         hook = self.objective.stencil_evaluator
         values = (pointwise_stencil(self.objective.evaluator, x, steps) if hook is None
                   else np.asarray(hook(x, steps), dtype=float))
         if values.shape != shape:
             raise ValueError(f"stencil evaluator returned shape {values.shape}, expected {shape}")
+        self.eval_count += values.size
         if self.noise_level > 0.0:
             values = values + self._noise(values.size).reshape(shape)
         return values

@@ -188,3 +188,21 @@ def test_diverged_run_stops_at_the_float_spacing_of_its_iterate():
     x = report.final_x
     assert np.all(x + last.delta == x)
     assert not np.all(x + last.delta / cfg.theta == x)
+
+
+@pytest.mark.parametrize("tau, scheme, evals", [
+    (10.0, GradScheme.FORWARD, 49), (10.0, GradScheme.CENTRAL, 61),
+    (3.0, GradScheme.FORWARD, 89), (3.0, GradScheme.CENTRAL, 111),
+], ids=["tau10-fordif", "tau10-cendif", "tau3-fordif", "tau3-cendif"])
+def test_a_stop_that_costs_nothing_repeats_the_previous_evals(tau, scheme, evals):
+    # the iterate diverges to |x| ~ 1e15, where delta1 = 0.1 moves no
+    # coordinate, so the last interval search stops before its first stencil;
+    # the run still records that stop, at the evaluations of the record before
+    cfg = GdfConfig(x1=[1.0, 1.0], budget=1000, tau=tau)
+    report = gdf_run(sphere_objective(2), scheme, cfg)
+    *earlier, last = report.trace
+    assert report.termination == "stationary" and last.step_status == "stopped"
+    assert last.evals == earlier[-1].evals == evals
+    assert report.evals == report.declared_evals
+    counts = [1] + [r.evals for r in earlier]
+    assert all(a < b for a, b in zip(counts, counts[1:]))

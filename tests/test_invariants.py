@@ -169,10 +169,11 @@ def _record_cut_off_steps(monkeypatch, module) -> list:
 
 @pytest.mark.parametrize("solver_id", SOLVER_IDS + ("gdf-fordif", "gdf-cendif"))
 def test_a_cut_off_step_reports_its_cost_and_lowest_value(solver_id, monkeypatch):
-    # every budget from 4 to 80 on least squares n=3 cuts the runs off at
-    # every kind of operation: interval searches, decrease tests,
-    # linesearches, simplex moves and probes; on Rosenbrock n=3 the
-    # linesearches take their trials through its rows_evaluator
+    # every budget from 4 to 80 on least squares n=3 and Rosenbrock n=3 cuts
+    # the runs off at every kind of operation: interval searches, decrease
+    # tests, linesearches, simplex moves and probes; on both the linesearches
+    # take their trials through Oracle.evaluate_rows, by Rosenbrock's
+    # rows_evaluator or by one least-squares evaluator call per trial
     module = gdf if solver_id.startswith("gdf") else SOLVERS[solver_id][0]
     cuts = _record_cut_off_steps(monkeypatch, module)
     for inst in (random_instance("least_squares", n=3, seed=3), build_instance("rosenbrock", 3)):
@@ -191,9 +192,12 @@ def test_a_cut_off_step_reports_its_cost_and_lowest_value(solver_id, monkeypatch
                                overrides=overrides)
     assert cuts
     candidates, from_rows = [], 0
+    linesearches = solver_id.startswith(("dfb", "imfil"))
     for ledger, spent, seen, rows in cuts:
         from_rows += rows
         assert ledger.cost == spent
+        # DFB's and implicit filtering's candidates are all linesearch trials
+        assert rows == (len(seen) if linesearches else 0)
         assert isinstance(ledger.low, float)
         if solver_id == "rg":
             seen = []  # the probe at x + sigma u is not an iterate value
@@ -204,8 +208,8 @@ def test_a_cut_off_step_reports_its_cost_and_lowest_value(solver_id, monkeypatch
     # DFB's and implicit filtering's linesearches and the simplex moves are
     # cut off after some candidate; the other steps end with their only one
     assert bool(candidates) == solver_id.startswith(("dfb", "nelder", "imfil"))
-    # and DFB's and implicit filtering's take Rosenbrock's trials as rows
-    assert bool(from_rows) == solver_id.startswith(("dfb", "imfil"))
+    # and DFB's and implicit filtering's take them as rows
+    assert bool(from_rows) == linesearches
 
 
 @pytest.mark.parametrize("solver_id", SOLVER_IDS + ("gdf-fordif",))

@@ -1,10 +1,13 @@
-"""Linesearch trials through ``Objective.rows_evaluator``.
+"""Linesearch trials through ``Oracle.evaluate_rows``.
 
-``StepEvals.line`` hands an objective's rows hook ``driver.LINE_CHUNK`` trial
-points at a time and charges each trial only when the search takes it. The
-hook must give each row bitwise the scalar evaluator's value, and a search
-through it, cut off by the budget anywhere or run to its end, must leave the
-ledger, the counter and the noise stream exactly as the per-point route does.
+``StepEvals.linesearch`` hands the oracle ``driver.LINE_CHUNK`` trial points
+at a time and charges each trial only when the search takes it. The oracle
+evaluates them by the objective's rows hook, ``Objective.rows_evaluator``, or
+without one by one scalar ``evaluator`` call per trial taken, the per-point
+route, which evaluates no trial ahead. The hook must give each row bitwise
+the scalar evaluator's value, and a search through it, cut off by the budget
+anywhere or run to its end, must leave the ledger, the counter and the noise
+stream exactly as the per-point route does.
 """
 
 import dataclasses
@@ -106,15 +109,19 @@ def _imfil(start):
     return step
 
 
-@pytest.mark.parametrize("run, outcome", [
+#: The four searches and how each ends when no budget cuts it off.
+SEARCHES = {
     # at the minimizer every trial lies above f(x) = 0, so the search runs
     # until the noise passes the test, or, against f(x) = -1, to the floor
-    (_backtrack(0.0, 1e-10), True),
-    (_backtrack(-1.0, 1e-6), False),
+    "backtrack-test-passes": (_backtrack(0.0, 1e-10), True),
+    "backtrack-floor": (_backtrack(-1.0, 1e-6), False),
     # from -0.5 * 1 the sixth trial passes the Armijo test; from 1.5 * 1 all ten fail
-    (_imfil(-0.5), "accepted"),
-    (_imfil(1.5), "ls_fail"),
-], ids=["backtrack-test-passes", "backtrack-floor", "imfil-accepted", "imfil-ls_fail"])
+    "imfil-accepted": (_imfil(-0.5), "accepted"),
+    "imfil-ls_fail": (_imfil(1.5), "ls_fail"),
+}
+
+
+@pytest.mark.parametrize("run, outcome", SEARCHES.values(), ids=SEARCHES)
 def test_a_search_cut_off_at_any_trial_charges_as_the_per_point_route(run, outcome):
     full, (cost, *_) = _search(WITHOUT_ROWS, math.inf, run)
     assert (full.sufficient if isinstance(full, BacktrackResult) else full.last_step) == outcome
@@ -124,6 +131,36 @@ def test_a_search_cut_off_at_any_trial_charges_as_the_per_point_route(run, outco
         assert with_rows[1] == without_rows[1], budget
         # the results, arrays included, bit for bit (None when cut off)
         assert pickle.dumps(with_rows[0]) == pickle.dumps(without_rows[0]), budget
+
+
+@pytest.mark.parametrize("run", [run for run, _ in SEARCHES.values()], ids=SEARCHES)
+def test_without_a_hook_no_trial_is_evaluated_ahead(run, monkeypatch):
+    # the per-point route calls the scalar evaluator once for each trial the
+    # search takes, never for the rest of the trial block
+    calls = []
+
+    def counting(x):
+        calls.append(None)
+        return WITHOUT_ROWS.evaluator(x)
+
+    searches = []  # (trials charged, evaluator calls) of each linesearch
+    linesearch = StepEvals.linesearch
+
+    def recording(evals, *args):
+        cost, made = evals.cost, len(calls)
+        try:
+            return linesearch(evals, *args)
+        finally:
+            searches.append((evals.cost - cost, len(calls) - made))
+
+    monkeypatch.setattr(StepEvals, "linesearch", recording)
+    objective = dataclasses.replace(WITHOUT_ROWS, evaluator=counting)
+    _, (cost, *_) = _search(objective, math.inf, run)
+    assert searches[0][0] > 1
+    for budget in range(cost + 2):
+        searches.clear()
+        _search(objective, budget, run)
+        assert all(trials == made for trials, made in searches), budget
 
 
 def _trace_bytes(report, path) -> bytes:

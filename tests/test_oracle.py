@@ -195,6 +195,47 @@ def test_stencil_evaluator_must_return_one_value_per_point():
         Oracle(obj).evaluate_stencil(np.ones(2), np.array([0.1, -0.1]))
 
 
+class EvaluatorFault(Exception):
+    pass
+
+
+def _faulty(x):
+    """x . x, but it raises where the first coordinate is positive."""
+    if x[0] > 0:
+        raise EvaluatorFault()
+    return float(x @ x)
+
+
+def _faulty_kernel(x, steps):
+    raise EvaluatorFault()
+
+
+#: Each route's call at the point of ones in R^3 (a (3, 1) stencil, two rows).
+CALLS = {"stencil": lambda oracle: oracle.evaluate_stencil(np.ones(3), np.array([0.1])),
+         "point": lambda oracle: oracle.evaluate(np.ones(3)),
+         "rows": lambda oracle: next(oracle.evaluate_rows(np.ones((2, 3))))}
+
+
+@pytest.mark.parametrize("route, objective, error", [
+    ("stencil", Objective(dim=3, evaluator=_faulty, stencil_evaluator=_faulty_kernel),
+     EvaluatorFault),
+    ("stencil", Objective(dim=3, evaluator=_faulty,
+                          stencil_evaluator=lambda x, steps: np.zeros((2, 2))), ValueError),
+    ("point", Objective(dim=3, evaluator=_faulty), EvaluatorFault),
+    ("point", Objective(dim=3, evaluator=lambda x: np.zeros(2) if x[0] > 0 else 0.0), TypeError),
+    ("rows", Objective(dim=3, evaluator=_faulty), EvaluatorFault),
+], ids=["stencil-raises", "stencil-wrong-shape", "point-raises", "point-not-a-scalar",
+        "rows-raises"])
+def test_an_evaluation_that_fails_charges_nothing(route, objective, error):
+    # every route counts a value, and draws its noise, only once the value is there
+    oracle = Oracle(objective, noise_level=1e-3, rng_seed=5)
+    with pytest.raises(error):
+        CALLS[route](oracle)
+    assert oracle.eval_count == 0
+    fresh = Oracle(objective, noise_level=1e-3, rng_seed=5)
+    assert oracle.evaluate(np.zeros(3)) == fresh.evaluate(np.zeros(3))
+
+
 def _zero_objective(dim):
     """f = 0 everywhere, with a stencil evaluator, so every value is its noise."""
     return Objective(dim=dim, evaluator=lambda x: 0.0,
