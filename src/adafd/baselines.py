@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .driver import (ScheduleExhausted, StartConfig, StepEvals, ValidationError, check_between,
-                     check_count, drive, shrinking)
+                     check_count, drive, estimate_norm, shrinking)
 from .gradapprox import GradScheme, stencil_gradient
 from .oracle import Array, Objective
 from .trace import RunReport
@@ -204,7 +204,7 @@ def imfil_step(state: ImfilState, evals: StepEvals, scheme: GradScheme,
         raise ScheduleExhausted()
     h = cfg.scales[state.scale]
     g = stencil_gradient(evals, scheme, state.x, h)
-    g_norm = float(np.linalg.norm(g))
+    g_norm = estimate_norm(g)
     if not h < g_norm < math.inf:  # too small, or a NaN or infinite estimate
         return ImfilState(state.k + 1, state.x, state.f_x, state.scale + 1, h, "stencil_fail",
                           g_norm)
@@ -264,7 +264,7 @@ def rg_step(state: RgState, evals: StepEvals, scheme, cfg: RgConfig) -> RgState:
     x = state.x - state.last_tau * g
     f_x = evals.point(x)
     return RgState(state.k + 1, x, f_x, directions, sigma, state.last_tau,
-                   math.sqrt(g.dot(g)), "step")  # np.linalg.norm's own formula
+                   estimate_norm(g), "step")
 
 
 def rg_run(

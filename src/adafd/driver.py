@@ -116,6 +116,12 @@ def shrinking(t: float, factor: float, floor: float = 0.0) -> Iterator[float]:
 LINE_CHUNK = 8
 
 
+def estimate_norm(v: Array) -> float:
+    """The Euclidean norm of the 1-D float vector ``v``, bitwise
+    ``np.linalg.norm(v)``: its own formula, sqrt(v . v), without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def lower(a: float, b: float) -> float:
     """The lower of two values, ignoring NaN: NaN only when both are NaN."""
     return b if b < a or a != a else a

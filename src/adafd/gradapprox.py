@@ -9,12 +9,13 @@ noise level or Lipschitz constant is required.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .driver import StartConfig, StepEvals, check_between, check_count
+from .driver import StartConfig, StepEvals, check_between, check_count, estimate_norm
 from .oracle import Array, Oracle
 
 
@@ -58,12 +59,12 @@ class GradScheme(enum.Enum):
 def forward_diff(oracle: Oracle, x: Array, delta: float) -> Array:
     """Forward-difference gradient estimate; costs exactly dim + 1 evaluations.
 
-    The base value phi(x) is evaluated once and shared across all coordinates,
-    then the points x + delta e_i, in order of i.
+    One :meth:`Oracle.evaluate_stencil` call gives the base value phi(x),
+    shared across all coordinates and charged first, and the points
+    x + delta e_i, in order of i.
     """
     check_between("sampling interval", delta, 0.0)
-    f0 = oracle.evaluate(x)
-    values = oracle.evaluate_stencil(x, np.array([delta]))
+    f0, values = oracle.evaluate_stencil(x, np.array([delta]), base=True)
     return (values[:, 0] - f0) / delta
 
 
@@ -149,20 +150,21 @@ def adaptive_gradient(
         check_between("nu_k", nu_k, 0.0)
 
     x = np.asarray(x, dtype=float)
-    g = np.full(x.shape[0], np.nan)  # no estimate until a stencil runs
-    norm = float("nan")
+    norm = math.nan
     radius = delta_k
     ran = 0  # stencils evaluated; equals i at the top of each pass
     for i in range(cfg.i_max + 1):
         radius = cfg.theta**i * delta_k
         interval = radius if nu_k is None else min(radius, nu_k)
-        if interval <= 0.0 or np.all(x + interval == x):
+        if interval <= 0.0 or (x + interval == x).all():
             break  # below the float spacing of x (or underflowed): nothing to evaluate
         g = stencil_gradient(evals, scheme, x, interval)
         ran += 1
-        norm = float(np.linalg.norm(g))
-        if np.isfinite(norm) and norm > cfg.mu * c_k * radius:
+        norm = estimate_norm(g)
+        if math.isfinite(norm) and norm > cfg.mu * c_k * radius:
             return AdaptiveGradResult(g, radius, i, False, norm)
+    if not ran:
+        g = np.full(x.shape[0], np.nan)  # no estimate: no stencil ran
     return AdaptiveGradResult(g, radius, max(ran - 1, 0), True, norm)
 
 

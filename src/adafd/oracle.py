@@ -62,22 +62,28 @@ class Objective:
 
     ``stencil_evaluator``, when given, evaluates a whole finite-difference
     stencil around one base point: ``stencil_evaluator(x, steps)`` returns a
+    pair ``(f_x, values)``. ``f_x`` is f(x), bitwise ``evaluator(x)``, NaN
+    included (the standard ``rows_evaluator`` keeps), and ``values`` is a
     ``(dim, len(steps))`` array whose entry ``[i, j]`` is f at x with
     coordinate i set to the float ``x[i] + steps[j]`` (the other coordinates
-    unchanged). It must equal ``evaluator`` at those points up to rounding,
-    and it must not write to ``x``; ``x`` and ``steps`` are 1-D float arrays.
-    This lets a kernel reuse the base point's work: of the benchmark families,
-    Rosenbrock's adds to f(x) the changes of the two chained terms that hold
-    the moved coordinate, O(1) per point; least squares moves coordinate i by
-    its real displacement s = (x_i + step) - x_i in closed form,
-    f0 + s (2 a_i^T r0 + s ||a_i||^2) with r0 = A x - b, also O(1) per point;
-    and image restoration adds the moved coordinate's column, times s, to the
-    base residual. All three are equal to ``evaluator`` up to rounding, and
-    return :func:`pointwise_stencil` (the loop a stencil runs without a kernel)
-    where the base work, f(x) or image restoration's A x - b, is not finite.
-    Each stencil reaches the kernel in one call, so it bounds its own
-    temporaries: the built-in kernels do the base point's work once per call,
-    and the image-restoration one blocks its scratch by ``problems.STENCIL_BLOCK_BYTES``.
+    unchanged). ``values`` must equal ``evaluator`` at those points up to
+    rounding, and the kernel must not write to ``x``; ``x`` and ``steps`` are
+    1-D float arrays. This lets a kernel reuse the base point's work, which
+    it needs for f(x) anyway, and a forward stencil take f(x) from the same
+    call: of the benchmark families, Rosenbrock's adds to f(x) the changes of
+    the two chained terms that hold the moved coordinate, O(1) per point;
+    least squares moves coordinate i by its real displacement
+    s = (x_i + step) - x_i in closed form, f0 + s (2 a_i^T r0 + s ||a_i||^2)
+    with r0 = A x - b, also O(1) per point; and image restoration adds the
+    moved coordinate's column, times s, to the base residual. All three
+    compute f(x) by the scalar evaluator's own operations, their values equal
+    ``evaluator`` up to rounding, and they return :func:`pointwise_stencil`
+    (the loop a stencil runs without a kernel), beside the f(x) they
+    computed, where the base work, f(x) or image restoration's A x - b, is
+    not finite. Each stencil reaches the kernel in one call, so it bounds its
+    own temporaries: the built-in kernels do the base point's work once per
+    call, and the image-restoration one blocks its scratch by
+    ``problems.STENCIL_BLOCK_BYTES``.
 
     ``rows_evaluator``, when given, evaluates the rows of a ``(k, dim)`` float
     array ``X`` in one call: ``rows_evaluator(X)`` returns a ``(k,)`` array
@@ -95,7 +101,7 @@ class Objective:
     evaluator: Callable[[Array], float]
     analytic_gradient: Optional[Callable[[Array], Array]] = None
     lipschitz_grad_fn: Optional[Callable[[], float]] = None
-    stencil_evaluator: Optional[Callable[[Array, Array], Array]] = None
+    stencil_evaluator: Optional[Callable[[Array, Array], tuple]] = None
     rows_evaluator: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
@@ -144,7 +150,7 @@ class Oracle:
     charges a value (counts it, then adds its noise draw) only once the
     evaluator has returned it in the expected shape: ``evaluate`` and
     ``evaluate_rows`` one point at a time, ``evaluate_stencil`` all at once,
-    to the same counter and noise values.
+    its base value first, to the same counter and noise values.
 
     An Oracle is single-owner mutable state: concurrent runs must construct
     independent oracles (same Objective, distinct seeds).
@@ -159,8 +165,9 @@ class Oracle:
         check_noise_level(self.noise_level)
         self.reset_counter()
 
-    def _noise(self, k: int) -> Array:
-        """The next k values of the noise stream, drawn ahead in chunks."""
+    def _take(self, k: int) -> int:
+        """Take the next k values of the noise stream, drawn ahead in chunks;
+        they are ``_noise_chunk[at:at + k]`` for the returned ``at``."""
         at = self._noise_at
         if at + k > self._noise_chunk.shape[0]:
             fresh = self._rng.uniform(-self.noise_level, self.noise_level,
@@ -168,14 +175,15 @@ class Oracle:
             self._noise_chunk = np.concatenate((self._noise_chunk[at:], fresh))
             at = 0
         self._noise_at = at + k
-        return self._noise_chunk[at:at + k]
+        return at
 
     def _charge(self, value) -> float:
         """Count one evaluation and return ``value`` plus the next noise draw."""
         value = float(value)
         self.eval_count += 1
         if self.noise_level > 0.0:
-            value += float(self._noise(1)[0])
+            at = self._take(1)  # which may draw a new chunk
+            value += self._noise_chunk.item(at)
         return value
 
     def evaluate(self, x: Array) -> float:
@@ -212,15 +220,21 @@ class Oracle:
         for value in values:
             yield self._charge(value)
 
-    def evaluate_stencil(self, x: Array, steps: Array) -> Array:
+    def evaluate_stencil(self, x: Array, steps: Array, base: bool = False):
         """Return phi at the points x + steps[j] e_i, i = 0, ..., dim - 1, as a
-        ``(dim, len(steps))`` array, and advance the counter by its size.
+        ``(dim, len(steps))`` array, and advance the counter by its size; with
+        ``base``, return ``(phi(x), values)`` and advance it by one more.
 
         Point ``[i, j]`` is x with coordinate i set to the float
-        ``x[i] + steps[j]``. Counter and noise stream end exactly as after
-        one ``evaluate`` call per point in row order, ``[0, 0], [0, 1], ...``;
-        the values are equal up to the stencil evaluator's rounding, and
-        bitwise equal when the objective has no ``stencil_evaluator``.
+        ``x[i] + steps[j]``. The objective's ``stencil_evaluator`` gives f(x)
+        and the values in one call; without one, ``evaluator`` is called at x
+        (only with ``base``) and then at each point. Nothing is charged until
+        every value is there in the expected shape. Counter and noise stream
+        then end exactly as after ``evaluate(x)`` (only with ``base``) and one
+        ``evaluate`` call per point in row order, ``[0, 0], [0, 1], ...``;
+        phi(x) is bitwise that ``evaluate(x)``, and the values are equal up to
+        the stencil evaluator's rounding, bitwise when the objective has no
+        ``stencil_evaluator``.
         """
         x = np.asarray(x, dtype=float)
         steps = np.asarray(steps, dtype=float)
@@ -231,14 +245,24 @@ class Oracle:
             raise ValueError(f"steps must be 1-D, got shape {steps.shape}")
         shape = (n, steps.shape[0])
         hook = self.objective.stencil_evaluator
-        values = (pointwise_stencil(self.objective.evaluator, x, steps) if hook is None
-                  else np.asarray(hook(x, steps), dtype=float))
+        if hook is None:
+            f_x = self.objective.evaluator(x) if base else None
+            values = pointwise_stencil(self.objective.evaluator, x, steps)
+        else:
+            f_x, values = hook(x, steps)
+            values = np.asarray(values, dtype=float)
         if values.shape != shape:
             raise ValueError(f"stencil evaluator returned shape {values.shape}, expected {shape}")
-        self.eval_count += values.size
+        if base:
+            f_x = float(f_x)
+        charged = base + values.size
+        self.eval_count += charged
         if self.noise_level > 0.0:
-            values = values + self._noise(values.size).reshape(shape)
-        return values
+            at = self._take(charged)
+            if base:
+                f_x += self._noise_chunk.item(at)
+            values = values + self._noise_chunk[at + base:at + charged].reshape(shape)
+        return (f_x, values) if base else values
 
     def reset_counter(self) -> None:
         """Zero the evaluation counter and rewind the noise stream to its seed,

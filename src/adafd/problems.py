@@ -9,11 +9,13 @@ family the max absolute row sum of 2 A^T A, an upper bound. Rosenbrock's
 gradient is only locally Lipschitz so no constant is stored.
 
 Each family also has a stencil kernel (``Objective.stencil_evaluator``) that
-reuses the base point's work. Least squares and Rosenbrock are in closed form,
-O(1) per point: f(x) plus the change the moved coordinate makes. Image
-restoration adds one column of A to the base residual, O(n) per point, in
-blocks of ``STENCIL_BLOCK_BYTES`` of scratch. All three equal the scalar
-evaluator up to rounding, point by point where the base work is not finite.
+reuses the base point's work and returns f(x) from it, bitwise the scalar
+evaluator's, so a forward stencil evaluates its base nowhere else. Least
+squares and Rosenbrock are in closed form, O(1) per point: f(x) plus the
+change the moved coordinate makes. Image restoration adds one column of A to
+the base residual, O(n) per point, in blocks of ``STENCIL_BLOCK_BYTES`` of
+scratch. All three equal the scalar evaluator up to rounding, point by point
+where the base work is not finite.
 Rosenbrock also evaluates linesearch trials a block of rows at a time
 (``Objective.rows_evaluator``), bitwise equal to the scalar evaluator; least
 squares has no such hook, because every batched form of it rounds differently.
@@ -93,22 +95,22 @@ def make_least_squares(A: Array, b: Array) -> ProblemInstance:
     def column_norms() -> Array:
         return np.einsum("ij,ij->j", A, A)
 
-    def f_stencil(x: Array, steps: Array) -> Array:
+    def f_stencil(x: Array, steps: Array) -> tuple:
         # Moving coordinate i by s = (x_i + step) - x_i, the displacement it
         # really has, gives ||r0 + s a_i||^2 = f0 + s (2 a_i^T r0 + s ||a_i||^2)
-        # with r0 = A x - b and f0 = r0^T r0: O(1) per point once the call has
-        # r0 and the slopes 2 a_i^T r0.
+        # with r0 = A x - b and f0 = r0^T r0, computed as f computes it: O(1)
+        # per point once the call has r0 and the slopes 2 a_i^T r0.
         r0 = A @ x
         r0 -= b
         f0 = r0 @ r0
         if not math.isfinite(f0):  # the closed form cannot hold: point by point
-            return pointwise_stencil(f, x, steps)
+            return f0, pointwise_stencil(f, x, steps)
         s = (x[:, None] + steps) - x[:, None]
         values = s * column_norms()[:, None]
         values += 2.0 * (r0 @ A)[:, None]
         values *= s
         values += f0
-        return values
+        return f0, values
 
     def grad(x: Array) -> Array:
         return 2.0 * (A.T @ (A @ x - b))
@@ -139,17 +141,19 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
         np.multiply(r, r, out=r)
         return float(np.add.reduce(np.log1p(r, out=r)))
 
-    def f_stencil(x: Array, steps: Array) -> Array:
+    def f_stencil(x: Array, steps: Array) -> tuple:
         # log1p has no closed form in the displacement, so each point's
         # residual is built: the base residual r0 = A x - b, computed once per
-        # call, plus the moved coordinate's column of A times the displacement
-        # that coordinate really has, (x_i + step) - x_i. That is O(m) per
-        # point instead of a matrix-vector product's O(m n), equal up to
-        # rounding while r0 is finite; otherwise it is evaluated point by point.
+        # call (and f0 from it as f computes it), plus the moved coordinate's
+        # column of A times the displacement that coordinate really has,
+        # (x_i + step) - x_i. That is O(m) per point instead of a
+        # matrix-vector product's O(m n), equal up to rounding while r0 is
+        # finite; otherwise it is evaluated point by point.
         r0 = A @ x
         r0 -= b
+        f0 = np.add.reduce(np.log1p(r0 * r0))
         if not np.isfinite(r0).all():
-            return pointwise_stencil(f, x, steps)
+            return f0, pointwise_stencil(f, x, steps)
         moved = (x[:, None] + steps) - x[:, None]
         AT = A.T
         p = steps.shape[0]
@@ -163,7 +167,7 @@ def make_image_restoration(A: Array, b: Array) -> ProblemInstance:
             R += r0
             np.multiply(R, R, out=R)
             np.add.reduce(np.log1p(R, out=R), axis=2, out=values[i:j])
-        return values
+        return f0, values
 
     def grad(x: Array) -> Array:
         r = A @ x - b
@@ -198,22 +202,24 @@ def make_rosenbrock(n: int) -> ProblemInstance:
     def f(x: Array) -> float:
         return float(np.add.reduce(_rosenbrock_terms(x[:-1], x[1:])))
 
-    def f_stencil(x: Array, steps: Array) -> Array:
+    def f_stencil(x: Array, steps: Array) -> tuple:
         # Moving coordinate i changes only term i - 1 (i is its tail) and term
-        # i (i is its head), so entry [i, j] is f(x) plus those two terms'
-        # changes: O(1) per point, equal to f up to rounding. A term the move
-        # leaves unchanged adds exactly 0. With f(x) not finite (an overflowed
-        # term), a change is inf - inf, so the points are evaluated one by one.
+        # i (i is its head), so entry [i, j] is f(x), reduced as f reduces it,
+        # plus those two terms' changes: O(1) per point, equal to f up to
+        # rounding. A term the move leaves unchanged adds exactly 0. With f(x)
+        # not finite (an overflowed term), a change is inf - inf, so the points
+        # are evaluated one by one.
         terms = _rosenbrock_terms(x[:-1], x[1:])
         f0 = np.add.reduce(terms)
         if not math.isfinite(f0):
-            return pointwise_stencil(f, x, steps)
+            return f0, pointwise_stencil(f, x, steps)
         moved = x[:, None] + steps
-        values = np.full((n, steps.shape[0]), f0)
+        values = np.empty((n, steps.shape[0]))
+        values.fill(f0)
         old = terms[:, None]
         values[1:] += _rosenbrock_terms(x[:-1, None], moved[1:]) - old  # x[i + 1] moved
         values[:-1] += _rosenbrock_terms(moved[:-1], x[1:, None]) - old  # x[i] moved
-        return values
+        return f0, values
 
     def f_rows(X: Array) -> Array:
         # each row reduced as f reduces its terms, so bitwise f(X[j])

@@ -45,9 +45,10 @@ def cusp_objective() -> Objective:
 
 
 def looping_stencil(objective: Objective) -> Objective:
-    """``objective`` with a stencil hook that calls its ``evaluator`` once per
-    point, so the hook's values are bitwise those of the per-point route and a
-    test of the oracle's noise order can compare them exactly."""
+    """``objective`` with a stencil hook that calls its ``evaluator`` at the
+    base point and then once per point, so the hook's values are bitwise those
+    of the per-point route and a test of the oracle's noise order can compare
+    them exactly."""
 
     def hook(x, steps):
         values = np.empty((x.shape[0], steps.shape[0]))
@@ -55,7 +56,7 @@ def looping_stencil(objective: Objective) -> Objective:
             y = x.copy()
             y[i] = x[i] + steps[j]
             values[i, j] = objective.evaluator(y)
-        return values
+        return objective.evaluator(x), values
 
     return replace(objective, stencil_evaluator=hook)
 

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adafd import (
     BudgetExhausted,
@@ -17,7 +20,7 @@ from adafd import (
     forward_diff,
     make_least_squares,
 )
-from adafd.driver import StepEvals
+from adafd.driver import StepEvals, estimate_norm
 from adafd.gradapprox import SearchConfig
 
 from conftest import (constant_objective, cusp_objective, linear_objective, looping_stencil,
@@ -358,7 +361,7 @@ def _recording_hook(calls):
 
     def hook(x, steps):
         calls.append((x.copy(), steps.copy()))
-        return np.zeros((x.shape[0], steps.shape[0]))
+        return 0.0, np.zeros((x.shape[0], steps.shape[0]))
 
     return hook
 
@@ -385,10 +388,13 @@ def test_stencil_points_are_the_tiled_points_row_for_row(n, scheme):
     assert np.array(seen).tobytes() == expected.tobytes()
 
     # A stencil evaluator gets the whole stencil in one call: the base point
-    # and the steps whose points those are.
+    # and the steps whose points those are. It gives a forward stencil its
+    # base value too, so the scalar evaluator is never called.
     calls = []
-    obj = Objective(dim=n, evaluator=lambda y: 0.0, stencil_evaluator=_recording_hook(calls))
+    seen = []
+    obj = Objective(dim=n, evaluator=recording, stencil_evaluator=_recording_hook(calls))
     stencil(Oracle(obj), x, delta)
+    assert seen == []
     assert len(calls) == 1
     points = []
     for base, steps in calls:
@@ -400,3 +406,37 @@ def test_stencil_points_are_the_tiled_points_row_for_row(n, scheme):
                 y[i] += step
                 points.append(y)
     assert np.array(points).tobytes() == expected.tobytes()
+
+
+#: Entries an estimate may hold: tiny ones (subnormal squares), huge ones
+#: (1e200, whose square overflows to inf), infinite and NaN ones.
+ENTRY_KINDS = ("tiny", "huge", "infinite", "nan")
+
+
+@st.composite
+def estimates(draw):
+    """A 1-D float vector, n from 1 to 400, with entries of some ``ENTRY_KINDS``."""
+    n = draw(st.integers(1, 400))
+    kinds = draw(st.lists(st.sampled_from(ENTRY_KINDS), max_size=3, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal(n)
+    for kind in kinds:
+        picked = rng.random(n) < 0.2
+        if kind == "tiny":
+            v[picked] *= 1e-300
+        elif kind == "huge":
+            v[picked] *= 1e200
+        elif kind == "infinite":
+            v[picked] = np.copysign(np.inf, v[picked])
+        else:
+            v[picked] = np.nan
+    return v
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(estimates())
+def test_the_estimate_norm_is_bitwise_numpys(v):
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        got = estimate_norm(v)
+        expected = np.linalg.norm(v)
+    assert struct.pack("<d", got) == struct.pack("<d", expected)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from adafd import Objective, Oracle, ValidationError
+from adafd import Objective, Oracle, ValidationError, forward_diff
+from adafd.oracle import NOISE_CHUNK
 
 from conftest import looping_stencil, sphere_objective
 
@@ -186,9 +188,34 @@ def test_stencil_without_stencil_evaluator_loops_over_the_scalar_one():
     assert stencil.evaluate(x) == scalar.evaluate(x)
 
 
+@pytest.mark.parametrize("lead", [0, NOISE_CHUNK - 5, NOISE_CHUNK - 1],
+                         ids=["fresh", "refill-in-stencil", "refill-at-stencil"])
+@pytest.mark.parametrize("dim, steps", [(4, [0.5, -0.25]), (200, [1e-3, -1e-3])],
+                         ids=["small", "over-a-chunk"])
+@pytest.mark.parametrize("hook", [True, False], ids=["hook", "no-hook"])
+def test_a_stencil_with_its_base_is_evaluate_then_the_stencil(hook, dim, steps, lead):
+    # ``lead`` evaluations first, so that 1 + size crosses a chunk refill:
+    # inside the stencil, or between the base and the stencil
+    from adafd import make_rosenbrock
+
+    obj = make_rosenbrock(dim).objective
+    obj = looping_stencil(obj) if hook else dataclasses.replace(obj, stencil_evaluator=None)
+    x, steps = _base(dim), np.array(steps)
+    one = Oracle(obj, noise_level=1e-3, rng_seed=8)
+    two = Oracle(obj, noise_level=1e-3, rng_seed=8)
+    for oracle in (one, two):
+        for _ in range(lead):
+            oracle.evaluate(x)
+    f_x, values = one.evaluate_stencil(x, steps, base=True)
+    assert f_x == two.evaluate(x)
+    assert values.tobytes() == two.evaluate_stencil(x, steps).tobytes()
+    assert one.eval_count == two.eval_count == lead + 1 + dim * len(steps)
+    assert one.evaluate(x) == two.evaluate(x)
+
+
 def test_stencil_evaluator_must_return_one_value_per_point():
     def flat(x, steps):
-        return np.zeros(x.shape[0] * steps.shape[0])
+        return 0.0, np.zeros(x.shape[0] * steps.shape[0])
 
     obj = Objective(dim=2, evaluator=lambda x: float(x @ x), stencil_evaluator=flat)
     with pytest.raises(ValueError):
@@ -210,8 +237,15 @@ def _faulty_kernel(x, steps):
     raise EvaluatorFault()
 
 
-#: Each route's call at the point of ones in R^3 (a (3, 1) stencil, two rows).
+def _with_kernel(kernel):
+    """x . x on R^3, with ``kernel`` as its stencil evaluator."""
+    return Objective(dim=3, evaluator=lambda x: float(x @ x), stencil_evaluator=kernel)
+
+
+#: Each route's call at the point of ones in R^3 (a (3, 1) stencil, two rows);
+#: "forward" is a forward stencil, which takes its base value from the kernel.
 CALLS = {"stencil": lambda oracle: oracle.evaluate_stencil(np.ones(3), np.array([0.1])),
+         "forward": lambda oracle: forward_diff(oracle, np.ones(3), 0.1),
          "point": lambda oracle: oracle.evaluate(np.ones(3)),
          "rows": lambda oracle: next(oracle.evaluate_rows(np.ones((2, 3))))}
 
@@ -220,12 +254,15 @@ CALLS = {"stencil": lambda oracle: oracle.evaluate_stencil(np.ones(3), np.array(
     ("stencil", Objective(dim=3, evaluator=_faulty, stencil_evaluator=_faulty_kernel),
      EvaluatorFault),
     ("stencil", Objective(dim=3, evaluator=_faulty,
-                          stencil_evaluator=lambda x, steps: np.zeros((2, 2))), ValueError),
+                          stencil_evaluator=lambda x, steps: (0.0, np.zeros((2, 2)))), ValueError),
     ("point", Objective(dim=3, evaluator=_faulty), EvaluatorFault),
     ("point", Objective(dim=3, evaluator=lambda x: np.zeros(2) if x[0] > 0 else 0.0), TypeError),
     ("rows", Objective(dim=3, evaluator=_faulty), EvaluatorFault),
+    ("forward", _with_kernel(_faulty_kernel), EvaluatorFault),
+    ("forward", _with_kernel(lambda x, steps: (0.0, np.zeros((2, 2)))), ValueError),
+    ("forward", _with_kernel(lambda x, steps: (np.zeros(2), np.zeros((3, 1)))), TypeError),
 ], ids=["stencil-raises", "stencil-wrong-shape", "point-raises", "point-not-a-scalar",
-        "rows-raises"])
+        "rows-raises", "forward-raises", "forward-wrong-shape", "forward-base-not-a-scalar"])
 def test_an_evaluation_that_fails_charges_nothing(route, objective, error):
     # every route counts a value, and draws its noise, only once the value is there
     oracle = Oracle(objective, noise_level=1e-3, rng_seed=5)
@@ -239,7 +276,7 @@ def test_an_evaluation_that_fails_charges_nothing(route, objective, error):
 def _zero_objective(dim):
     """f = 0 everywhere, with a stencil evaluator, so every value is its noise."""
     return Objective(dim=dim, evaluator=lambda x: 0.0,
-                     stencil_evaluator=lambda x, steps: np.zeros((len(x), len(steps))))
+                     stencil_evaluator=lambda x, steps: (0.0, np.zeros((len(x), len(steps)))))
 
 
 def _draw_noise(oracle, calls):

@@ -1,9 +1,10 @@
 """The built-in stencil evaluators against the scalar evaluators at the points
 they stand for.
 
-Entry ``[i, j]`` of ``stencil_evaluator(x, steps)`` is f at x with coordinate
-i set to ``x[i] + steps[j]``; the references here build each of those points
-and call ``evaluator`` on it. The Rosenbrock and least-squares kernels are in
+Entry ``[i, j]`` of the values that ``stencil_evaluator(x, steps)`` returns
+beside f(x) is f at x with coordinate i set to ``x[i] + steps[j]``; the
+references here build each of those points and call ``evaluator`` on it.
+The f(x) it returns is bitwise ``evaluator(x)``. The Rosenbrock and least-squares kernels are in
 closed form, O(1) per point and without blocks: Rosenbrock's is f(x) plus the
 changes of the two terms that hold the moved coordinate, within
 ``ROSENBROCK_EPS`` machine epsilons of max(f(x), value); least squares' is
@@ -14,11 +15,14 @@ coordinates in blocks of ``problems.STENCIL_BLOCK_BYTES`` of scratch; the
 blocking may change neither a value nor the scratch bound.
 """
 
+import struct
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adafd import GradScheme, Oracle, central_diff, forward_diff, problems
 from adafd import build_instance, make_rosenbrock, random_instance
@@ -67,7 +71,7 @@ def test_rosenbrock_stencil_matches_the_scalar_evaluator(n, step, point):
     objective = make_rosenbrock(n).objective
     x = _point(n, point)
     for steps in (np.array([step]), np.array([step, -step])):
-        got = objective.stencil_evaluator(x, steps)
+        _, got = objective.stencil_evaluator(x, steps)
         assert got.shape == (n, len(steps))
         expected = _scalar_stencil(objective, x, steps)
         scale = np.maximum(objective.evaluator(x), expected)
@@ -85,7 +89,7 @@ def test_rosenbrock_stencil_keeps_an_overflowed_base_term_infinite():
         expected = _scalar_stencil(objective, x, steps)
     with warnings.catch_warnings(record=True) as kernel_warnings:
         warnings.simplefilter("always")
-        got = objective.stencil_evaluator(x, steps)
+        _, got = objective.stencil_evaluator(x, steps)
     assert np.all(expected == np.inf)
     assert np.all(got[expected == np.inf] == np.inf)
     messages = {str(w.message) for w in scalar_warnings}
@@ -104,7 +108,7 @@ def test_rosenbrock_stencil_brings_an_overflowed_base_term_back():
         expected = _scalar_stencil(objective, x, steps)
     with warnings.catch_warnings(record=True) as kernel_warnings:
         warnings.simplefilter("always")
-        got = objective.stencil_evaluator(x, steps)
+        _, got = objective.stencil_evaluator(x, steps)
     assert expected[2, 0] == pytest.approx(169.2)
     np.testing.assert_array_equal(got, expected)
     messages = {str(w.message) for w in scalar_warnings}
@@ -120,7 +124,7 @@ def test_matrix_family_stencils_match_the_scalar_evaluator(family, n, step, poin
     objective = random_instance(family, n, seed=n).objective
     x = _point(n, point)
     for steps in (np.array([step]), np.array([step, -step])):
-        got = objective.stencil_evaluator(x, steps)
+        _, got = objective.stencil_evaluator(x, steps)
         assert got.shape == (n, len(steps))
         expected = _scalar_stencil(objective, x, steps)
         np.testing.assert_allclose(got, expected, rtol=MATRIX_RTOL, atol=0.0)
@@ -130,7 +134,7 @@ def test_least_squares_stencil_of_a_tall_matrix():
     instance = random_instance("least_squares", 7, m=19, seed=4)
     x = _base(7)
     steps = np.array([1e-3, -1e-3])
-    got = instance.objective.stencil_evaluator(x, steps)
+    _, got = instance.objective.stencil_evaluator(x, steps)
     expected = _scalar_stencil(instance.objective, x, steps)
     np.testing.assert_allclose(got, expected, rtol=MATRIX_RTOL, atol=0.0)
 
@@ -141,7 +145,7 @@ def test_least_squares_closed_form_matches_the_scalar_evaluator(m, n):
     objective = random_instance("least_squares", n, m=m, seed=m).objective
     x = _base(n, seed=1)
     for steps in (np.array([1e-3]), np.array([1e-3, -1e-3])):
-        got = objective.stencil_evaluator(x, steps)
+        _, got = objective.stencil_evaluator(x, steps)
         expected = _scalar_stencil(objective, x, steps)
         np.testing.assert_allclose(got, expected, rtol=MATRIX_RTOL, atol=0.0,
                                    err_msg=f"{steps}")
@@ -158,10 +162,47 @@ def test_matrix_family_stencils_at_an_overflowed_base_point(family, x, steps):
     objective = random_instance(family, 6, seed=0).objective
     steps = np.array(steps)
     with np.errstate(invalid="ignore", over="ignore"):
-        got = objective.stencil_evaluator(x, steps)
+        _, got = objective.stencil_evaluator(x, steps)
         expected = _scalar_stencil(objective, x, steps)
     assert np.isinf(expected).any()
     np.testing.assert_array_equal(got, expected)
+
+
+#: Base points of the f(x) property: finite at unit scale, near overflow
+#: (Rosenbrock's terms overflow from about 1e76, least squares' and image
+#: restoration's squared residuals from about 1e154, so f(x) may be +inf with
+#: every entry finite), and non-finite, which takes the point-by-point route.
+BASE_KINDS = ("finite", "near-overflow", "non-finite")
+
+
+@st.composite
+def stencil_bases(draw):
+    """A family, an instance seed, a base point of one of ``BASE_KINDS`` and steps."""
+    family = draw(st.sampled_from(problems.FAMILIES))
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(BASE_KINDS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2.0, 2.0, n)
+    picked = rng.random(n) < 0.3
+    if kind == "near-overflow":
+        x[picked] *= draw(st.sampled_from([1e75, 1e77, 1e153, 1e155]))
+    elif kind == "non-finite":
+        x[picked | (np.arange(n) == 0)] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    steps = np.array(draw(st.sampled_from([[1e-3], [1e-3, -1e-3]])))
+    return family, n, seed, x, steps
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(stencil_bases())
+def test_each_kernel_returns_f_x_bitwise_its_scalar_evaluator(case):
+    family, n, seed, x, steps = case
+    objective = build_instance(family, n, seed=seed).objective
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_x, values = objective.stencil_evaluator(x, steps)
+        expected = objective.evaluator(x)
+    assert values.shape == (n, len(steps))
+    assert struct.pack("<d", f_x) == struct.pack("<d", expected)
 
 
 def _instances(n):
@@ -179,10 +220,10 @@ def test_a_nonfinite_moved_coordinate_stays_in_its_own_entries(n, bad):
     x = _base(n)
     for instance in _instances(n):
         objective = instance.objective
-        clean = objective.stencil_evaluator(x, np.array([1e-3]))
+        _, clean = objective.stencil_evaluator(x, np.array([1e-3]))
         steps = np.array([1e-3, bad])
         with np.errstate(invalid="ignore", over="ignore"):
-            got = objective.stencil_evaluator(x, steps)
+            _, got = objective.stencil_evaluator(x, steps)
             expected = _scalar_stencil(objective, x, steps)
         assert got[:, 0].tobytes() == clean[:, 0].tobytes()
         np.testing.assert_array_equal(got[:, 1], expected[:, 1])
@@ -210,9 +251,9 @@ def test_blocked_kernels_are_bitwise_one_block(n, budget, monkeypatch):
     x = _base(n)
     for steps in (np.array([1e-3]), np.array([1e-3, -1e-3])):
         monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", 2**62)
-        whole = objective.stencil_evaluator(x, steps)
+        _, whole = objective.stencil_evaluator(x, steps)
         monkeypatch.setattr(problems, "STENCIL_BLOCK_BYTES", budget)
-        got = objective.stencil_evaluator(x, steps)
+        _, got = objective.stencil_evaluator(x, steps)
         assert got.tobytes() == whole.tobytes(), steps
 
 
