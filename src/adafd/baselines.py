@@ -18,8 +18,8 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .driver import (ScheduleExhausted, StartConfig, StepEvals, ValidationError, check_between,
-                     check_count, drive, estimate_norm, shrinking)
+from .driver import (StartConfig, StepEvals, ValidationError, check_between, check_count, drive,
+                     estimate_norm, schedule_value, shrinking)
 from .gradapprox import GradScheme, stencil_gradient
 from .oracle import Array, Objective
 from .trace import RunReport
@@ -200,9 +200,7 @@ def imfil_step(state: ImfilState, evals: StepEvals, scheme: GradScheme,
                cfg: ImfilConfig) -> ImfilState:
     """One gradient step at the current scale; a too-small estimate (norm at
     most h) or a failed backtracking search advances the schedule instead."""
-    if state.scale >= len(cfg.scales):
-        raise ScheduleExhausted()
-    h = cfg.scales[state.scale]
+    h = schedule_value(cfg.scales, state.scale + 1)
     g = stencil_gradient(evals, scheme, state.x, h)
     g_norm = estimate_norm(g)
     if not h < g_norm < math.inf:  # too small, or a NaN or infinite estimate

@@ -4,15 +4,15 @@ A solver is a step rule ``step(state, evals, scheme, cfg) -> state``, its
 initial state (a ``NamedTuple``) and a config that subclasses
 :class:`StartConfig`. A step rule returns a new state, built once, and never
 mutates the state it got or its arrays. The driver owns everything around it:
-the initial evaluation, the budget check before every step, the declared-cost
-sum, ``f_best``, the trace and iterates, and why the run stopped. It hands
-each step one :class:`StepEvals`, the step's ledger: every evaluation and
-every budget check inside the step goes through it, and it is the one raiser
-of :class:`BudgetExhausted`. After the step, however it ended, the driver adds
-the ledger's ``cost`` to the declared cost and folds its ``low`` (the lowest
-value evaluated at an iterate or candidate point) into ``f_best``, so a step
-that is cut off by the budget, or raises :class:`ScheduleExhausted` when a
-caller-supplied sequence runs out, still declares its work. Every step rule
+the initial evaluation, the budget check before every step, the trace and
+iterates, and why the run stopped. It builds one :class:`StepEvals`, the run's
+ledger, seeded with the evaluation of ``x1``, and hands it to every step:
+every evaluation and every budget check inside a step goes through it, and it
+is the one raiser of :class:`BudgetExhausted`. Its ``cost`` is the run's
+declared cost and its ``low`` (the lowest value evaluated at ``x1``, an
+iterate or a candidate point) the run's ``f_best``, so a step that is cut off
+by the budget, or raises :class:`ScheduleExhausted` when a caller-supplied
+sequence runs out, has already declared its work. Every step rule
 reports its curvature proxy in ``C``. NaN is the only "no value", and
 ``f_best`` ignores it: it is NaN only while no other value has been seen. A
 state whose ``last_step`` is "stopped" ends the run ``stationary``; for DFC,
@@ -36,8 +36,9 @@ from .trace import RunReport, TraceRecord
 
 class BudgetExhausted(RuntimeError):
     """Raised by :meth:`StepEvals.check` when a step would start an oracle call
-    at or past its evaluation budget. The step's cost and lowest value so far
-    stay in its :class:`StepEvals`, where :func:`drive` reads them."""
+    at or past its evaluation budget. The run's cost and lowest value so far,
+    the cut-off step's included, stay in the run's ledger, its
+    :class:`StepEvals`, where :func:`drive` reads them."""
 
 
 class ScheduleExhausted(Exception):
@@ -128,13 +129,14 @@ def lower(a: float, b: float) -> float:
 
 
 class StepEvals:
-    """The ledger of one step: its evaluations, each started only below the
+    """The run's ledger: its evaluations, each started only below the
     ``budget``.
 
-    ``cost`` is the evaluations the step has declared and ``low`` the lowest
-    value it evaluated at an iterate or candidate point (NaN while none).
-    :func:`drive` builds one per step and reads both after the step, however
-    it ended. This is the one place that raises :class:`BudgetExhausted`.
+    ``cost`` is the evaluations declared so far and ``low`` the lowest value
+    evaluated at an iterate or candidate point (NaN while none). :func:`drive`
+    builds one per run, seeds it with ``x1``, passes it to every step and
+    reads both after each step, however it ended. This is the one place that
+    raises :class:`BudgetExhausted`.
     """
 
     __slots__ = ("oracle", "budget", "cost", "low")
@@ -204,9 +206,10 @@ def drive(
     if cfg.x1.shape != (objective.dim,):
         raise ValidationError("x1 dimension does not match the objective")
     oracle = Oracle(objective, noise_level, seed)
-    f_best = oracle.evaluate(cfg.x1)
-    state = start(cfg.x1.copy(), f_best)
-    declared = 1
+    evals = StepEvals(oracle, cfg.budget)
+    evals.cost = 1  # x1 is evaluated whatever the budget
+    evals.low = oracle.evaluate(cfg.x1)
+    state = start(cfg.x1.copy(), evals.low)
     trace: list[TraceRecord] = []
     iterates = [state.x.copy()] if collect_iterates else []
     termination = "budget"
@@ -214,7 +217,6 @@ def drive(
 
     while oracle.eval_count < cfg.budget:
         before = state
-        evals = StepEvals(oracle, cfg.budget)
         try:
             state = step(state, evals, scheme, cfg)
         except BudgetExhausted:
@@ -223,11 +225,8 @@ def drive(
         except ScheduleExhausted:
             termination = "schedule"
             break
-        finally:  # a cut-off step declares its work and the values it saw too
-            declared += evals.cost
-            f_best = lower(f_best, evals.low)
         # positional, in CSV_COLUMNS order
-        trace.append(TraceRecord(state.k, oracle.eval_count, state.f_x, f_best,
+        trace.append(TraceRecord(state.k, oracle.eval_count, state.f_x, evals.low,
                                  state.last_g_norm, state.delta, trace_C(before, state),
                                  state.last_tau, state.last_step))
         if collect_iterates:
@@ -240,9 +239,9 @@ def drive(
         solver_id=solver if scheme is None else f"{solver}-{scheme.suffix}",
         trace=trace,
         final_x=state.x.copy(),
-        best_f=f_best,
+        best_f=evals.low,
         evals=oracle.eval_count,
-        declared_evals=declared,
+        declared_evals=evals.cost,
         termination=termination,
         truncated=truncated,
         final_C=state.C,

@@ -105,7 +105,7 @@ class AdaptiveGradResult(NamedTuple):
     ``g_norm > mu * c_k * delta_next`` and ``delta_next = theta**inner_steps * delta_k``.
     ``g_norm`` is ``norm(g)``, the value the test compared. The search spent
     ``inner_steps + 1`` stencil calls, or none when an exhausted search stopped
-    before its first stencil; its step's :class:`StepEvals` declares them.
+    before its first stencil; the run's ledger, its :class:`StepEvals`, declares them.
     """
 
     g: Array

@@ -27,8 +27,6 @@ PALETTE = (
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> List[float]:
-    if hi <= lo:
-        return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -55,6 +53,8 @@ def emit_plot(traces: Dict[str, List[TraceRecord]], path) -> None:
     y_lo, y_hi = min(ys), max(ys)
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+        if y_hi == y_lo:  # from 2**53 up, value +-1 can round back to the value
+            y_lo, y_hi = sorted((y_lo, 0.0))
     if xs_max == xs_min:
         xs_max = xs_min + 1
 

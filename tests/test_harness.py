@@ -187,6 +187,32 @@ class TestPlot:
         assert svg.count('class="legend"') == 2
         assert all(math.isfinite(v) for v in _svg_numbers(svg))
 
+    @pytest.mark.parametrize("value", [-5.0, -2.0**54, -1e20, -1.7976931348623157e308])
+    def test_a_flat_linear_axis_has_width_at_any_magnitude(self, tmp_path, value):
+        # one record of a run that stops at its start; from 2**53 up, the
+        # value +-1 can round back to the value itself
+        objective = Objective(dim=2, evaluator=lambda x: value)
+        report = dfc_run(objective, GradScheme.FORWARD, DfcConfig(x1=np.zeros(2), budget=500))
+        assert report.termination == "stationary" and len(report.trace) == 1
+        path = tmp_path / "flat.svg"
+        emit_plot({"run": report.trace}, path)
+        svg = path.read_text()
+        assert all(math.isfinite(v) for v in _svg_numbers(svg))
+        ticks = re.findall(r'y="([^"]*)" font-size="11" text-anchor="end">([^<]*)<', svg)
+        assert len({y for y, _ in ticks}) == 5  # five ticks at five heights
+        if value == -5.0:  # +-1 where it moves the axis
+            assert [label for _, label in ticks] == ["-6", "-5.5", "-5", "-4.5", "-4"]
+        csv, svg_path = tmp_path / "flat.csv", tmp_path / "cli.svg"
+        emit_csv(report.trace, csv)
+        assert main(["plot", "--traces", str(csv), "--out", str(svg_path)]) == 0
+
+    def test_no_traces_or_an_empty_trace_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="need at least one trace"):
+            emit_plot({}, tmp_path / "none.svg")
+        with pytest.raises(ValueError, match="trace 'run' is empty"):
+            emit_plot({"kept": _synthetic_trace([1.0]), "run": []}, tmp_path / "empty.svg")
+        assert not list(tmp_path.iterdir())
+
     def test_legend_labels_are_escaped(self, tmp_path):
         path = tmp_path / "odd.svg"
         emit_plot({"a<b>&c": _synthetic_trace([2.0, 1.0])}, path)
@@ -218,6 +244,18 @@ class TestRateEstimate:
         # records at or below the target do not qualify
         with pytest.raises(InsufficientData):
             estimate_rate(_synthetic_trace([0.0] * 40), 0.0)
+
+    def test_factor_and_exponent_only_for_their_own_kind(self):
+        linear = estimate_rate(_synthetic_trace([0.5**k for k in range(1, 61)]), 0.0)
+        sublinear = estimate_rate(_synthetic_trace([float(k) ** -2 for k in range(1, 61)]), 0.0)
+        none = estimate_rate(_synthetic_trace([1.0 + 0.01 * ((-1) ** k) for k in range(40)]),
+                             0.0)
+        for est in (sublinear, none):
+            with pytest.raises(ValueError, match="only defined for linear rates"):
+                est.factor
+        for est in (linear, none):
+            with pytest.raises(ValueError, match="only defined for sublinear rates"):
+                est.exponent
 
     def test_non_finite_records_do_not_qualify(self):
         with warnings.catch_warnings():
@@ -621,6 +659,15 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "overridden" / "report.json").exists()
         assert not (tmp_path / "from_file").exists()
+
+    def test_config_file_unknown_problem_rejected(self, tmp_path, capsys):
+        # --problem has argparse choices; a config file's value is checked in _cmd_run
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("problem = nosuch\nn = 3\nsolver = dfc-fordif\n"
+                       f"out = {tmp_path / 'o'}\n")
+        assert main(["run", "--config", str(bad)]) == 1
+        assert "unknown problem 'nosuch'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_config_file_line_without_equals_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

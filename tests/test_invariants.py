@@ -131,10 +131,11 @@ def test_a_step_called_directly_starts_no_evaluation_at_the_budget(rule, budget)
 
 
 def _record_cut_off_steps(monkeypatch, module) -> list:
-    """Record each step of ``module``'s runs that the budget cuts off: its
-    ``StepEvals``, the evaluations the step made, the values it evaluated
-    outside its stencils (at points other than its iterate), and how many of
-    them it took through ``Oracle.evaluate_rows``."""
+    """Record each step of ``module``'s runs that the budget cuts off: the
+    run's ``StepEvals`` and its ``cost`` and ``low`` when the step started,
+    the evaluations the step made, the values it evaluated outside its
+    stencils (at points other than its iterate), and how many of them it took
+    through ``Oracle.evaluate_rows``."""
     cuts, evaluated = [], []
     evaluate, evaluate_rows = Oracle.evaluate, Oracle.evaluate_rows
 
@@ -151,13 +152,14 @@ def _record_cut_off_steps(monkeypatch, module) -> list:
     def recording_drive(*args, step, **kwargs):
         def recording_step(state, evals, scheme, cfg):
             first, count = len(evaluated), evals.oracle.eval_count
+            cost, low = evals.cost, evals.low
             try:
                 return step(state, evals, scheme, cfg)
             except BudgetExhausted:
                 seen = [(v, rows) for x, v, rows in evaluated[first:]
                         if not np.array_equal(x, state.x)]
-                cuts.append((evals, evals.oracle.eval_count - count, [v for v, _ in seen],
-                             sum(rows for _, rows in seen)))
+                cuts.append((evals, cost, low, evals.oracle.eval_count - count,
+                             [v for v, _ in seen], sum(rows for _, rows in seen)))
                 raise
         return driver.drive(*args, step=recording_step, **kwargs)
 
@@ -193,9 +195,9 @@ def test_a_cut_off_step_reports_its_cost_and_lowest_value(solver_id, monkeypatch
     assert cuts
     candidates, from_rows = [], 0
     linesearches = solver_id.startswith(("dfb", "imfil"))
-    for ledger, spent, seen, rows in cuts:
+    for ledger, cost_before, low_before, spent, seen, rows in cuts:
         from_rows += rows
-        assert ledger.cost == spent
+        assert ledger.cost - cost_before == spent
         # DFB's and implicit filtering's candidates are all linesearch trials
         assert rows == (len(seen) if linesearches else 0)
         assert isinstance(ledger.low, float)
@@ -203,7 +205,7 @@ def test_a_cut_off_step_reports_its_cost_and_lowest_value(solver_id, monkeypatch
             seen = []  # the probe at x + sigma u is not an iterate value
         candidates += seen
         finite = [v for v in seen if not math.isnan(v)]
-        expected = min(finite) if finite else math.nan
+        expected = driver.lower(low_before, min(finite) if finite else math.nan)
         assert ledger.low == expected or math.isnan(ledger.low) and math.isnan(expected)
     # DFB's and implicit filtering's linesearches and the simplex moves are
     # cut off after some candidate; the other steps end with their only one
@@ -236,6 +238,31 @@ def test_the_declared_count_catches_a_step_that_bypasses_its_ledger(solver_id, m
     monkeypatch.setattr(module, "drive", bypassing_drive)
     report = run()
     assert report.trace and report.evals != report.declared_evals
+
+
+@pytest.mark.parametrize("solver_id", SOLVER_IDS + ("gdf-fordif",))
+def test_every_step_of_a_run_charges_the_one_run_ledger(solver_id, monkeypatch):
+    # drive builds one StepEvals per run and reports its final cost and low
+    module = gdf if solver_id.startswith("gdf") else SOLVERS[solver_id][0]
+    ledgers = []
+
+    def recording_drive(*args, step, **kwargs):
+        def recording_step(state, evals, scheme, cfg):
+            ledgers.append(evals)
+            return step(state, evals, scheme, cfg)
+        return driver.drive(*args, step=recording_step, **kwargs)
+
+    monkeypatch.setattr(module, "drive", recording_drive)
+    inst = random_instance("least_squares", n=3, seed=3)
+    if module is gdf:
+        cfg = GdfConfig(x1=np.zeros(3), budget=60, tau=0.01)
+        report = gdf.gdf_run(inst.objective, GradScheme.FORWARD, cfg)
+    else:
+        report = run_solver(solver_id, inst, 60, 0.0, seed=0, x0=np.zeros(3))
+    ledger = ledgers[0]
+    assert len(ledgers) > 1 and all(evals is ledger for evals in ledgers)
+    assert report.declared_evals == ledger.cost
+    assert report.best_f == ledger.low or math.isnan(report.best_f) and math.isnan(ledger.low)
 
 
 @pytest.mark.parametrize("rule, scheme, settings, evals, last_record", [

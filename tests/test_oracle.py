@@ -258,11 +258,14 @@ CALLS = {"stencil": lambda oracle: oracle.evaluate_stencil(np.ones(3), np.array(
     ("point", Objective(dim=3, evaluator=_faulty), EvaluatorFault),
     ("point", Objective(dim=3, evaluator=lambda x: np.zeros(2) if x[0] > 0 else 0.0), TypeError),
     ("rows", Objective(dim=3, evaluator=_faulty), EvaluatorFault),
+    ("rows", Objective(dim=3, evaluator=_faulty, rows_evaluator=lambda X: np.zeros(3)),
+     ValueError),
     ("forward", _with_kernel(_faulty_kernel), EvaluatorFault),
     ("forward", _with_kernel(lambda x, steps: (0.0, np.zeros((2, 2)))), ValueError),
     ("forward", _with_kernel(lambda x, steps: (np.zeros(2), np.zeros((3, 1)))), TypeError),
 ], ids=["stencil-raises", "stencil-wrong-shape", "point-raises", "point-not-a-scalar",
-        "rows-raises", "forward-raises", "forward-wrong-shape", "forward-base-not-a-scalar"])
+        "rows-raises", "rows-wrong-shape", "forward-raises", "forward-wrong-shape",
+        "forward-base-not-a-scalar"])
 def test_an_evaluation_that_fails_charges_nothing(route, objective, error):
     # every route counts a value, and draws its noise, only once the value is there
     oracle = Oracle(objective, noise_level=1e-3, rng_seed=5)
